@@ -14,14 +14,15 @@ import sys
 
 import numpy as np
 
-from .codecs import PAYLOAD_BITS, EncodingConfig, decode
+from .bitops import bits_from_u32, u32_from_bits
+from .codecs import PAYLOAD_BITS, decode_words
 from .harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
-from .memory import load_fault_map
+from .memory import load_fault_map, stuck_words
 from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_LR,
                  DEFAULT_SAMPLES, DEFAULT_SEED, TrainingDivergedError, accuracy,
                  make_dataset, quantize, train)
-from .objective import deviation, write_with_craft
+from .objective import deviation_words, store_words
 from .weightfile import (flatten_model, load_blocks, load_model, load_sidecar,
                          save_blocks, save_model, save_sidecar, unflatten_model)
 
@@ -47,6 +48,20 @@ def _hidden_dims(text: str) -> tuple[int, ...]:
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"bad hidden dims {text!r}")
     return dims
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
+def _ber(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise ValueError(f"BER must be in [0, 1], got {value!r}")
+    return value
 
 
 def _ber_list(text: str) -> list[float]:
@@ -124,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:per-decade log grid (default 1e-5:1e-1:5)")
     p.add_argument("--ber", type=_ber_list, default=None,
                    help="explicit comma-separated BER list, overrides the grid")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True, help="output prefix for _raw.csv and _summary.csv")
     _add_dataset_flags(p)
     p.add_argument("--config", help="key=value file overlaying the flags")
@@ -134,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criticality", help="per-bit-position fault sensitivity")
     p.add_argument("--model", required=True)
-    p.add_argument("--ber", type=float, default=1e-3)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--ber", type=_ber, default=1e-3)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_dataset_flags(p)
@@ -263,15 +278,12 @@ def cmd_encode_file(args) -> int:
         raise IOFailure(
             f"fault map region ({fmap.region_size_bits} bits) smaller than "
             f"weight region ({layout.n_blocks * PAYLOAD_BITS} bits)")
-    stored = np.empty_like(blocks)
-    codes = []
+    mask, stuck = stuck_words(fmap, 0, layout.n_blocks)
+    codes, stored, deltas = store_words(u32_from_bits(blocks), mask, stuck,
+                                        layout.precision, layout.block_scales())
+    stored = bits_from_u32(stored)
     print("block,aux_hex,delta")
-    for i in range(layout.n_blocks):
-        payload, aux, delta = write_with_craft(
-            blocks[i], fmap, i * PAYLOAD_BITS, layout.view_for_block(i))
-        stored[i] = payload
-        code = EncodingConfig.from_aux(aux).aux_code
-        codes.append(code)
+    for i, (code, delta) in enumerate(zip(codes.tolist(), deltas.tolist())):
         print(f"{i},{code:02x},{delta!r}")
     try:
         save_blocks(stored, layout, args.out)
@@ -293,10 +305,8 @@ def cmd_decode_file(args) -> int:
         codes = load_sidecar(args.sidecar, layout.n_blocks)
     except (OSError, ValueError) as exc:
         raise IOFailure(f"cannot read sidecar {args.sidecar}: {exc}") from exc
-    decoded = np.empty_like(blocks)
-    for i in range(layout.n_blocks):
-        decoded[i] = decode(blocks[i], EncodingConfig.from_aux_code(codes[i]), layout.precision)
-    model = unflatten_model(decoded, layout)
+    decoded = decode_words(u32_from_bits(blocks), np.array(codes), layout.precision)
+    model = unflatten_model(bits_from_u32(decoded), layout)
     try:
         save_model(model, args.out)
     except OSError as exc:
@@ -306,9 +316,10 @@ def cmd_decode_file(args) -> int:
         ref_blocks, ref_layout = flatten_model(reference)
         if ref_layout.n_blocks != layout.n_blocks or ref_layout.precision is not layout.precision:
             raise IOFailure("reference model does not match the block file layout")
+        deltas = deviation_words(u32_from_bits(ref_blocks), decoded, layout.precision,
+                                 ref_layout.block_scales())
         print("block,delta")
-        for i in range(layout.n_blocks):
-            delta = deviation(ref_blocks[i], decoded[i], ref_layout.view_for_block(i))
+        for i, delta in enumerate(deltas.tolist()):
             print(f"{i},{delta!r}")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -15,6 +15,13 @@ A block's chosen combination is recorded in 6 fault-free auxiliary bits:
 key (4) then invert flag then switch flag, giving the 64-point search
 space enumerated by `ALL_CONFIGS`.  An error-correcting-pointers baseline
 (`ecp_correct`) and the storage-overhead formulas live here too.
+
+The transforms are implemented once, on the word form of a block: 16
+little-endian uint32 words, bit w*32+k of the block being bit k of word w
+(`encode_words`, `decode_words`, `ecp_words`).  Remap is a slot gather,
+inversion an XOR with 0xFFFFFFFF, switching a rotate-left by 10 (fp32) or
+a nibble swap in every byte (u8).  The bit-level functions convert at the
+boundary and call the word form.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from typing import Literal
 
 import numpy as np
 
-from .bitops import as_bit_array
-from .memory import AUX_BITS, PAYLOAD_BITS, FaultMap, apply_faults
+from .bitops import as_bit_array, bits_from_u32, u32_from_bits
+from .memory import AUX_BITS, PAYLOAD_BITS, FaultMap, apply_stuck, stuck_words
 
 REMAP_SLOTS = 16
 SLOT_BITS = 32
@@ -100,6 +107,73 @@ REMAP_INVERT_CONFIGS = ALL_CONFIGS[:32]
 IDENTITY_CONFIG = ALL_CONFIGS[0]
 
 
+#: Row k is the slot gather of remap key k: output slot j takes slot j ^ k.
+SLOT_PERMS = np.arange(REMAP_SLOTS) ^ np.arange(REMAP_SLOTS)[:, None]
+SLOT_PERMS.setflags(write=False)
+
+_ALL_ONES = np.uint32(0xFFFFFFFF)
+_NIBBLE_LO = np.uint32(0x0F0F0F0F)
+_NIBBLE_HI = np.uint32(0xF0F0F0F0)
+
+
+def _remap_words(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    perms = SLOT_PERMS[keys]
+    if words.shape[-2] == 1:  # one block under every key
+        return np.take(words[..., 0, :], perms, axis=-1)
+    rows = perms + REMAP_SLOTS * np.arange(keys.size)[:, None]
+    return np.take(words.reshape(words.shape[:-2] + (-1,)), rows, axis=-1)
+
+
+def _invert_words(words: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    return words ^ np.where(flags[:, None] != 0, _ALL_ONES, np.uint32(0))
+
+
+def _switch_words(words: np.ndarray, flags: np.ndarray, precision: Precision,
+                  encoding: bool) -> np.ndarray:
+    if precision is Precision.FP32:
+        r = np.uint32(precision.rotation if encoding else SLOT_BITS - precision.rotation)
+        switched = (words << r) | (words >> np.uint32(SLOT_BITS - r))
+    else:
+        # rotating a byte by 4 swaps its nibbles, which is its own inverse
+        switched = ((words << np.uint32(4)) & _NIBBLE_HI) | ((words >> np.uint32(4)) & _NIBBLE_LO)
+    return np.where(flags[:, None] != 0, switched, words)
+
+
+def encode_words(words: np.ndarray, codes: np.ndarray, precision: Precision) -> np.ndarray:
+    """Word-level :func:`encode`.
+
+    A block is 16 little-endian uint32 words: bit w*32+k of the block is
+    bit k of word w.  `words` has shape (..., C, 16), C blocks for the C
+    aux codes in `codes`, or (..., 1, 16), one block stored under each of
+    the C configs; the result has shape (..., C, 16).
+    """
+    codes = np.asarray(codes)
+    out = _remap_words(words, codes & 0xF)
+    out = _invert_words(out, codes & 0x10)
+    return _switch_words(out, codes & 0x20, precision, encoding=True)
+
+
+def decode_words(words: np.ndarray, codes: np.ndarray, precision: Precision) -> np.ndarray:
+    """Exact inverse of :func:`encode_words`: (..., C, 16) words, C codes."""
+    codes = np.asarray(codes)
+    out = _switch_words(words, codes & 0x20, precision, encoding=False)
+    out = _invert_words(out, codes & 0x10)
+    return _remap_words(out, codes & 0xF)
+
+
+def _payload_words(payload: np.ndarray) -> np.ndarray:
+    """(n, 16) words of one or a batch of bit-level payloads."""
+    return u32_from_bits(as_bit_array(payload, PAYLOAD_BITS)).reshape(-1, REMAP_SLOTS)
+
+
+def _payload_bits(words: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    return bits_from_u32(words).reshape(np.shape(payload))
+
+
+def _per_block(words: np.ndarray, code: int) -> np.ndarray:
+    return np.full(words.shape[0], code, dtype=np.intp)
+
+
 def remap(payload: np.ndarray, xor_key: int) -> np.ndarray:
     """Permute the 16 32-bit slots: output slot (i XOR key) = input slot i.
 
@@ -107,16 +181,14 @@ def remap(payload: np.ndarray, xor_key: int) -> np.ndarray:
     """
     if not 0 <= xor_key < (1 << KEY_BITS):
         raise ValueError(f"xor_key must be a 4-bit value, got {xor_key}")
-    payload = as_bit_array(payload, PAYLOAD_BITS)
-    slots = payload.reshape(payload.shape[:-1] + (REMAP_SLOTS, SLOT_BITS))
-    perm = np.arange(REMAP_SLOTS) ^ xor_key
-    return slots[..., perm, :].reshape(payload.shape)
+    words = _payload_words(payload)
+    return _payload_bits(_remap_words(words, _per_block(words, xor_key)), payload)
 
 
 def invert(payload: np.ndarray) -> np.ndarray:
     """Complement every payload bit; self-inverse."""
-    payload = as_bit_array(payload, PAYLOAD_BITS)
-    return payload ^ 1
+    words = _payload_words(payload)
+    return _payload_bits(_invert_words(words, _per_block(words, 1)), payload)
 
 
 def switch_bits(payload: np.ndarray, precision: Precision,
@@ -125,33 +197,44 @@ def switch_bits(payload: np.ndarray, precision: Precision,
     right on decode.  Word boundaries are respected."""
     if direction not in ("encode", "decode"):
         raise ValueError(f"direction must be 'encode' or 'decode', got {direction!r}")
-    payload = as_bit_array(payload, PAYLOAD_BITS)
-    width = precision.word_bits
-    rot = precision.rotation if direction == "encode" else -precision.rotation
-    words = payload.reshape(payload.shape[:-1] + (PAYLOAD_BITS // width, width))
-    # bit index == significance, so a value rotate-left by r shifts bit k to
-    # position (k + r) mod width, i.e. np.roll along the word axis.
-    return np.roll(words, rot, axis=-1).reshape(payload.shape)
+    words = _payload_words(payload)
+    switched = _switch_words(words, _per_block(words, 1), precision, direction == "encode")
+    return _payload_bits(switched, payload)
 
 
 def encode(payload: np.ndarray, config: EncodingConfig, precision: Precision) -> np.ndarray:
     """Apply remap, then optional inversion, then optional bit switching."""
-    out = remap(payload, config.xor_key)
-    if config.invert:
-        out = invert(out)
-    if config.switch:
-        out = switch_bits(out, precision, "encode")
-    return out
+    words = _payload_words(payload)
+    return _payload_bits(encode_words(words, _per_block(words, config.aux_code), precision),
+                         payload)
 
 
 def decode(payload: np.ndarray, config: EncodingConfig, precision: Precision) -> np.ndarray:
     """Exact inverse of :func:`encode` for the same config and precision."""
-    out = as_bit_array(payload, PAYLOAD_BITS)
-    if config.switch:
-        out = switch_bits(out, precision, "decode")
-    if config.invert:
-        out = invert(out)
-    return remap(out, config.xor_key)
+    words = _payload_words(payload)
+    return _payload_bits(decode_words(words, _per_block(words, config.aux_code), precision),
+                         payload)
+
+
+def ecp_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray, n: int) -> np.ndarray:
+    """Word-level readout of (blocks, 16) words under n-pointer ECP.
+
+    `mask` and `stuck` come from :func:`craft.memory.stuck_words`.  The
+    pointers of a block repair its first n mismatching stuck cells in
+    ascending bit order.
+    """
+    readout = apply_stuck(words, mask, stuck)
+    wrong = mask & (words ^ stuck)
+    rows = np.arange(words.shape[0])
+    for _ in range(n):
+        if not wrong.any():
+            break
+        first = np.argmax(wrong != 0, axis=-1)
+        word = wrong[rows, first]
+        lowest = word & (~word + np.uint32(1))  # lowest set bit; 0 where none
+        readout[rows, first] ^= lowest
+        wrong[rows, first] ^= lowest
+    return readout
 
 
 def ecp_correct(desired: np.ndarray, fault_map: FaultMap, offset: int = 0, n: int = 1) -> np.ndarray:
@@ -166,12 +249,8 @@ def ecp_correct(desired: np.ndarray, fault_map: FaultMap, offset: int = 0, n: in
         raise ValueError("ecp_correct expects a single block")
     if n < 0:
         raise ValueError("pointer count must be non-negative")
-    readout = apply_faults(desired, fault_map, offset)
-    positions, values = fault_map.slice_range(offset, PAYLOAD_BITS)
-    mismatched = positions[values != desired[positions]]
-    fixed = mismatched[:n]
-    readout[fixed] = desired[fixed]
-    return readout
+    mask, stuck = stuck_words(fault_map, offset)
+    return _payload_bits(ecp_words(_payload_words(desired), mask, stuck, n), desired)
 
 
 def ecp_overhead(n: int, d: int) -> float:

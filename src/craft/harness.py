@@ -10,17 +10,18 @@ derives from base_seed + trial_index.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .codecs import (PAYLOAD_BITS, EncodingConfig, REMAP_INVERT_CONFIGS,
-                     decode, ecp_correct)
-from .memory import FaultMap, apply_faults, generate_fault_map
-from .nn import MlpModel, QuantizedModel, accuracy
-from .objective import deviation, write_with_craft
+from .bitops import bits_from_u32, u32_from_bits
+from .codecs import PAYLOAD_BITS, REMAP_INVERT_CONFIGS, decode_words, ecp_words
+from .memory import FaultMap, apply_stuck, generate_fault_map
+from .nn import InferenceBuffers, MlpModel, QuantizedModel, accuracy
+from .objective import config_codes, deviation_words, store_words
 from .prng import make_rng, trial_seed
 from .weightfile import BlockLayout, flatten_model, unflatten_model
 
@@ -136,33 +137,39 @@ def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) ->
 
 def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
                   fault_map: FaultMap) -> tuple[np.ndarray, float]:
-    """Readout blocks and total deviation after protecting each block."""
+    """Readout blocks and total deviation after protecting each block.
+
+    Only blocks holding stuck cells are processed; the others read back
+    unchanged with zero deviation.
+    """
     read = blocks.copy()
     total = 0.0
     if len(fault_map) == 0:
         return read, total
-    for b in np.unique(fault_map.bit_indices // PAYLOAD_BITS):
-        offset = int(b) * PAYLOAD_BITS
-        view = layout.view_for_block(int(b))
-        block = blocks[b]
-        if scheme.kind == "baseline":
-            out = apply_faults(block, fault_map, offset)
-            delta = deviation(block, out, view)
-        elif scheme.kind == "ecp":
-            out = ecp_correct(block, fault_map, offset, scheme.ecp_n)
-            delta = deviation(block, out, view)
-        else:
-            stored, aux, delta = write_with_craft(block, fault_map, offset, view,
-                                                  scheme.config_space)
-            out = decode(stored, EncodingConfig.from_aux(aux), layout.precision)
-        read[b] = out
+    touched, mask, stuck = fault_map.touched_blocks
+    words = u32_from_bits(blocks[touched])
+    scales = layout.block_scales()
+    scale = None if scales is None else scales[touched]
+    precision = layout.precision
+    if scheme.kind == "baseline":
+        out = apply_stuck(words, mask, stuck)
+    elif scheme.kind == "ecp":
+        out = ecp_words(words, mask, stuck, scheme.ecp_n)
+    else:
+        chosen, stored, _ = store_words(words, mask, stuck, precision, scale,
+                                        config_codes(scheme.config_space))
+        out = decode_words(stored, chosen, precision)
+    read[touched] = bits_from_u32(out)
+    # Left to right in ascending block order: the sum must not depend on
+    # the interpreter's float summation algorithm.
+    for delta in deviation_words(words, out, precision, scale).tolist():
         total += delta
     return read, total
 
 
-def _test_error(blocks, layout, dataset) -> float:
+def _test_error(blocks, layout, dataset, buffers: InferenceBuffers | None = None) -> float:
     rebuilt = unflatten_model(blocks, layout)
-    return 1.0 - accuracy(rebuilt, dataset.test_inputs, dataset.test_labels)
+    return 1.0 - accuracy(rebuilt, dataset.test_inputs, dataset.test_labels, buffers)
 
 
 def run_trial(model: MlpModel | QuantizedModel, dataset, scheme: Scheme, ber: float,
@@ -187,16 +194,22 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
         raise ValueError("need at least one trial")
     blocks, layout = flatten_model(model)
     region = layout.n_blocks * PAYLOAD_BITS
-    fault_free = _test_error(blocks, layout, dataset)
+    # One set of inference buffers per thread; the calling thread's serves
+    # the fault-free model too.
+    per_thread = threading.local()
+    per_thread.buffers = InferenceBuffers()
+    fault_free = _test_error(blocks, layout, dataset, per_thread.buffers)
 
     def one_cell(task):
         ber, trial = task
+        if not hasattr(per_thread, "buffers"):
+            per_thread.buffers = InferenceBuffers()
         fmap = generate_fault_map(region, ber, sa1_fraction,
                                   trial_seed(base_seed, trial))
         out = []
         for scheme in schemes:
             read, total = _apply_scheme(blocks, layout, scheme, fmap)
-            out.append((_test_error(read, layout, dataset), total))
+            out.append((_test_error(read, layout, dataset, per_thread.buffers), total))
         return out
 
     tasks = [(ber, t) for ber in ber_list for t in range(trials)]
@@ -238,7 +251,8 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     word_bits = layout.precision.word_bits
     region = layout.n_blocks * PAYLOAD_BITS
     n_words = region // word_bits
-    fault_free = _test_error(blocks, layout, dataset)
+    buffers = InferenceBuffers()
+    fault_free = _test_error(blocks, layout, dataset, buffers)
     points = []
     for position in range(word_bits):
         errs = np.empty(trials)
@@ -251,7 +265,7 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
             fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION,
                             trial_seed(base_seed, t))
             read, total = _apply_scheme(blocks, layout, Scheme("baseline"), fmap)
-            errs[t] = _test_error(read, layout, dataset)
+            errs[t] = _test_error(read, layout, dataset, buffers)
             deltas[t] = total
         points.append(CriticalityPoint(position, float(errs.mean()),
                                        float(errs.std(ddof=0)), float(deltas.mean())))

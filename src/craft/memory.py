@@ -9,6 +9,7 @@ stuck with probability `ber`, and a stuck cell holds 1 with probability
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .prng import make_rng
 
 PAYLOAD_BITS = 512
 AUX_BITS = 6
+WORDS_PER_BLOCK = PAYLOAD_BITS // 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +70,18 @@ class FaultMap:
     @property
     def entries(self) -> list[tuple[int, int]]:
         return list(zip(self.bit_indices.tolist(), self.stuck_values.tolist()))
+
+    @cached_property
+    def touched_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indices of the 512-bit blocks that hold stuck cells, ascending,
+        with their (mask, stuck) words as :func:`stuck_words` gives them.
+        Built on first use and kept, since the map never changes."""
+        blocks, rows = np.unique(self.bit_indices // PAYLOAD_BITS, return_inverse=True)
+        local = rows * PAYLOAD_BITS + self.bit_indices % PAYLOAD_BITS
+        out = (blocks, *_pack_words(local, self.stuck_values, blocks.size))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def slice_range(self, offset: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Stuck cells within [offset, offset+length), as (local positions, values)."""
@@ -134,6 +148,36 @@ def apply_faults(desired: np.ndarray, fault_map: FaultMap, offset: int = 0) -> n
     return readout
 
 
+def _pack_words(positions: np.ndarray, values: np.ndarray, n_blocks: int):
+    mask = np.zeros((n_blocks, WORDS_PER_BLOCK), dtype=np.uint32)
+    stuck = np.zeros_like(mask)
+    rows, bits = np.divmod(positions, PAYLOAD_BITS)
+    words, shifts = np.divmod(bits, 32)
+    cells = np.uint32(1) << shifts.astype(np.uint32)
+    # positions are distinct, so OR-ing them in one at a time is exact
+    np.bitwise_or.at(mask, (rows, words), cells)
+    np.bitwise_or.at(stuck, (rows, words), cells * values.astype(np.uint32))
+    return mask, stuck
+
+
+def stuck_words(fault_map: FaultMap, offset: int = 0, n_blocks: int = 1):
+    """Word-level form of the stuck cells of `n_blocks` blocks at `offset`.
+
+    Returns (mask, stuck), two (n_blocks, 16) little-endian uint32 arrays:
+    bit k of word w of a block is set in `mask` when cell w*32+k of the
+    block is stuck, and the same bit of `stuck` holds its stuck value.
+    Cells of the map outside the blocks are ignored.
+    """
+    _check_bounds(fault_map, offset, n_blocks * PAYLOAD_BITS)
+    positions, values = fault_map.slice_range(offset, n_blocks * PAYLOAD_BITS)
+    return _pack_words(positions, values, n_blocks)
+
+
+def apply_stuck(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray) -> np.ndarray:
+    """Word-level :func:`apply_faults`: stuck cells override written bits."""
+    return (words & ~mask) | stuck
+
+
 def count_mismatches(desired: np.ndarray, fault_map: FaultMap, offset: int = 0) -> int:
     """Number of stuck cells in range whose value differs from the desired bit."""
     desired = as_bit_array(desired)
@@ -158,7 +202,20 @@ def load_fault_map(path) -> FaultMap:
         if len(header) != 4:
             raise ValueError(f"malformed fault map header in {path}")
         size, ber, frac, seed = int(header[0]), float(header[1]), float(header[2]), int(header[3])
-        pairs = [line.split() for line in fh if line.strip()]
-    indices = np.array([int(p[0]) for p in pairs], dtype=np.int64)
-    values = np.array([int(p[1]) for p in pairs], dtype=np.uint8)
-    return FaultMap(size, indices, values, ber, frac, seed)
+        # Two lists of ints rather than a list of pairs: ints are not tracked
+        # by the garbage collector, so reading a large map sets off no
+        # collections, some of which would visit every object in the process.
+        indices, values = [], []
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise ValueError(f"fault map line {lineno}: expected `bit_index value`, got {line.strip()!r}")
+            index, value = int(fields[0]), int(fields[1])
+            if not 0 <= index < size or value not in (0, 1):
+                raise ValueError(f"fault map line {lineno}: bad entry {line.strip()!r}")
+            indices.append(index)
+            values.append(value)
+    return FaultMap(size, np.array(indices, dtype=np.int64), np.array(values, dtype=np.uint8),
+                    ber, frac, seed)

@@ -5,23 +5,38 @@ block's weights of |readout value - original value|.  For a given fault
 map the best encoding is found by brute force over the (sub)space of
 configurations, simulating store -> faulty readout -> decode for each one
 and keeping the argmin (ties go to the smallest aux code).
+
+The search runs on the word form of blocks (see :mod:`craft.codecs`):
+:func:`search_words` scores every config of a few blocks in one
+(blocks, configs, 16) pass, and :func:`store_words` writes many blocks with
+their best configs, searching them a chunk at a time.  The bit-level
+:func:`search_best_encoding` and :func:`write_with_craft` are single-block
+wrappers around them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .bitops import as_bit_array, bytes_from_bits, f32_from_bits
-from .codecs import ALL_CONFIGS, PAYLOAD_BITS, EncodingConfig, Precision, encode
-from .memory import FaultMap, apply_faults
+from .bitops import as_bit_array, bits_from_u32, u32_from_bits
+from .codecs import (ALL_CONFIGS, N_CONFIGS, PAYLOAD_BITS, EncodingConfig, Precision,
+                     decode_words, encode_words)
+from .memory import FaultMap, apply_stuck, stuck_words
 
 #: Delta contributed by a non-finite float32 readout weight.  Just above
 #: float32 max, so a config producing NaN/Inf loses to any finite one.
 NONFINITE_SENTINEL = 2.0 ** 128
+
+#: Blocks searched per pass of :func:`store_words`.  Each pass holds a few
+#: (chunk, configs, 16) arrays, so memory stays flat in the model size.
+SEARCH_CHUNK_BLOCKS = 32
+
+#: Aux codes of all 64 configs, ascending.
+ALL_CODES = np.arange(N_CONFIGS)
+ALL_CODES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,31 @@ class WeightView:
             raise ValueError("fp32 views take no quantization parameters")
 
 
+def deviation_words(original: np.ndarray, readout: np.ndarray, precision: Precision,
+                    scale=None) -> np.ndarray:
+    """Word-level :func:`deviation` of (..., 16) uint32 blocks.
+
+    `original` broadcasts against `readout`.  For u8, `scale` is the
+    quantization scale, a float or an array broadcasting against the
+    result; fp32 takes none.  The 16 per-weight fp32 differences of a block
+    are summed along a contiguous last axis, so the result matches the
+    bit-level function bit for bit.
+    """
+    if precision is Precision.U8:
+        qo = np.ascontiguousarray(original).view(np.uint8).astype(np.int16)
+        qr = np.ascontiguousarray(readout).view(np.uint8).astype(np.int16)
+        return scale * np.abs(qr - qo).sum(axis=-1)
+    # Blocks are arbitrary bit patterns; signaling NaNs and inf-inf are
+    # expected here and resolved through the sentinel.
+    with np.errstate(invalid="ignore"):
+        diff = np.subtract(readout.view("<f4"), original.view("<f4"), dtype=np.float64)
+    # The float64 difference of two finite float32 values is finite, and
+    # one of a NaN or an infinity is not, so its finiteness is both inputs'.
+    np.abs(diff, out=diff)
+    diff[~np.isfinite(diff)] = NONFINITE_SENTINEL
+    return diff.sum(axis=-1)
+
+
 def deviation(original: np.ndarray, readout: np.ndarray, view: WeightView):
     """Net deviation between two blocks under a weight view.
 
@@ -61,22 +101,9 @@ def deviation(original: np.ndarray, readout: np.ndarray, view: WeightView):
     `readout` may be batched (configs on leading axes); a matching array of
     deltas is returned, a plain float for single blocks.
     """
-    original = as_bit_array(original, PAYLOAD_BITS)
-    readout = as_bit_array(readout, PAYLOAD_BITS)
-    if view.precision is Precision.U8:
-        qo = bytes_from_bits(original).astype(np.int64)
-        qr = bytes_from_bits(readout).astype(np.int64)
-        delta = view.scale * np.abs(qr - qo).sum(axis=-1)
-    else:
-        # Blocks are arbitrary bit patterns; signaling NaNs and inf-inf are
-        # expected here and resolved through the sentinel.
-        with np.errstate(invalid="ignore"):
-            wo32 = f32_from_bits(original)
-            wr32 = f32_from_bits(readout)
-            diff = np.abs(wr32.astype(np.float64) - wo32.astype(np.float64))
-            diff = np.where(np.isfinite(wr32) & np.isfinite(wo32),
-                            diff, NONFINITE_SENTINEL)
-        delta = diff.sum(axis=-1)
+    original = u32_from_bits(as_bit_array(original, PAYLOAD_BITS))
+    readout = u32_from_bits(as_bit_array(readout, PAYLOAD_BITS))
+    delta = deviation_words(original, readout, view.precision, view.scale)
     return float(delta) if np.ndim(delta) == 0 else delta
 
 
@@ -107,44 +134,73 @@ class DeviationReport:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
-def _gathers(precision: Precision) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-config permutation tables for the vectorized search.
+def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
+                 precision: Precision, scale, codes: np.ndarray) -> np.ndarray:
+    """Deltas of every config in `codes` for every one of (n, 16) blocks.
 
-    encode(x, c) == x[enc[c]] ^ inv[c] and decode(y, c) == y[dec[c]] ^ inv[c]:
-    the inversion commutes with the bit permutations, so each config is a
-    gather plus an optional complement.
+    Each config's store -> faulty readout -> decode is simulated on words,
+    all configs of all n blocks in one (n, len(codes), 16) pass; `mask` and
+    `stuck` are the blocks' stuck cells (see :func:`craft.memory.stuck_words`)
+    and `scale` is None for fp32 or the per-block u8 scales, shape (n,).
+    Returns (n, len(codes)) deltas.  Memory grows with n:
+    :func:`store_words` passes at most :data:`SEARCH_CHUNK_BLOCKS` blocks.
     """
-    identity = np.arange(PAYLOAD_BITS)
-    enc = np.empty((len(ALL_CONFIGS), PAYLOAD_BITS), dtype=np.intp)
-    dec = np.empty_like(enc)
-    inv = np.empty(len(ALL_CONFIGS), dtype=np.uint8)
-    for i, cfg in enumerate(ALL_CONFIGS):
-        enc[i] = _permute(identity, cfg, precision, encode_side=True)
-        dec[i] = _permute(identity, cfg, precision, encode_side=False)
-        inv[i] = 1 if cfg.invert else 0
-    enc.setflags(write=False)
-    dec.setflags(write=False)
-    inv.setflags(write=False)
-    return enc, dec, inv
+    original = words[:, None, :]
+    stored = apply_stuck(encode_words(original, codes, precision),
+                         mask[:, None, :], stuck[:, None, :])
+    readback = decode_words(stored, codes, precision)
+    return deviation_words(original, readback, precision,
+                           None if scale is None else scale[:, None])
 
 
-def _permute(identity: np.ndarray, cfg: EncodingConfig, precision: Precision,
-             encode_side: bool) -> np.ndarray:
-    """Gather indices realizing the permutation part of encode or decode."""
-    slots = identity.reshape(16, 32)
-    if encode_side:
-        out = slots[np.arange(16) ^ cfg.xor_key, :].reshape(-1)
-        if cfg.switch:
-            width = precision.word_bits
-            out = np.roll(out.reshape(-1, width), precision.rotation, axis=-1).reshape(-1)
-    else:
-        out = identity
-        if cfg.switch:
-            width = precision.word_bits
-            out = np.roll(out.reshape(-1, width), -precision.rotation, axis=-1).reshape(-1)
-        out = out.reshape(16, 32)[np.arange(16) ^ cfg.xor_key, :].reshape(-1)
-    return out
+def best_indices(deltas: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per row of `deltas`, the index of the minimal delta; ties go to the
+    smallest aux code, whatever the order of `codes`."""
+    minimal = deltas == deltas.min(axis=-1, keepdims=True)
+    return np.argmin(np.where(minimal, codes, N_CONFIGS), axis=-1)
+
+
+def store_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
+                precision: Precision, scale=None, codes: np.ndarray = ALL_CODES):
+    """Word-level :func:`write_with_craft` for (n, 16) blocks.
+
+    Searches :data:`SEARCH_CHUNK_BLOCKS` blocks at a time.  Returns the
+    chosen aux code of each block, the stored words as the memory holds
+    them (encoded, stuck cells overriding) and each block's achieved net
+    deviation.
+    """
+    codes = np.asarray(codes)
+    chosen = np.empty(words.shape[0], dtype=codes.dtype)
+    deltas = np.empty(words.shape[0])
+    for lo in range(0, words.shape[0], SEARCH_CHUNK_BLOCKS):
+        part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
+        scored = search_words(words[part], mask[part], stuck[part], precision,
+                              None if scale is None else scale[part], codes)
+        best = best_indices(scored, codes)
+        chosen[part] = codes[best]
+        deltas[part] = scored[np.arange(best.size), best]
+    stored = apply_stuck(encode_words(words, chosen, precision), mask, stuck)
+    return chosen, stored, deltas
+
+
+def config_codes(configs: Sequence[EncodingConfig] | None) -> np.ndarray:
+    """Aux codes of a config sequence, in its order; None means all 64."""
+    if configs is None:
+        return ALL_CODES
+    codes = np.array([c.aux_code for c in configs], dtype=np.intp)
+    if not codes.size:
+        raise ValueError("search needs at least one config")
+    return codes
+
+
+def _single_block(original: np.ndarray, fault_map: FaultMap, offset: int, view: WeightView):
+    """Words, stuck words and u8 scale of one bit-level block at `offset`."""
+    original = as_bit_array(original, PAYLOAD_BITS)
+    if original.ndim != 1:
+        raise ValueError("search operates on a single block")
+    mask, stuck = stuck_words(fault_map, offset)
+    scale = None if view.scale is None else np.array([view.scale])
+    return u32_from_bits(original)[None], mask, stuck, scale
 
 
 def search_best_encoding(original: np.ndarray, fault_map: FaultMap, offset: int,
@@ -157,24 +213,12 @@ def search_best_encoding(original: np.ndarray, fault_map: FaultMap, offset: int,
     that readback from the original.  Ties break toward the smallest aux
     code, so identical inputs always produce identical reports.
     """
-    original = as_bit_array(original, PAYLOAD_BITS)
-    if original.ndim != 1:
-        raise ValueError("search operates on a single block")
-    if configs is None:
-        configs = ALL_CONFIGS
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("search needs at least one config")
-    codes = np.array([c.aux_code for c in configs])
-    enc, dec, inv = _gathers(view.precision)
-    inv_col = inv[codes, None]
-    stored = original[enc[codes]] ^ inv_col
-    stored = apply_faults(stored, fault_map, offset)
-    readback = np.take_along_axis(stored, dec[codes], axis=1) ^ inv_col
-    deltas = np.asarray(deviation(original, readback, view), dtype=np.float64)
-    minimal = np.flatnonzero(deltas == deltas.min())
-    best = int(minimal[np.argmin(codes[minimal])])
-    return DeviationReport(configs=configs, deltas=deltas, best_index=best)
+    words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
+    configs = ALL_CONFIGS if configs is None else tuple(configs)
+    codes = config_codes(configs)
+    deltas = search_words(words, mask, stuck, view.precision, scale, codes)
+    return DeviationReport(configs=configs, deltas=deltas[0],
+                           best_index=int(best_indices(deltas, codes)[0]))
 
 
 def write_with_craft(original: np.ndarray, fault_map: FaultMap, offset: int,
@@ -187,7 +231,7 @@ def write_with_craft(original: np.ndarray, fault_map: FaultMap, offset: int,
     stuck cells overriding), the 6 aux bits recording the chosen config,
     and the achieved net deviation.
     """
-    report = search_best_encoding(original, fault_map, offset, view, configs)
-    best = report.best_config
-    stored = apply_faults(encode(original, best, view.precision), fault_map, offset)
-    return stored, best.aux(), report.best_delta
+    words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
+    chosen, stored, delta = store_words(words, mask, stuck, view.precision, scale,
+                                        config_codes(configs))
+    return bits_from_u32(stored[0]), ALL_CONFIGS[chosen[0]].aux(), float(delta[0])

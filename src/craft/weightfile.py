@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bits_from_bytes, bits_from_f32, bytes_from_bits, f32_from_bits
-from .codecs import PAYLOAD_BITS, Precision
+from .codecs import N_CONFIGS, PAYLOAD_BITS, Precision
 from .nn import MlpModel, QuantizedLayer, QuantizedModel
 from .objective import WeightView
 
@@ -74,6 +74,12 @@ class BlockLayout:
                 return layer
             index -= count
         raise AssertionError("unreachable")
+
+    def block_scales(self) -> np.ndarray | None:
+        """Quantization scale of every block (u8), or None (fp32)."""
+        if self.quant is None:
+            return None
+        return np.repeat([scale for scale, _ in self.quant], self.layer_blocks)
 
     def view_for_block(self, index: int) -> WeightView:
         layer = self.layer_of_block(index)
@@ -239,6 +245,8 @@ def save_sidecar(aux_codes, path) -> None:
 
 
 def load_sidecar(path, n_blocks: int) -> list[int]:
+    """Aux codes by block index.  Every block needs exactly one line, and
+    every code must name one of the 64 configs."""
     codes = [None] * n_blocks
     with open(path) as fh:
         for line in fh:
@@ -246,9 +254,14 @@ def load_sidecar(path, n_blocks: int) -> list[int]:
                 continue
             idx_text, code_text = line.split()
             idx = int(idx_text)
+            code = int(code_text, 16)
             if not 0 <= idx < n_blocks:
                 raise ValueError(f"sidecar block index {idx} out of range")
-            codes[idx] = int(code_text, 16)
+            if codes[idx] is not None:
+                raise ValueError(f"sidecar lists block {idx} twice")
+            if not 0 <= code < N_CONFIGS:
+                raise ValueError(f"sidecar aux code {code_text} of block {idx} is not in [00, 3f]")
+            codes[idx] = code
     if any(c is None for c in codes):
         raise ValueError("sidecar is missing block entries")
     return codes

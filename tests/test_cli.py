@@ -69,6 +69,20 @@ class TestUsageErrors:
         code, _, _ = run(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "0"],
+        ["sweep", "--threads", "0"],
+        ["sweep", "--threads", "-3"],
+        ["criticality", "--trials", "0"],
+        ["criticality", "--ber", "2"],
+        ["criticality", "--ber", "-0.1"],
+    ])
+    def test_out_of_range_numbers_exit_1(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--model", str(tmp_path / "m.w"),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "usage:" in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_byte_identical_csvs(self, capsys, tmp_path):
@@ -218,6 +232,58 @@ class TestEncodeDecode:
                            "--out", str(tmp_path / "m2.w"))
         assert code == 2
         assert "sidecar" in err
+
+    def _encoded(self, capsys, tmp_path):
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        fmap_path, _, layout = self._fault_map_path(tmp_path, model, 1e-2)
+        encoded = tmp_path / "m.blk"
+        code, _, err = run(capsys, "encode-file", "--in", str(model), "--out", str(encoded),
+                           "--fault-map", str(fmap_path))
+        assert code == 0, err
+        return encoded, tmp_path / "m.blk.aux", layout
+
+    @pytest.mark.parametrize("edit", ["bad_code", "duplicate"])
+    def test_malformed_sidecar_exits_2(self, capsys, tmp_path, edit):
+        encoded, sidecar, layout = self._encoded(capsys, tmp_path)
+        lines = sidecar.read_text().splitlines()
+        if edit == "bad_code":
+            lines[1] = "1 4a"  # a code past the 64 configs
+        else:
+            lines.append("1 00")  # block 1 listed twice
+        sidecar.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "decode-file", "--in", str(encoded), "--sidecar",
+                           str(sidecar), "--out", str(tmp_path / "m2.w"))
+        assert code == 2
+        assert "sidecar" in err and "Traceback" not in err
+        assert not (tmp_path / "m2.w").exists()
+
+    def test_one_field_fault_map_line_exits_2(self, capsys, tmp_path):
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        fmap_path, _, _ = self._fault_map_path(tmp_path, model, 1e-2)
+        with open(fmap_path, "a") as fh:
+            fh.write("17\n")
+        code, _, err = run(capsys, "encode-file", "--in", str(model),
+                           "--out", str(tmp_path / "m.blk"), "--fault-map", str(fmap_path))
+        assert code == 2
+        assert "fault map" in err and "Traceback" not in err
+
+    def test_stuck_cells_past_the_weights_are_ignored(self, capsys, tmp_path):
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        blocks, layout = flatten_model(load_model(model))
+        region = layout.n_blocks * PAYLOAD_BITS
+        idx = np.arange(region, 2 * region, 7)
+        fmap = FaultMap(2 * region, idx, np.ones(idx.size, dtype=np.uint8), 0.0, 0.5, 0)
+        fmap_path = tmp_path / "faults.txt"
+        save_fault_map(fmap, fmap_path)
+        encoded = tmp_path / "m.blk"
+        code, out, _ = run(capsys, "encode-file", "--in", str(model),
+                           "--out", str(encoded), "--fault-map", str(fmap_path))
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()
+                if l and l[0].isdigit() and len(l.split(",")) == 3]
+        assert [(r[1], r[2]) for r in rows] == [("00", "0.0")] * layout.n_blocks
+        from craft.weightfile import load_blocks
+        assert np.array_equal(load_blocks(encoded)[0], blocks)
 
     def test_undersized_fault_map_exits_2(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")

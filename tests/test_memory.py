@@ -158,6 +158,13 @@ class TestSerialization:
         assert lines[0].split() == ["16", "0.0", "0.5", "0"]
         assert lines[1:] == ["2 1", "5 0"]
 
+    @pytest.mark.parametrize("entry", ["17", "3 1 0", "5 2", "16 1", "-1 0", "x 1"])
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "faults.txt"
+        path.write_text(f"16 0.0 0.5 0\n2 1\n{entry}\n")
+        with pytest.raises(ValueError):
+            load_fault_map(path)
+
 
 class TestDataBlock:
     def test_lengths_enforced(self):

@@ -169,6 +169,13 @@ class TestSidecar:
         with pytest.raises(ValueError):
             load_sidecar(path, 3)
 
+    @pytest.mark.parametrize("text", ["0 00\n1 40\n", "0 00\n1 -1\n", "0 00\n1 3f\n1 00\n"])
+    def test_bad_code_or_duplicate_block_rejected(self, tmp_path, text):
+        path = tmp_path / "m.aux"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_sidecar(path, 2)
+
 
 class TestBlockLayoutType:
     def test_u8_requires_quant(self):

@@ -1,0 +1,199 @@
+"""Differential tests of the word-level codec core.
+
+The search, fault application and deviation are re-derived here on plain
+Python integers (codecs through ``codec_oracle``), and the harness's
+batched scheme application is compared with a per-block loop over the
+bit-level wrappers.  Per-config deltas must agree bit for bit.
+"""
+
+import math
+import pathlib
+import struct
+import sys
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from craft.bitops import bits_from_u32
+from craft.codecs import PAYLOAD_BITS, EncodingConfig, Precision, decode, ecp_correct
+from craft.harness import Scheme, _apply_scheme
+from craft.memory import FaultMap, apply_faults, generate_fault_map
+from craft.objective import (NONFINITE_SENTINEL, WeightView, deviation,
+                             search_best_encoding, write_with_craft)
+from craft.weightfile import flatten_model
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from codec_oracle import decode_ref, encode_ref
+
+MASK32 = 0xFFFFFFFF
+SPECIAL_WORDS = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000,
+                 0x7F800001, 0x7F7FFFFF, 0x00000001, MASK32, 0x3F800000]
+
+words32 = st.one_of(
+    st.integers(0, MASK32),
+    st.floats(-4.0, 4.0, width=32).map(lambda f: struct.unpack("<I", struct.pack("<f", f))[0]),
+    st.sampled_from(SPECIAL_WORDS),
+)
+blocks = st.lists(words32, min_size=16, max_size=16)
+
+
+@st.composite
+def stuck_cells(draw):
+    """{local bit position: stuck value} for one block: sparse, dense,
+    or every cell stuck at 0 or at 1."""
+    kind = draw(st.sampled_from(["sparse", "dense", "all_sa0", "all_sa1"]))
+    if kind == "all_sa0":
+        return {p: 0 for p in range(PAYLOAD_BITS)}
+    if kind == "all_sa1":
+        return {p: 1 for p in range(PAYLOAD_BITS)}
+    size = 8 if kind == "sparse" else PAYLOAD_BITS
+    positions = draw(st.sets(st.integers(0, PAYLOAD_BITS - 1), max_size=size))
+    return {p: draw(st.integers(0, 1)) for p in sorted(positions)}
+
+
+config_orders = st.one_of(
+    st.none(),
+    st.permutations(range(64)).flatmap(
+        lambda perm: st.integers(1, 64).map(lambda n: list(perm[:n]))),
+)
+
+
+def stuck_ref(words, cells):
+    out = list(words)
+    for pos, value in cells.items():
+        w, k = divmod(pos, 32)
+        out[w] = (out[w] & ~(1 << k) & MASK32) | (value << k)
+    return out
+
+
+def _f32(word):
+    return struct.unpack("<f", struct.pack("<I", word))[0]
+
+
+def pairwise16(terms):
+    """numpy's sum of 16 float64 terms: eight lanes, then a fixed tree."""
+    lanes = [terms[k] + terms[k + 8] for k in range(8)]
+    return (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+
+
+def deviation_ref(original, readout, precision, scale):
+    if precision == "u8":
+        total = 0
+        for o, r in zip(original, readout):
+            total += sum(abs(((r >> s) & 0xFF) - ((o >> s) & 0xFF)) for s in range(0, 32, 8))
+        return scale * total
+    terms = []
+    for o, r in zip(original, readout):
+        fo, fr = _f32(o), _f32(r)
+        terms.append(abs(fr - fo) if math.isfinite(fo) and math.isfinite(fr)
+                     else NONFINITE_SENTINEL)
+    return pairwise16(terms)
+
+
+def search_ref(words, cells, precision, scale, codes):
+    deltas = []
+    for code in codes:
+        stored = stuck_ref(encode_ref(words, code, precision), cells)
+        deltas.append(deviation_ref(words, decode_ref(stored, code, precision), precision, scale))
+    return deltas
+
+
+def bits_of(words):
+    return bits_from_u32(np.array(words, dtype="<u4"))
+
+
+OFFSET = PAYLOAD_BITS  # the block sits second in a two-block region
+
+
+def fault_map_of(cells):
+    idx = np.array([OFFSET + p for p in cells], dtype=np.int64)
+    val = np.array(list(cells.values()), dtype=np.uint8)
+    return FaultMap(2 * PAYLOAD_BITS, idx, val, 0.0, 0.5, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=blocks, cells=stuck_cells(), order=config_orders,
+       precision=st.sampled_from(["fp32", "u8"]),
+       scale=st.floats(1e-3, 10.0, allow_nan=False))
+# all-SA1 cells read every weight of a non-inverting fp32 config back as NaN
+@example(words=[0x3F800000] * 16, cells={p: 1 for p in range(PAYLOAD_BITS)},
+         order=None, precision="fp32", scale=1.0)
+def test_search_matches_integer_reference(words, cells, order, precision, scale):
+    view = (WeightView(Precision.FP32) if precision == "fp32"
+            else WeightView(Precision.U8, scale=scale, zero_point=0))
+    fmap = fault_map_of(cells)
+    configs = None if order is None else [EncodingConfig.from_aux_code(c) for c in order]
+    codes = list(range(64)) if order is None else order
+    report = search_best_encoding(bits_of(words), fmap, OFFSET, view, configs)
+
+    expected = search_ref(words, cells, precision, view.scale, codes)
+    assert [c.aux_code for c in report.configs] == codes
+    assert report.deltas.tolist() == expected
+    best = min(range(len(codes)), key=lambda i: (expected[i], codes[i]))
+    assert report.best_index == best
+
+    stored, aux, delta = write_with_craft(bits_of(words), fmap, OFFSET, view, configs)
+    assert EncodingConfig.from_aux(aux).aux_code == codes[best]
+    assert delta == expected[best]
+    assert np.array_equal(stored, bits_of(stuck_ref(encode_ref(words, codes[best], precision),
+                                                    cells)))
+
+
+def test_all_sa1_fp32_block_loses_to_nan_unless_inverted():
+    # 1.0 everywhere; all-ones reads back as NaN, or as 0.0 after inversion
+    fmap = fault_map_of({p: 1 for p in range(PAYLOAD_BITS)})
+    report = search_best_encoding(bits_of([0x3F800000] * 16), fmap, OFFSET,
+                                  WeightView(Precision.FP32))
+    for config, delta in zip(report.configs, report.deltas.tolist()):
+        assert delta == (16.0 if config.invert else 16 * NONFINITE_SENTINEL)
+    assert report.best_config.aux_code == 16
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=blocks, readout=blocks, precision=st.sampled_from(["fp32", "u8"]))
+def test_deviation_matches_integer_reference(words, readout, precision):
+    view = (WeightView(Precision.FP32) if precision == "fp32"
+            else WeightView(Precision.U8, scale=0.25, zero_point=3))
+    got = deviation(bits_of(words), bits_of(readout), view)
+    assert got == deviation_ref(words, readout, precision, view.scale)
+
+
+def reference_apply_scheme(blocks, layout, scheme, fault_map):
+    """The per-block loop the harness once ran, over the bit-level API."""
+    read = blocks.copy()
+    total = 0.0
+    for b in np.unique(fault_map.bit_indices // PAYLOAD_BITS).tolist():
+        offset = b * PAYLOAD_BITS
+        view = layout.view_for_block(b)
+        block = blocks[b]
+        if scheme.kind == "baseline":
+            out = apply_faults(block, fault_map, offset)
+            delta = deviation(block, out, view)
+        elif scheme.kind == "ecp":
+            out = ecp_correct(block, fault_map, offset, scheme.ecp_n)
+            delta = deviation(block, out, view)
+        else:
+            stored, aux, delta = write_with_craft(block, fault_map, offset, view,
+                                                  scheme.config_space)
+            out = decode(stored, EncodingConfig.from_aux(aux), layout.precision)
+        read[b] = out
+        total += delta
+    return read, total
+
+
+@settings(max_examples=40, deadline=None)
+@given(precision=st.sampled_from(["fp32", "u8"]),
+       scheme=st.sampled_from(["baseline", "ecp1", "ecp3", "remap_invert", "craft"]),
+       ber=st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0]),
+       sa1=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**16))
+def test_apply_scheme_matches_per_block_loop(fp32_model, u8_model, precision, scheme,
+                                             ber, sa1, seed):
+    blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
+    fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
+    read, total = _apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
+    ref_read, ref_total = reference_apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
+    assert np.array_equal(read, ref_read)
+    assert total == ref_total
