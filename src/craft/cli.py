@@ -10,11 +10,11 @@ outputs byte for byte.  Exit codes: 0 success, 1 usage error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from .bitops import bits_from_u32, u32_from_bits
 from .codecs import PAYLOAD_BITS, decode_words
 from .harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
@@ -33,6 +33,10 @@ EXIT_NUMERIC = 3
 
 
 class IOFailure(Exception):
+    pass
+
+
+class UsageFailure(Exception):
     pass
 
 
@@ -104,6 +108,23 @@ def _open_model(path):
         return load_model(path)
     except (OSError, ValueError) as exc:
         raise IOFailure(f"cannot read model file {path}: {exc}") from exc
+
+
+def _run_inputs(args):
+    """Model and dataset of a sweep or criticality run, checked before any work:
+    the output directory must take files and the dataset must fit the model."""
+    directory = os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+        raise IOFailure(f"output directory {directory} is missing or not writable")
+    model = _open_model(args.model)
+    dims = model.layer_dims
+    if (dims[0], dims[-1]) != (args.features, args.classes):
+        raise UsageFailure(f"model maps {dims[0]} features to {dims[-1]} classes, not "
+                           f"--features {args.features} to --classes {args.classes}")
+    try:
+        return model, make_dataset(args.data_seed, args.classes, args.features, args.samples)
+    except ValueError as exc:
+        raise UsageFailure(f"bad dataset flags: {exc}") from exc
 
 
 def _add_dataset_flags(sub, seed_flag: bool = True):
@@ -233,8 +254,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     bers = args.ber if args.ber is not None else (args.ber_grid or default_ber_grid())
     _echo(args, {"ber_points": bers, "trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
-    model = _open_model(args.model)
-    dataset = make_dataset(args.data_seed, args.classes, args.features, args.samples)
+    model, dataset = _run_inputs(args)
     results = ber_sweep(model, dataset, args.schemes, bers, args.trials,
                         args.seed, threads=args.threads)
     raw_path = f"{args.out}_raw.csv"
@@ -252,8 +272,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_criticality(args) -> int:
     _echo(args, {"trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
-    model = _open_model(args.model)
-    dataset = make_dataset(args.data_seed, args.classes, args.features, args.samples)
+    model, dataset = _run_inputs(args)
     result = bit_criticality(model, dataset, ber=args.ber, trials=args.trials,
                              base_seed=args.seed)
     try:
@@ -279,9 +298,8 @@ def cmd_encode_file(args) -> int:
             f"fault map region ({fmap.region_size_bits} bits) smaller than "
             f"weight region ({layout.n_blocks * PAYLOAD_BITS} bits)")
     mask, stuck = stuck_words(fmap, 0, layout.n_blocks)
-    codes, stored, deltas = store_words(u32_from_bits(blocks), mask, stuck,
-                                        layout.precision, layout.block_scales())
-    stored = bits_from_u32(stored)
+    codes, stored, deltas = store_words(blocks, mask, stuck, layout.precision,
+                                        layout.block_scales())
     print("block,aux_hex,delta")
     for i, (code, delta) in enumerate(zip(codes.tolist(), deltas.tolist())):
         print(f"{i},{code:02x},{delta!r}")
@@ -305,8 +323,11 @@ def cmd_decode_file(args) -> int:
         codes = load_sidecar(args.sidecar, layout.n_blocks)
     except (OSError, ValueError) as exc:
         raise IOFailure(f"cannot read sidecar {args.sidecar}: {exc}") from exc
-    decoded = decode_words(u32_from_bits(blocks), np.array(codes), layout.precision)
-    model = unflatten_model(bits_from_u32(decoded), layout)
+    decoded = decode_words(blocks, np.array(codes), layout.precision)
+    try:
+        model = unflatten_model(decoded, layout)
+    except ValueError as exc:  # e.g. layer shapes that do not chain
+        raise IOFailure(f"block file {args.in_path} does not describe a model: {exc}") from exc
     try:
         save_model(model, args.out)
     except OSError as exc:
@@ -316,7 +337,7 @@ def cmd_decode_file(args) -> int:
         ref_blocks, ref_layout = flatten_model(reference)
         if ref_layout.n_blocks != layout.n_blocks or ref_layout.precision is not layout.precision:
             raise IOFailure("reference model does not match the block file layout")
-        deltas = deviation_words(u32_from_bits(ref_blocks), decoded, layout.precision,
+        deltas = deviation_words(ref_blocks, decoded, layout.precision,
                                  ref_layout.block_scales())
         print("block,delta")
         for i, delta in enumerate(deltas.tolist()):
@@ -335,9 +356,9 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse help/usage paths
             return int(exc.code or 0)
         return args.func(args)
-    except IOFailure as exc:
+    except (UsageFailure, IOFailure) as exc:
         print(f"craft: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, UsageFailure) else EXIT_IO
     except TrainingDivergedError as exc:
         print(f"craft: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

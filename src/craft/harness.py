@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import bits_from_u32, u32_from_bits
 from .codecs import PAYLOAD_BITS, REMAP_INVERT_CONFIGS, decode_words, ecp_words
 from .memory import FaultMap, apply_stuck, generate_fault_map
 from .nn import InferenceBuffers, MlpModel, QuantizedModel, accuracy
@@ -137,8 +136,9 @@ def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) ->
 
 def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
                   fault_map: FaultMap) -> tuple[np.ndarray, float]:
-    """Readout blocks and total deviation after protecting each block.
+    """Readout words and total deviation after protecting each block.
 
+    `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`.
     Only blocks holding stuck cells are processed; the others read back
     unchanged with zero deviation.
     """
@@ -147,7 +147,7 @@ def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
     if len(fault_map) == 0:
         return read, total
     touched, mask, stuck = fault_map.touched_blocks
-    words = u32_from_bits(blocks[touched])
+    words = blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     precision = layout.precision
@@ -159,7 +159,7 @@ def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
         chosen, stored, _ = store_words(words, mask, stuck, precision, scale,
                                         config_codes(scheme.config_space))
         out = decode_words(stored, chosen, precision)
-    read[touched] = bits_from_u32(out)
+    read[touched] = out
     # Left to right in ascending block order: the sum must not depend on
     # the interpreter's float summation algorithm.
     for delta in deviation_words(words, out, precision, scale).tolist():

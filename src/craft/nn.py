@@ -113,6 +113,15 @@ class QuantizedLayer:
 class QuantizedModel:
     layers: tuple[QuantizedLayer, ...]
 
+    def __post_init__(self):
+        shapes = [l.codes.shape for l in self.layers]
+        if not shapes or any(a[1] != b[0] for a, b in zip(shapes, shapes[1:])):
+            raise ValueError("a model needs one or more layers whose dims chain")
+
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        return (self.layers[0].codes.shape[0],) + tuple(l.codes.shape[1] for l in self.layers)
+
     @property
     def n_weights(self) -> int:
         return sum(l.codes.size for l in self.layers)

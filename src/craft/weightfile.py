@@ -6,25 +6,31 @@ boundary and its last partial block is zero-padded, so a single block is
 always covered by one layer's quantization view.  Biases and quantization
 parameters travel beside the blocks in fault-free storage.
 
+A block stream is an ``(n_blocks, 16)`` array of little-endian uint32
+words, the form the codec core computes on; bit ``w*32+k`` of a block in
+the bit-level API is bit ``k`` of word ``w``.
+
 Two file containers:
 
 * weight file, magic ``CRFTW1`` — a trained model (weights as values).
-* block file, magic ``CRFTB1`` — raw 512-bit stored payloads plus the
-  layout; used for encoded streams where remapping may scatter weight
-  bits into padding slots, which a value-level file could not preserve.
+* block file, magic ``CRFTB1`` — the stored words plus the layout; used
+  for encoded streams where remapping may scatter weight bits into
+  padding slots, which a value-level file could not preserve.
 
-Both are little-endian throughout.
+Both are little-endian throughout, and loading checks every size the
+header declares against the bytes the file holds.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bits_from_bytes, bits_from_f32, bytes_from_bits, f32_from_bits
 from .codecs import N_CONFIGS, PAYLOAD_BITS, Precision
+from .memory import WORDS_PER_BLOCK
 from .nn import MlpModel, QuantizedLayer, QuantizedModel
 from .objective import WeightView
 
@@ -32,6 +38,8 @@ WEIGHT_MAGIC = b"CRFTW1"
 BLOCK_MAGIC = b"CRFTB1"
 _PRECISION_TAG = {Precision.FP32: 0, Precision.U8: 1}
 _TAG_PRECISION = {v: k for k, v in _PRECISION_TAG.items()}
+_WEIGHT_DTYPE = {Precision.FP32: np.dtype("<f4"), Precision.U8: np.dtype(np.uint8)}
+_BLOCK_BYTES = PAYLOAD_BITS // 8
 
 
 @dataclass(frozen=True)
@@ -54,26 +62,13 @@ class BlockLayout:
             raise ValueError("biases must pair with layer shapes")
 
     @property
-    def weights_per_block(self) -> int:
-        return self.precision.weights_per_block
-
-    @property
     def layer_blocks(self) -> tuple[int, ...]:
-        wpb = self.weights_per_block
+        wpb = self.precision.weights_per_block
         return tuple(-(-r * c // wpb) for r, c in self.shapes)
 
     @property
     def n_blocks(self) -> int:
         return sum(self.layer_blocks)
-
-    def layer_of_block(self, index: int) -> int:
-        if not 0 <= index < self.n_blocks:
-            raise IndexError(f"block {index} outside layout of {self.n_blocks} blocks")
-        for layer, count in enumerate(self.layer_blocks):
-            if index < count:
-                return layer
-            index -= count
-        raise AssertionError("unreachable")
 
     def block_scales(self) -> np.ndarray | None:
         """Quantization scale of every block (u8), or None (fp32)."""
@@ -82,61 +77,30 @@ class BlockLayout:
         return np.repeat([scale for scale, _ in self.quant], self.layer_blocks)
 
     def view_for_block(self, index: int) -> WeightView:
-        layer = self.layer_of_block(index)
-        if self.precision is Precision.FP32:
+        if not 0 <= index < self.n_blocks:
+            raise IndexError(f"block {index} outside layout of {self.n_blocks} blocks")
+        if self.quant is None:
             return WeightView(Precision.FP32)
+        layer = int(np.searchsorted(np.cumsum(self.layer_blocks), index, side="right"))
         scale, zero_point = self.quant[layer]
         return WeightView(Precision.U8, scale=scale, zero_point=zero_point)
 
 
-def _layer_bits(values: np.ndarray, precision: Precision) -> np.ndarray:
-    flat = values.reshape(-1)
-    bits = bits_from_f32(flat) if precision is Precision.FP32 else bits_from_bytes(flat)
-    pad = -bits.size % PAYLOAD_BITS
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return bits.reshape(-1, PAYLOAD_BITS)
-
-
-def flatten_model(model: MlpModel | QuantizedModel) -> tuple[np.ndarray, BlockLayout]:
-    """Serialize a model's weights into a (n_blocks, 512) bit array."""
+def _layout_and_weights(model: MlpModel | QuantizedModel) -> tuple[BlockLayout, list[np.ndarray]]:
+    """A model's layout and its weight matrices in their storage dtype."""
     if isinstance(model, QuantizedModel):
-        layout = BlockLayout(
-            precision=Precision.U8,
-            shapes=tuple(l.codes.shape for l in model.layers),
-            biases=tuple(l.biases for l in model.layers),
-            quant=tuple((l.scale, l.zero_point) for l in model.layers),
-        )
-        chunks = [_layer_bits(l.codes, Precision.U8) for l in model.layers]
+        weights = [l.codes for l in model.layers]
+        layout = BlockLayout(Precision.U8, tuple(w.shape for w in weights),
+                             tuple(l.biases for l in model.layers),
+                             tuple((l.scale, l.zero_point) for l in model.layers))
     else:
-        layout = BlockLayout(
-            precision=Precision.FP32,
-            shapes=tuple(w.shape for w in model.weights),
-            biases=model.biases,
-            quant=None,
-        )
-        chunks = [_layer_bits(w, Precision.FP32) for w in model.weights]
-    return np.concatenate(chunks), layout
+        weights = model.weights
+        layout = BlockLayout(Precision.FP32, tuple(w.shape for w in weights), model.biases, None)
+    dtype = _WEIGHT_DTYPE[layout.precision]
+    return layout, [np.ascontiguousarray(w, dtype=dtype) for w in weights]
 
 
-def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | QuantizedModel:
-    """Rebuild a model from a block stream; inverse of :func:`flatten_model`."""
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    if blocks.ndim != 2 or blocks.shape[1] != PAYLOAD_BITS or blocks.shape[0] != layout.n_blocks:
-        raise ValueError(
-            f"block stream of shape {blocks.shape} does not match layout "
-            f"({layout.n_blocks} x {PAYLOAD_BITS})"
-        )
-    start = 0
-    weights = []
-    for (rows, cols), count in zip(layout.shapes, layout.layer_blocks):
-        bits = blocks[start:start + count].reshape(-1)
-        start += count
-        if layout.precision is Precision.FP32:
-            values = f32_from_bits(bits)[: rows * cols]
-        else:
-            values = bytes_from_bits(bits)[: rows * cols]
-        weights.append(values.reshape(rows, cols))
+def _model_from(layout: BlockLayout, weights) -> MlpModel | QuantizedModel:
     if layout.precision is Precision.FP32:
         return MlpModel(weights=tuple(weights), biases=layout.biases)
     return QuantizedModel(layers=tuple(
@@ -145,22 +109,43 @@ def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | Quant
     ))
 
 
+def flatten_model(model: MlpModel | QuantizedModel) -> tuple[np.ndarray, BlockLayout]:
+    """Serialize a model's weights into (n_blocks, 16) little-endian uint32
+    words: each layer's weight bytes, zero-padded to whole 64-byte blocks."""
+    layout, weights = _layout_and_weights(model)
+    raw = [np.pad(w.reshape(-1).view(np.uint8), (0, -w.nbytes % _BLOCK_BYTES)) for w in weights]
+    return np.concatenate(raw).view("<u4").reshape(-1, WORDS_PER_BLOCK), layout
+
+
+def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | QuantizedModel:
+    """Rebuild a model from (n_blocks, 16) words; inverse of :func:`flatten_model`.
+    The weights are copies, never views of `blocks`."""
+    words = np.asarray(blocks)
+    if words.shape != (layout.n_blocks, WORDS_PER_BLOCK):
+        raise ValueError(f"block stream of shape {words.shape} does not match layout "
+                         f"({layout.n_blocks} x {WORDS_PER_BLOCK} words)")
+    raw = np.ascontiguousarray(words, dtype="<u4").view(_WEIGHT_DTYPE[layout.precision])
+    layers = np.split(raw, np.cumsum(layout.layer_blocks)[:-1])
+    return _model_from(layout, [w.reshape(-1)[:r * c].reshape(r, c).copy()
+                                for w, (r, c) in zip(layers, layout.shapes)])
+
+
 def _write_header(fh, magic: bytes, layout: BlockLayout) -> None:
     fh.write(magic)
     fh.write(struct.pack("<BI", _PRECISION_TAG[layout.precision], len(layout.shapes)))
     for i, (rows, cols) in enumerate(layout.shapes):
         fh.write(struct.pack("<II", rows, cols))
         if layout.precision is Precision.U8:
-            scale, zero_point = layout.quant[i]
-            fh.write(struct.pack("<di", scale, zero_point))
+            fh.write(struct.pack("<di", *layout.quant[i]))
         fh.write(np.ascontiguousarray(layout.biases[i], dtype="<f4").tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    # n comes from the header: check it against the bytes left before
+    # fh.read(n), which would allocate n bytes however few remain.
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("truncated file")
-    return data
+    return fh.read(n)
 
 
 def _read_header(fh, magic: bytes) -> BlockLayout:
@@ -177,64 +162,48 @@ def _read_header(fh, magic: bytes) -> BlockLayout:
             quant.append(struct.unpack("<di", _read_exact(fh, 12)))
         biases.append(np.frombuffer(_read_exact(fh, 4 * cols), dtype="<f4").copy())
         shapes.append((rows, cols))
-    return BlockLayout(
-        precision=precision,
-        shapes=tuple(shapes),
-        biases=tuple(biases),
-        quant=tuple(quant) if precision is Precision.U8 else None,
-    )
+    return BlockLayout(precision, tuple(shapes), tuple(biases),
+                       tuple(quant) if precision is Precision.U8 else None)
 
 
 def save_model(model: MlpModel | QuantizedModel, path) -> None:
-    blocks, layout = flatten_model(model)
+    """Write a weight file: the header, then each layer's raw weights."""
+    layout, weights = _layout_and_weights(model)
     with open(path, "wb") as fh:
         _write_header(fh, WEIGHT_MAGIC, layout)
-        if isinstance(model, QuantizedModel):
-            for layer in model.layers:
-                fh.write(np.ascontiguousarray(layer.codes).tobytes())
-        else:
-            for w in model.weights:
-                fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
+        for w in weights:
+            fh.write(w.tobytes())
 
 
 def load_model(path) -> MlpModel | QuantizedModel:
     with open(path, "rb") as fh:
         layout = _read_header(fh, WEIGHT_MAGIC)
-        weights = []
-        for rows, cols in layout.shapes:
-            if layout.precision is Precision.FP32:
-                raw = np.frombuffer(_read_exact(fh, 4 * rows * cols), dtype="<f4")
-            else:
-                raw = np.frombuffer(_read_exact(fh, rows * cols), dtype=np.uint8)
-            weights.append(raw.reshape(rows, cols).copy())
+        dtype = _WEIGHT_DTYPE[layout.precision]
+        weights = [np.frombuffer(_read_exact(fh, dtype.itemsize * r * c), dtype).reshape(r, c)
+                   for r, c in layout.shapes]
         if fh.read(1):
             raise ValueError("trailing data after weight payload")
-    if layout.precision is Precision.FP32:
-        return MlpModel(weights=tuple(weights), biases=layout.biases)
-    return QuantizedModel(layers=tuple(
-        QuantizedLayer(codes=w, scale=s, zero_point=zp, biases=b)
-        for w, (s, zp), b in zip(weights, layout.quant, layout.biases)
-    ))
+    return _model_from(layout, weights)
 
 
 def save_blocks(blocks: np.ndarray, layout: BlockLayout, path) -> None:
-    """Write raw stored payloads (full blocks, padding bits included)."""
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    if blocks.shape != (layout.n_blocks, PAYLOAD_BITS):
+    """Write a block file: the header, then the stored words, pad slots included."""
+    words = np.asarray(blocks)
+    if words.shape != (layout.n_blocks, WORDS_PER_BLOCK):
         raise ValueError("blocks do not match layout")
     with open(path, "wb") as fh:
         _write_header(fh, BLOCK_MAGIC, layout)
-        fh.write(bytes_from_bits(blocks).tobytes())
+        fh.write(words.astype("<u4", copy=False).tobytes())
 
 
 def load_blocks(path) -> tuple[np.ndarray, BlockLayout]:
+    """Read a block file back as read-only (n_blocks, 16) words and its layout."""
     with open(path, "rb") as fh:
         layout = _read_header(fh, BLOCK_MAGIC)
-        raw = _read_exact(fh, layout.n_blocks * PAYLOAD_BITS // 8)
+        raw = _read_exact(fh, layout.n_blocks * _BLOCK_BYTES)
         if fh.read(1):
             raise ValueError("trailing data after block payload")
-    blocks = bits_from_bytes(raw).reshape(layout.n_blocks, PAYLOAD_BITS)
-    return blocks, layout
+    return np.frombuffer(raw, dtype="<u4").reshape(layout.n_blocks, WORDS_PER_BLOCK), layout
 
 
 def save_sidecar(aux_codes, path) -> None:

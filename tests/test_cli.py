@@ -1,7 +1,16 @@
+import os
+import resource
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from craft import nn
+import craft
+from craft import cli, nn
+from craft.bitops import bits_from_u32
 from craft.cli import main
 from craft.codecs import PAYLOAD_BITS
 from craft.memory import generate_fault_map, save_fault_map, FaultMap
@@ -181,9 +190,10 @@ class TestEncodeDecode:
     def test_single_fault_per_block_gives_zero_deltas(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
         blocks, layout = flatten_model(load_model(model))
+        bits = bits_from_u32(blocks)
         idx = np.array([b * PAYLOAD_BITS + (37 * b) % PAYLOAD_BITS
                         for b in range(layout.n_blocks)])
-        val = np.array([1 - int(blocks[b, (37 * b) % PAYLOAD_BITS])
+        val = np.array([1 - int(bits[b, (37 * b) % PAYLOAD_BITS])
                         for b in range(layout.n_blocks)], dtype=np.uint8)
         fmap = FaultMap(layout.n_blocks * PAYLOAD_BITS, idx, val, 0.0, 0.5, 0)
         fmap_path = tmp_path / "faults.txt"
@@ -215,9 +225,10 @@ class TestEncodeDecode:
         from craft.memory import apply_faults, load_fault_map
         from craft.objective import deviation
         fmap = load_fault_map(fmap_path)
+        bits = bits_from_u32(blocks)
         for i, (_, delta_text) in enumerate(rows):
-            identity = deviation(blocks[i],
-                                 apply_faults(blocks[i], fmap, i * PAYLOAD_BITS),
+            identity = deviation(bits[i],
+                                 apply_faults(bits[i], fmap, i * PAYLOAD_BITS),
                                  layout.view_for_block(i))
             assert float(delta_text) <= identity
 
@@ -295,6 +306,71 @@ class TestEncodeDecode:
                            "--fault-map", str(fmap_path))
         assert code == 2
         assert "smaller than" in err
+
+
+class TestRunChecks:
+    """sweep and criticality reject bad runs before any trial."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "ber_sweep", fail)
+        monkeypatch.setattr(cli, "bit_criticality", fail)
+
+    @pytest.mark.parametrize("command", ["sweep", "criticality"])
+    @pytest.mark.parametrize("flags", [["--features", "8"], ["--classes", "3"],
+                                       ["--samples", "10"], ["--samples", "10", "--classes", "3"]])
+    def test_dataset_not_matching_model_exits_1(self, capsys, tmp_path, command, flags):
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        code, _, err = run(capsys, command, "--model", str(model), "--trials", "1",
+                           "--out", str(tmp_path / "o"), *flags)
+        assert code == 1
+        assert "craft: error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "criticality"])
+    @pytest.mark.parametrize("out_dir", ["missing", "m.w"])  # absent; a file, not a directory
+    def test_unusable_output_directory_exits_2(self, capsys, tmp_path, command, out_dir):
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        code, _, err = run(capsys, command, "--model", str(model), "--trials", "1",
+                           "--out", str(tmp_path / out_dir / "o"))
+        assert code == 2
+        assert "output directory" in err and "Traceback" not in err
+
+
+# A header that declares one 4 x 0xFFFFFFFF fp32 layer and ends there: the
+# biases alone would be 16 GiB.
+OVERSIZED_HEADER = struct.pack("<BI", 0, 1) + struct.pack("<II", 4, 0xFFFFFFFF)
+ADDRESS_CAP = 1 << 30
+
+
+def run_capped(cwd, *argv):
+    """The CLI in a child process whose address space is capped at 1 GiB, so
+    an attempt to allocate a declared size fails instead of succeeding."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_CAP, ADDRESS_CAP))
+    env = dict(os.environ, PYTHONPATH=str(Path(craft.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "craft.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+
+
+class TestOversizedHeader:
+    def test_block_file_exits_2_without_allocating(self, tmp_path):
+        (tmp_path / "big.blk").write_bytes(b"CRFTB1" + OVERSIZED_HEADER)
+        (tmp_path / "big.aux").write_text("0 00\n")
+        proc = run_capped(tmp_path, "decode-file", "--in", "big.blk", "--sidecar", "big.aux",
+                          "--out", "o.w")
+        assert proc.returncode == 2, proc.stderr
+        assert "truncated file" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_weight_file_exits_2_without_allocating(self, tmp_path):
+        (tmp_path / "big.w").write_bytes(b"CRFTW1" + OVERSIZED_HEADER)
+        (tmp_path / "faults.txt").write_text("512 0.0 0.5 0\n")
+        proc = run_capped(tmp_path, "encode-file", "--in", "big.w", "--fault-map",
+                          "faults.txt", "--out", "o.blk")
+        assert proc.returncode == 2, proc.stderr
+        assert "truncated file" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestConfigOverlay:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from craft import nn
+from craft.bitops import bits_from_u32
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (BerPoint, CriticalityResult, Scheme, SweepResult,
                            TrialRecord, _apply_scheme, ber_sweep, bit_criticality,
@@ -70,12 +71,13 @@ class TestRunTrial:
 
     def test_ecp1_with_single_mismatch_per_block_is_exact(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
+        bits = bits_from_u32(blocks)
         # one mismatching cell in every block
         entries_idx, entries_val = [], []
         for b in range(layout.n_blocks):
             pos = b * PAYLOAD_BITS + (b * 13 % PAYLOAD_BITS)
             entries_idx.append(pos)
-            entries_val.append(1 - int(blocks[b, pos % PAYLOAD_BITS]))
+            entries_val.append(1 - int(bits[b, pos % PAYLOAD_BITS]))
         fmap = FaultMap(layout.n_blocks * PAYLOAD_BITS, np.array(entries_idx),
                         np.array(entries_val, dtype=np.uint8), 0.0, 0.5, 0)
         read, total = _apply_scheme(blocks, layout, Scheme.parse("ecp1"), fmap)
@@ -159,11 +161,12 @@ class TestBitCriticality:
 
     def test_single_cell_deviation_is_power_of_two_times_scale(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
+        bits = bits_from_u32(blocks)
         region = layout.n_blocks * PAYLOAD_BITS
         for position in (0, 3, 7):
             word = 5  # an arbitrary weight in layer 0
             pos = word * 8 + position
-            stuck = 1 - int(blocks[0, pos])
+            stuck = 1 - int(bits[0, pos])
             fmap = FaultMap(region, np.array([pos]), np.array([stuck], dtype=np.uint8),
                             0.0, 0.5, 0)
             _, delta = _apply_scheme(blocks, layout, Scheme.parse("baseline"), fmap)

@@ -199,7 +199,15 @@ class TestModelTypes:
                 weights=(np.zeros((2, 3), dtype=np.float32), np.zeros((4, 2), dtype=np.float32)),
                 biases=(np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32)),
             )
+        layers = [nn.QuantizedLayer(codes=np.zeros(shape, dtype=np.uint8), scale=1.0,
+                                    zero_point=0, biases=np.zeros(shape[1], dtype=np.float32))
+                  for shape in ((2, 3), (4, 2))]
+        with pytest.raises(ValueError):
+            nn.QuantizedModel(layers=tuple(layers))
+        with pytest.raises(ValueError):
+            nn.QuantizedModel(layers=())
 
-    def test_default_model_size(self, fp32_model):
+    def test_default_model_size(self, fp32_model, u8_model):
         assert fp32_model.layer_dims == (16, 32, 32, 4)
+        assert u8_model.layer_dims == (16, 32, 32, 4)
         assert fp32_model.n_weights == 1664

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from craft import nn
+from craft.bitops import bits_from_u32
 from craft.codecs import Precision
 from craft.weightfile import (BlockLayout, flatten_model, load_blocks, load_model,
                               load_sidecar, save_blocks, save_model, save_sidecar,
@@ -34,7 +37,8 @@ class TestFlatten:
             biases=(np.zeros(4, dtype=np.float32),),
         )
         blocks, layout = flatten_model(model)
-        assert blocks.shape == (1, 512)
+        assert blocks.shape == (1, 16)
+        assert bits_from_u32(blocks).shape == (1, 512)
         assert layout.layer_blocks == (1,)
 
     def test_65_u8_weights_need_two_blocks_with_63_pads(self):
@@ -44,10 +48,11 @@ class TestFlatten:
         )
         model = nn.QuantizedModel(layers=(layer,))
         blocks, layout = flatten_model(model)
-        assert blocks.shape == (2, 512)
+        bits = bits_from_u32(blocks)
+        assert bits.shape == (2, 512)
         pad_bits = 2 * 512 - 65 * 8
         assert pad_bits == 63 * 8
-        assert blocks.reshape(-1)[65 * 8:].sum() == 0
+        assert bits.reshape(-1)[65 * 8:].sum() == 0
 
     def test_roundtrip_random_models(self):
         gen = np.random.default_rng(4)
@@ -65,13 +70,14 @@ class TestFlatten:
         model = random_fp32_model(gen)
         blocks, layout = flatten_model(model)
         scrambled = blocks.copy()
-        scrambled[0] = 1  # first block all ones -> NaN weights
+        scrambled[0] = 0xFFFFFFFF  # first block all ones -> NaN weights
         rebuilt = unflatten_model(scrambled, layout)
+        assert np.isnan(rebuilt.weights[0].reshape(-1)[0])
         blocks2, _ = flatten_model(rebuilt)
         # padding slots of a value-level roundtrip are re-zeroed; data slots match
         n_data_bits = layout.shapes[0][0] * layout.shapes[0][1] * 32
-        assert np.array_equal(blocks2[0][:min(512, n_data_bits)],
-                              scrambled[0][:min(512, n_data_bits)])
+        assert np.array_equal(bits_from_u32(blocks2)[0][:min(512, n_data_bits)],
+                              bits_from_u32(scrambled)[0][:min(512, n_data_bits)])
 
     def test_layout_mismatch_rejected(self):
         gen = np.random.default_rng(4)
@@ -79,6 +85,16 @@ class TestFlatten:
         blocks, layout = flatten_model(model)
         with pytest.raises(ValueError):
             unflatten_model(blocks[:-1], layout)
+
+    def test_unflatten_copies_words_and_rejects_bit_arrays(self):
+        model = random_fp32_model(np.random.default_rng(5))
+        for m in (model, nn.quantize(model)):
+            blocks, layout = flatten_model(m)
+            rebuilt = unflatten_model(blocks, layout)
+            arrays = rebuilt.weights if m is model else [l.codes for l in rebuilt.layers]
+            assert not any(np.shares_memory(w, blocks) for w in arrays)
+            with pytest.raises(ValueError):
+                unflatten_model(bits_from_u32(blocks), layout)
 
     def test_view_per_layer(self):
         layers = (
@@ -148,11 +164,58 @@ class TestBlockFile:
         model = random_fp32_model(gen, (3, 3))  # 9 weights -> 1 block, 7 pads
         blocks, layout = flatten_model(model)
         blocks = blocks.copy()
-        blocks[0][9 * 32:] = 1  # nonzero pad content must survive
+        blocks[0][9:] = 0xFFFFFFFF  # nonzero pad content must survive
         path = tmp_path / "m.blk"
         save_blocks(blocks, layout, path)
         loaded, _ = load_blocks(path)
         assert np.array_equal(loaded, blocks)
+
+
+def expected_header(magic, model):
+    """The container header written field by field from the format spec."""
+    if isinstance(model, nn.QuantizedModel):
+        layers = [(l.codes.shape, l.biases, struct.pack("<di", l.scale, l.zero_point))
+                  for l in model.layers]
+        tag = 1
+    else:
+        layers = [(w.shape, b, b"") for w, b in zip(model.weights, model.biases)]
+        tag = 0
+    out = magic + struct.pack("<BI", tag, len(layers))
+    for (rows, cols), biases, quant in layers:
+        out += struct.pack("<II", rows, cols) + quant + np.asarray(biases, "<f4").tobytes()
+    return out
+
+
+def layer_bytes(model):
+    """Each layer's weights as little-endian bytes, row-major."""
+    if isinstance(model, nn.QuantizedModel):
+        return [np.asarray(l.codes, np.uint8).tobytes() for l in model.layers]
+    return [np.asarray(w, "<f4").tobytes() for w in model.weights]
+
+
+class TestFormatPin:
+    """Byte-exact CRFTW1/CRFTB1 contents, built without the package's codec.
+
+    Round-trip tests pass under any self-consistent byte order; these pin the
+    order itself.
+    """
+
+    @pytest.fixture(params=["fp32", "u8"])
+    def model(self, request):
+        fp32 = random_fp32_model(np.random.default_rng(21), (5, 7, 3))  # 35 and 21 weights
+        return fp32 if request.param == "fp32" else nn.quantize(fp32)
+
+    def test_weight_file_payload_is_unpadded_raw_weights(self, tmp_path, model):
+        path = tmp_path / "m.w"
+        save_model(model, path)
+        assert path.read_bytes() == expected_header(b"CRFTW1", model) + b"".join(layer_bytes(model))
+
+    def test_block_file_payload_is_zero_padded_weight_bytes(self, tmp_path, model):
+        path = tmp_path / "m.blk"
+        save_blocks(*flatten_model(model), path)
+        padded = [raw + bytes(-len(raw) % 64) for raw in layer_bytes(model)]
+        assert all(len(raw) % 64 for raw in layer_bytes(model))  # padding is exercised
+        assert path.read_bytes() == expected_header(b"CRFTB1", model) + b"".join(padded)
 
 
 class TestSidecar:

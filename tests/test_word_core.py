@@ -194,6 +194,7 @@ def test_apply_scheme_matches_per_block_loop(fp32_model, u8_model, precision, sc
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
     read, total = _apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
-    ref_read, ref_total = reference_apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
-    assert np.array_equal(read, ref_read)
+    ref_read, ref_total = reference_apply_scheme(bits_from_u32(blocks), layout,
+                                                 Scheme.parse(scheme), fmap)
+    assert np.array_equal(bits_from_u32(read), ref_read)
     assert total == ref_total
