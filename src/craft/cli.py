@@ -110,12 +110,17 @@ def _open_model(path):
         raise IOFailure(f"cannot read model file {path}: {exc}") from exc
 
 
+def _check_out_dir(path) -> None:
+    """Fail before any work unless the directory of output `path` takes files."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+        raise IOFailure(f"output directory {directory} is missing or not writable")
+
+
 def _run_inputs(args):
     """Model and dataset of a sweep or criticality run, checked before any work:
     the output directory must take files and the dataset must fit the model."""
-    directory = os.path.dirname(args.out) or "."
-    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
-        raise IOFailure(f"output directory {directory} is missing or not writable")
+    _check_out_dir(args.out)
     model = _open_model(args.model)
     dims = model.layer_dims
     if (dims[0], dims[-1]) != (args.features, args.classes):
@@ -235,6 +240,7 @@ def cmd_train(args) -> int:
     train_seed = args.seed + 1
     _echo(args, {"dataset_seed": dataset_seed, "train_seed": train_seed,
                  "precision": "u8" if args.quantize else "fp32"})
+    _check_out_dir(args.out)
     dataset = make_dataset(dataset_seed, args.classes, args.features, args.samples)
     result = train(dataset, hidden_dims=args.hidden, epochs=args.epochs,
                    lr=args.lr, seed=train_seed)
@@ -287,6 +293,8 @@ def cmd_criticality(args) -> int:
 def cmd_encode_file(args) -> int:
     sidecar = args.sidecar or f"{args.out}.aux"
     _echo(args, {"sidecar_path": sidecar})
+    _check_out_dir(args.out)
+    _check_out_dir(sidecar)
     model = _open_model(args.in_path)
     try:
         fmap = load_fault_map(args.fault_map)
@@ -315,6 +323,7 @@ def cmd_encode_file(args) -> int:
 
 def cmd_decode_file(args) -> int:
     _echo(args)
+    _check_out_dir(args.out)
     try:
         blocks, layout = load_blocks(args.in_path)
     except (OSError, ValueError) as exc:

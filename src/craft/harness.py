@@ -143,9 +143,8 @@ def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
     unchanged with zero deviation.
     """
     read = blocks.copy()
-    total = 0.0
     if len(fault_map) == 0:
-        return read, total
+        return read, 0.0
     touched, mask, stuck = fault_map.touched_blocks
     words = blocks[touched]
     scales = layout.block_scales()
@@ -160,11 +159,17 @@ def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
                                         config_codes(scheme.config_space))
         out = decode_words(stored, chosen, precision)
     read[touched] = out
-    # Left to right in ascending block order: the sum must not depend on
-    # the interpreter's float summation algorithm.
+    return read, _total_deviation(words, out, precision, scale)
+
+
+def _total_deviation(words, out, precision, scale) -> float:
+    """Sum of the per-block deviations of `out` from `words`, added left to
+    right in block order so that the total does not depend on the
+    interpreter's float summation algorithm."""
+    total = 0.0
     for delta in deviation_words(words, out, precision, scale).tolist():
         total += delta
-    return read, total
+    return total
 
 
 def _test_error(blocks, layout, dataset, buffers: InferenceBuffers | None = None) -> float:
@@ -188,7 +193,9 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     """Run trials for every scheme x BER with paired fault maps.
 
     Results are reduced in (scheme, ber, trial) order regardless of how many
-    worker threads execute them, so output is order-deterministic.
+    worker threads execute them, so output is order-deterministic.  A
+    readback equal to the fault-free stream takes the fault-free error
+    without another inference.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -209,7 +216,11 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
         out = []
         for scheme in schemes:
             read, total = _apply_scheme(blocks, layout, scheme, fmap)
-            out.append((_test_error(read, layout, dataset, per_thread.buffers), total))
+            if np.array_equal(read, blocks):
+                err = fault_free
+            else:
+                err = _test_error(read, layout, dataset, per_thread.buffers)
+            out.append((err, total))
         return out
 
     tasks = [(ber, t) for ber in ber_list for t in range(trials)]
@@ -246,30 +257,53 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     For each position p, the candidate cells are bit p of every word in the
     flattened stream (no protection scheme is applied).  The same per-trial
     seed is reused across positions, so the stuck word pattern is paired.
+
+    Each trial's stuck words are drawn once and serve every position: the
+    map of position 0 holds bit 0 of each stuck word, which is bit 0 (fp32)
+    or bit 8*(i % 4) (u8) of its uint32 word, so position p's (mask, stuck)
+    words are position 0's shifted left by p.  A readback equal to the
+    fault-free stream takes the fault-free error without another inference.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError(f"ber must be in [0, 1], got {ber}")
     blocks, layout = flatten_model(model)
-    word_bits = layout.precision.word_bits
+    precision = layout.precision
+    word_bits = precision.word_bits
     region = layout.n_blocks * PAYLOAD_BITS
     n_words = region // word_bits
+    scales = layout.block_scales()
     buffers = InferenceBuffers()
     fault_free = _test_error(blocks, layout, dataset, buffers)
-    points = []
-    for position in range(word_bits):
-        errs = np.empty(trials)
-        deltas = np.empty(trials)
-        for t in range(trials):
-            rng = make_rng(trial_seed(base_seed, t))
-            stuck = rng.random(n_words) < ber
-            values = (rng.random(int(stuck.sum())) < DEFAULT_SA1_FRACTION).astype(np.uint8)
-            indices = np.flatnonzero(stuck).astype(np.int64) * word_bits + position
-            fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION,
-                            trial_seed(base_seed, t))
-            read, total = _apply_scheme(blocks, layout, Scheme("baseline"), fmap)
-            errs[t] = _test_error(read, layout, dataset, buffers)
-            deltas[t] = total
-        points.append(CriticalityPoint(position, float(errs.mean()),
-                                       float(errs.std(ddof=0)), float(deltas.mean())))
-    return CriticalityResult(points=tuple(points), ber=ber, trials=trials,
+    # Faulty readbacks are written into this copy, and undone after inference.
+    work = blocks.copy()
+    errs = np.empty((word_bits, trials))
+    deltas = np.empty((word_bits, trials))
+    for t in range(trials):
+        seed = trial_seed(base_seed, t)
+        rng = make_rng(seed)
+        stuck_word = rng.random(n_words) < ber
+        values = (rng.random(int(stuck_word.sum())) < DEFAULT_SA1_FRACTION).astype(np.uint8)
+        indices = np.flatnonzero(stuck_word).astype(np.int64) * word_bits
+        fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION, seed)
+        touched, mask0, stuck0 = fmap.touched_blocks
+        words = blocks[touched]
+        scale = None if scales is None else scales[touched]
+        for position in range(word_bits):
+            shift = np.uint32(position)
+            out = apply_stuck(words, mask0 << shift, stuck0 << shift)
+            deltas[position, t] = _total_deviation(words, out, precision, scale)
+            if np.array_equal(out, words):
+                errs[position, t] = fault_free
+            else:
+                work[touched] = out
+                errs[position, t] = _test_error(work, layout, dataset, buffers)
+                work[touched] = words
+    points = tuple(CriticalityPoint(p, float(errs[p].mean()), float(errs[p].std(ddof=0)),
+                                    float(deltas[p].mean()))
+                   for p in range(word_bits))
+    return CriticalityResult(points=points, ber=ber, trials=trials,
                              seed=base_seed, fault_free_error=fault_free)
 
 

@@ -14,7 +14,7 @@ from craft.bitops import bits_from_u32
 from craft.cli import main
 from craft.codecs import PAYLOAD_BITS
 from craft.memory import generate_fault_map, save_fault_map, FaultMap
-from craft.weightfile import flatten_model, load_model
+from craft.weightfile import flatten_model, load_model, save_blocks, save_model, save_sidecar
 
 
 def run(capsys, *argv):
@@ -336,6 +336,57 @@ class TestRunChecks:
                            "--out", str(tmp_path / out_dir / "o"))
         assert code == 2
         assert "output directory" in err and "Traceback" not in err
+
+
+class TestOutputChecks:
+    """train, encode-file and decode-file reject an unusable --out (or
+    sidecar) directory before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the work started")
+        for name in ("train", "store_words", "load_blocks", "decode_words"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.fixture
+    def inputs(self, tmp_path, u8_model):
+        """A weight file, a fault map over it, and its block file with sidecar."""
+        blocks, layout = flatten_model(u8_model)
+        save_model(u8_model, tmp_path / "m.w")
+        save_fault_map(generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1e-2, 0.5, 3),
+                       tmp_path / "faults.txt")
+        save_blocks(blocks, layout, tmp_path / "m.blk")
+        save_sidecar(np.zeros(layout.n_blocks, dtype=np.int64), tmp_path / "m.aux")
+        return tmp_path
+
+    def check_exit(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "output directory" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out_dir", ["missing", "m.w"])  # absent; a file, not a directory
+    def test_train(self, capsys, inputs, out_dir):
+        self.check_exit(capsys, "train", "--out", str(inputs / out_dir / "o.w"))
+
+    @pytest.mark.parametrize("out_dir", ["missing", "m.w"])
+    def test_encode_file(self, capsys, inputs, out_dir):
+        self.check_exit(capsys, "encode-file", "--in", str(inputs / "m.w"),
+                        "--fault-map", str(inputs / "faults.txt"),
+                        "--out", str(inputs / out_dir / "o.blk"))
+
+    def test_encode_file_sidecar(self, capsys, inputs):
+        self.check_exit(capsys, "encode-file", "--in", str(inputs / "m.w"),
+                        "--fault-map", str(inputs / "faults.txt"),
+                        "--out", str(inputs / "o.blk"),
+                        "--sidecar", str(inputs / "missing" / "o.aux"))
+        assert not (inputs / "o.blk").exists()
+
+    @pytest.mark.parametrize("out_dir", ["missing", "m.w"])
+    def test_decode_file(self, capsys, inputs, out_dir):
+        self.check_exit(capsys, "decode-file", "--in", str(inputs / "m.blk"),
+                        "--sidecar", str(inputs / "m.aux"),
+                        "--out", str(inputs / out_dir / "o.w"))
 
 
 # A header that declares one 4 x 0xFFFFFFFF fp32 layer and ends there: the

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from craft import nn
+from craft import harness, nn
 from craft.bitops import bits_from_u32
 from craft.codecs import PAYLOAD_BITS
-from craft.harness import (BerPoint, CriticalityResult, Scheme, SweepResult,
-                           TrialRecord, _apply_scheme, ber_sweep, bit_criticality,
+from craft.harness import (DEFAULT_SA1_FRACTION, BerPoint, CriticalityPoint,
+                           CriticalityResult, Scheme, SweepResult, TrialRecord,
+                           _apply_scheme, _test_error, ber_sweep, bit_criticality,
                            default_ber_grid, robustness_improvement, run_trial,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
 from craft.memory import FaultMap, generate_fault_map
-from craft.nn import accuracy
+from craft.nn import InferenceBuffers, accuracy
+from craft.prng import make_rng, trial_seed
 from craft.weightfile import flatten_model, unflatten_model
+
+SCHEMES = [Scheme.parse(s) for s in ("baseline", "ecp1", "remap_invert", "craft")]
 
 
 def sweep_from_errors(bers, errors, fault_free=0.0, scheme="x"):
@@ -146,7 +150,118 @@ class TestBerSweep:
             assert float(mean_delta) == deltas.mean()
 
 
+def reference_criticality(model, dataset, ber, trials, base_seed):
+    """bit_criticality as one fresh draw and fault map per (position, trial),
+    with an inference on every readback.  Also returns how many readbacks
+    differ from the fault-free stream."""
+    blocks, layout = flatten_model(model)
+    word_bits = layout.precision.word_bits
+    region = layout.n_blocks * PAYLOAD_BITS
+    n_words = region // word_bits
+    buffers = InferenceBuffers()
+    fault_free = _test_error(blocks, layout, dataset, buffers)
+    points, differing = [], 0
+    for position in range(word_bits):
+        errs = np.empty(trials)
+        deltas = np.empty(trials)
+        for t in range(trials):
+            rng = make_rng(trial_seed(base_seed, t))
+            stuck = rng.random(n_words) < ber
+            values = (rng.random(int(stuck.sum())) < DEFAULT_SA1_FRACTION).astype(np.uint8)
+            indices = np.flatnonzero(stuck).astype(np.int64) * word_bits + position
+            fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION,
+                            trial_seed(base_seed, t))
+            read, total = _apply_scheme(blocks, layout, Scheme("baseline"), fmap)
+            differing += not np.array_equal(read, blocks)
+            errs[t] = _test_error(read, layout, dataset, buffers)
+            deltas[t] = total
+        points.append(CriticalityPoint(position, float(errs.mean()),
+                                       float(errs.std(ddof=0)), float(deltas.mean())))
+    result = CriticalityResult(points=tuple(points), ber=ber, trials=trials,
+                               seed=base_seed, fault_free_error=fault_free)
+    return result, differing
+
+
+def differing_sweep_readbacks(model, schemes, bers, trials, base_seed):
+    """Sweep readbacks, over every (ber, trial, scheme), that differ from the
+    fault-free stream."""
+    blocks, layout = flatten_model(model)
+    region = layout.n_blocks * PAYLOAD_BITS
+    differing = 0
+    for ber in bers:
+        for t in range(trials):
+            fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION,
+                                      trial_seed(base_seed, t))
+            for scheme in schemes:
+                read, _ = _apply_scheme(blocks, layout, scheme, fmap)
+                differing += not np.array_equal(read, blocks)
+    return differing
+
+
+@pytest.fixture
+def error_calls(monkeypatch):
+    """Calls of harness._test_error, counted from the test's start.  The
+    reference loops above call the unwrapped function."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return _test_error(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_test_error", counted)
+    return calls
+
+
+@pytest.fixture(params=["fp32", "u8"])
+def model(request, fp32_model, u8_model):
+    return fp32_model if request.param == "fp32" else u8_model
+
+
+class TestUnchangedReadbacks:
+    """Criticality draws each trial once for all positions, and both runs
+    skip inference on readbacks equal to the fault-free stream; neither may
+    change a result."""
+
+    @pytest.mark.parametrize("ber", [0.0, 1e-3, 1e-1, 1.0])
+    @pytest.mark.parametrize("base_seed", [0, 7])
+    def test_criticality_matches_per_position_reference(self, model, default_dataset,
+                                                        ber, base_seed, error_calls):
+        expected, differing = reference_criticality(model, default_dataset, ber, 4,
+                                                    base_seed)
+        result = bit_criticality(model, default_dataset, ber=ber, trials=4,
+                                 base_seed=base_seed)
+        assert result == expected
+        for got, want in zip(result.points, expected.points, strict=True):
+            assert got == want
+        assert len(error_calls) == 1 + differing
+
+    def test_sweep_infers_only_changed_readbacks(self, model, default_dataset, error_calls):
+        bers = [0.0, 1e-3, 1e-2]
+        differing = differing_sweep_readbacks(model, SCHEMES, bers, 3, 7)
+        ber_sweep(model, default_dataset, SCHEMES, bers, 3, 7)
+        assert len(error_calls) == 1 + differing
+
+    def test_sweep_records_match_single_trials(self, u8_model, default_dataset):
+        bers = [1e-3, 1e-2]
+        results = ber_sweep(u8_model, default_dataset, SCHEMES, bers, 3, 7)
+        for scheme, res in zip(SCHEMES, results, strict=True):
+            for r in res.records:
+                err, delta = run_trial(u8_model, default_dataset, scheme, r.ber,
+                                       trial_seed(7, r.trial))
+                assert (r.classification_error, r.total_delta) == (err, delta)
+
+
 class TestBitCriticality:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, u8_model, default_dataset, trials):
+        with pytest.raises(ValueError, match="trial"):
+            bit_criticality(u8_model, default_dataset, ber=1e-3, trials=trials)
+
+    @pytest.mark.parametrize("ber", [-1e-3, 1.5, 2.0, float("nan")])
+    def test_ber_outside_unit_interval_rejected(self, u8_model, default_dataset, ber):
+        with pytest.raises(ValueError, match="ber"):
+            bit_criticality(u8_model, default_dataset, ber=ber, trials=1)
+
     def test_zero_ber_reports_fault_free_everywhere(self, u8_model, default_dataset):
         result = bit_criticality(u8_model, default_dataset, ber=0.0, trials=2, base_seed=1)
         assert len(result.points) == 8
