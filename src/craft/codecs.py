@@ -22,6 +22,11 @@ little-endian uint32 words, bit w*32+k of the block being bit k of word w
 inversion an XOR with 0xFFFFFFFF, switching a rotate-left by 10 (fp32) or
 a nibble swap in every byte (u8).  The bit-level functions convert at the
 boundary and call the word form.
+
+Every transform is a bit permutation or a complement, so the stuck cells a
+config's decode hands back can be moved into the data's frame instead of
+moving the data into the memory's: `frame_stuck` tabulates them for all 64
+configs at once, which is what the encoding search reads.
 """
 
 from __future__ import annotations
@@ -117,10 +122,7 @@ _NIBBLE_HI = np.uint32(0xF0F0F0F0)
 
 
 def _remap_words(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    perms = SLOT_PERMS[keys]
-    if words.shape[-2] == 1:  # one block under every key
-        return np.take(words[..., 0, :], perms, axis=-1)
-    rows = perms + REMAP_SLOTS * np.arange(keys.size)[:, None]
+    rows = SLOT_PERMS[keys] + REMAP_SLOTS * np.arange(keys.size)[:, None]
     return np.take(words.reshape(words.shape[:-2] + (-1,)), rows, axis=-1)
 
 
@@ -128,15 +130,18 @@ def _invert_words(words: np.ndarray, flags: np.ndarray) -> np.ndarray:
     return words ^ np.where(flags[:, None] != 0, _ALL_ONES, np.uint32(0))
 
 
-def _switch_words(words: np.ndarray, flags: np.ndarray, precision: Precision,
-                  encoding: bool) -> np.ndarray:
+def _switched(words: np.ndarray, precision: Precision, encoding: bool) -> np.ndarray:
+    """Every word of `words` switched (encoding) or switched back."""
     if precision is Precision.FP32:
         r = np.uint32(precision.rotation if encoding else SLOT_BITS - precision.rotation)
-        switched = (words << r) | (words >> np.uint32(SLOT_BITS - r))
-    else:
-        # rotating a byte by 4 swaps its nibbles, which is its own inverse
-        switched = ((words << np.uint32(4)) & _NIBBLE_HI) | ((words >> np.uint32(4)) & _NIBBLE_LO)
-    return np.where(flags[:, None] != 0, switched, words)
+        return (words << r) | (words >> np.uint32(SLOT_BITS - r))
+    # rotating a byte by 4 swaps its nibbles, which is its own inverse
+    return ((words << np.uint32(4)) & _NIBBLE_HI) | ((words >> np.uint32(4)) & _NIBBLE_LO)
+
+
+def _switch_words(words: np.ndarray, flags: np.ndarray, precision: Precision,
+                  encoding: bool) -> np.ndarray:
+    return np.where(flags[:, None] != 0, _switched(words, precision, encoding), words)
 
 
 def encode_words(words: np.ndarray, codes: np.ndarray, precision: Precision) -> np.ndarray:
@@ -144,8 +149,7 @@ def encode_words(words: np.ndarray, codes: np.ndarray, precision: Precision) -> 
 
     A block is 16 little-endian uint32 words: bit w*32+k of the block is
     bit k of word w.  `words` has shape (..., C, 16), C blocks for the C
-    aux codes in `codes`, or (..., 1, 16), one block stored under each of
-    the C configs; the result has shape (..., C, 16).
+    aux codes in `codes`; the result has the same shape.
     """
     codes = np.asarray(codes)
     out = _remap_words(words, codes & 0xF)
@@ -159,6 +163,29 @@ def decode_words(words: np.ndarray, codes: np.ndarray, precision: Precision) -> 
     out = _switch_words(words, codes & 0x20, precision, encoding=False)
     out = _invert_words(out, codes & 0x10)
     return _remap_words(out, codes & 0xF)
+
+
+def frame_stuck(mask: np.ndarray, stuck: np.ndarray,
+                precision: Precision) -> tuple[np.ndarray, np.ndarray]:
+    """The stuck cells of (n, 16) blocks as every config's decode sees them.
+
+    `mask` and `stuck` come from :func:`craft.memory.stuck_words`.  Returns
+    two (n, 64) uint32 tables, (mask, stuck) in the data's frame: under aux
+    code c, logical word i of a block reads back as
+    ``(x & ~mask[:, c ^ i]) | stuck[:, c ^ i]``, bit for bit the word of
+    ``decode_words(apply_stuck(encode_words(x, c), mask, stuck), c)``.
+
+    Column c ^ i is v*16 + (i ^ key) with v = 2*switch + invert: remap puts
+    logical word i on slot i ^ key; decoding undoes the switch with a bit
+    rotation U, which moves the stuck cells to (U(mask), U(stuck)), and the
+    inversion with a complement, which turns (x & ~M) | S into
+    (x & ~(M | S)) | (M & ~S).  Stuck bits outside `mask` take part as
+    they do in :func:`craft.memory.apply_stuck`.
+    """
+    unmask = _switched(mask, precision, encoding=False)
+    unstuck = _switched(stuck, precision, encoding=False)
+    return (np.concatenate([mask, mask | stuck, unmask, unmask | unstuck], axis=-1),
+            np.concatenate([stuck, mask & ~stuck, unstuck, unmask & ~unstuck], axis=-1))
 
 
 def _payload_words(payload: np.ndarray) -> np.ndarray:

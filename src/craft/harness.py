@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .codecs import PAYLOAD_BITS, REMAP_INVERT_CONFIGS, decode_words, ecp_words
+from .codecs import PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
 from .memory import FaultMap, apply_stuck, generate_fault_map
 from .nn import InferenceBuffers, MlpModel, QuantizedModel, accuracy
-from .objective import config_codes, deviation_words, store_words
+from .objective import best_encodings, config_codes, deviation_words
 from .prng import make_rng, trial_seed
 from .weightfile import BlockLayout, flatten_model, unflatten_model
 
@@ -125,51 +125,81 @@ class RobustnessRatio:
         return self.censored_a or self.censored_b
 
 
+#: Most points a BER grid may hold.
+MAX_BER_GRID_POINTS = 10_000
+
+
 def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) -> list[float]:
-    """Logarithmic BER grid from lo to hi, per_decade points per decade."""
-    if not 0 < lo <= hi or per_decade < 1:
-        raise ValueError("invalid BER grid bounds")
+    """Logarithmic BER grid from lo to hi, per_decade points per decade.
+
+    Bounds must satisfy 0 < lo <= hi <= 1 (which also rules out NaN and
+    infinities), and the grid may hold at most :data:`MAX_BER_GRID_POINTS`
+    points; its size is checked before it is built.
+    """
+    if not 0 < lo <= hi <= 1:
+        raise ValueError(f"BER grid bounds must satisfy 0 < lo <= hi <= 1, got {lo!r}:{hi!r}")
+    if not 1 <= per_decade <= MAX_BER_GRID_POINTS:
+        raise ValueError(f"BER grid needs 1 to {MAX_BER_GRID_POINTS} points per decade, "
+                         f"got {per_decade}")
     lo_exp, hi_exp = np.log10(lo), np.log10(hi)
     n = int(round((hi_exp - lo_exp) * per_decade)) + 1
+    if n > MAX_BER_GRID_POINTS:
+        raise ValueError(f"BER grid of {n} points exceeds {MAX_BER_GRID_POINTS}")
     return [float(10.0 ** (lo_exp + i / per_decade)) for i in range(n)]
 
 
-def _apply_scheme(blocks: np.ndarray, layout: BlockLayout, scheme: Scheme,
-                  fault_map: FaultMap) -> tuple[np.ndarray, float]:
-    """Readout words and total deviation after protecting each block.
+def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
+                   fault_map: FaultMap) -> list[tuple[np.ndarray, float]]:
+    """Readout words and total deviation of each scheme, in order, after
+    protecting each block.
 
     `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`.
     Only blocks holding stuck cells are processed; the others read back
-    unchanged with zero deviation.
+    unchanged with zero deviation.  The encoding schemes share one search
+    over the union of their config spaces (see
+    :func:`craft.objective.best_encodings`), and each one's total adds its
+    winners' search deltas.
     """
-    read = blocks.copy()
     if len(fault_map) == 0:
-        return read, 0.0
+        return [(blocks.copy(), 0.0) for _ in schemes]
     touched, mask, stuck = fault_map.touched_blocks
     words = blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     precision = layout.precision
-    if scheme.kind == "baseline":
-        out = apply_stuck(words, mask, stuck)
-    elif scheme.kind == "ecp":
-        out = ecp_words(words, mask, stuck, scheme.ecp_n)
-    else:
-        chosen, stored, _ = store_words(words, mask, stuck, precision, scale,
-                                        config_codes(scheme.config_space))
-        out = decode_words(stored, chosen, precision)
-    read[touched] = out
-    return read, _total_deviation(words, out, precision, scale)
+    searched = [config_codes(s.config_space) for s in schemes
+                if s.kind in ("remap_invert", "craft")]
+    found = iter(best_encodings(words, mask, stuck, precision, scale, searched))
+    results = []
+    for scheme in schemes:
+        if scheme.kind == "baseline":
+            out = apply_stuck(words, mask, stuck)
+            total = _total_deviation(words, out, precision, scale)
+        elif scheme.kind == "ecp":
+            out = ecp_words(words, mask, stuck, scheme.ecp_n)
+            total = _total_deviation(words, out, precision, scale)
+        else:
+            _, out, deltas = next(found)
+            total = _in_order_sum(deltas)
+        read = blocks.copy()
+        read[touched] = out
+        results.append((read, total))
+    return results
+
+
+def _in_order_sum(deltas: np.ndarray) -> float:
+    """Sum of per-block deviations added left to right in block order, so
+    that the total does not depend on the interpreter's float summation
+    algorithm."""
+    total = 0.0
+    for delta in deltas.tolist():
+        total += delta
+    return total
 
 
 def _total_deviation(words, out, precision, scale) -> float:
-    """Sum of the per-block deviations of `out` from `words`, added left to
-    right in block order so that the total does not depend on the
-    interpreter's float summation algorithm."""
-    total = 0.0
-    for delta in deviation_words(words, out, precision, scale).tolist():
-        total += delta
-    return total
+    """:func:`_in_order_sum` of the per-block deviations of `out` from `words`."""
+    return _in_order_sum(deviation_words(words, out, precision, scale))
 
 
 def _test_error(blocks, layout, dataset, buffers: InferenceBuffers | None = None) -> float:
@@ -182,7 +212,7 @@ def run_trial(model: MlpModel | QuantizedModel, dataset, scheme: Scheme, ber: fl
     """One fault-injection trial: (classification error, total deviation)."""
     blocks, layout = flatten_model(model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1_fraction, seed)
-    read, total = _apply_scheme(blocks, layout, scheme, fmap)
+    read, total = _apply_schemes(blocks, layout, [scheme], fmap)[0]
     return _test_error(read, layout, dataset), total
 
 
@@ -214,8 +244,7 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
         fmap = generate_fault_map(region, ber, sa1_fraction,
                                   trial_seed(base_seed, trial))
         out = []
-        for scheme in schemes:
-            read, total = _apply_scheme(blocks, layout, scheme, fmap)
+        for read, total in _apply_schemes(blocks, layout, schemes, fmap):
             if np.array_equal(read, blocks):
                 err = fault_free
             else:

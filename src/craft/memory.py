@@ -76,8 +76,13 @@ class FaultMap:
         """Indices of the 512-bit blocks that hold stuck cells, ascending,
         with their (mask, stuck) words as :func:`stuck_words` gives them.
         Built on first use and kept, since the map never changes."""
-        blocks, rows = np.unique(self.bit_indices // PAYLOAD_BITS, return_inverse=True)
-        local = rows * PAYLOAD_BITS + self.bit_indices % PAYLOAD_BITS
+        block_of = self.bit_indices // PAYLOAD_BITS
+        # indices ascend, so each block's cells are one run
+        starts = np.empty(block_of.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(block_of[1:], block_of[:-1], out=starts[1:])
+        blocks = block_of[starts]
+        local = (np.cumsum(starts) - 1) * PAYLOAD_BITS + self.bit_indices % PAYLOAD_BITS
         out = (blocks, *_pack_words(local, self.stuck_values, blocks.size))
         for arr in out:
             arr.setflags(write=False)
@@ -148,16 +153,21 @@ def apply_faults(desired: np.ndarray, fault_map: FaultMap, offset: int = 0) -> n
     return readout
 
 
+#: 2**k as float64, the weight of bit k of a word.
+_BIT_WEIGHTS = 2.0 ** np.arange(32)
+
+
 def _pack_words(positions: np.ndarray, values: np.ndarray, n_blocks: int):
-    mask = np.zeros((n_blocks, WORDS_PER_BLOCK), dtype=np.uint32)
-    stuck = np.zeros_like(mask)
-    rows, bits = np.divmod(positions, PAYLOAD_BITS)
-    words, shifts = np.divmod(bits, 32)
-    cells = np.uint32(1) << shifts.astype(np.uint32)
-    # positions are distinct, so OR-ing them in one at a time is exact
-    np.bitwise_or.at(mask, (rows, words), cells)
-    np.bitwise_or.at(stuck, (rows, words), cells * values.astype(np.uint32))
-    return mask, stuck
+    """(mask, stuck) words of distinct local bit positions in n blocks."""
+    words = positions // 32  # row * WORDS_PER_BLOCK + word within the row
+    cells = _BIT_WEIGHTS[positions % 32]
+    # The cells of a word are distinct bits, so their sum is their OR, and
+    # it stays below 2**32, where float64 is exact.
+    size = n_blocks * WORDS_PER_BLOCK
+    mask = np.bincount(words, weights=cells, minlength=size)
+    stuck = np.bincount(words, weights=cells * values, minlength=size)
+    return (mask.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK),
+            stuck.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK))
 
 
 def stuck_words(fault_map: FaultMap, offset: int = 0, n_blocks: int = 1):

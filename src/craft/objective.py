@@ -6,10 +6,16 @@ map the best encoding is found by brute force over the (sub)space of
 configurations, simulating store -> faulty readout -> decode for each one
 and keeping the argmin (ties go to the smallest aux code).
 
-The search runs on the word form of blocks (see :mod:`craft.codecs`):
-:func:`search_words` scores every config of a few blocks in one
-(blocks, configs, 16) pass, and :func:`store_words` writes many blocks with
-their best configs, searching them a chunk at a time.  The bit-level
+The search runs on the word form of blocks (see :mod:`craft.codecs`) and
+in the data's frame: it never encodes.  :func:`craft.codecs.frame_stuck`
+gathers each block's stuck cells into the position where every logical
+word sits under every config, so a config's readback is the original words
+with those cells applied.  :func:`search_words` scores every config of a
+few blocks in one (blocks, configs, 16) pass.  :func:`best_encodings` runs
+one search over the union of several code sets, a chunk of blocks at a
+time, and gives each set its winners, their readbacks and their deltas
+from that one pass; :func:`store_words` builds on it and encodes only the
+winners, for the words the memory holds.  The bit-level
 :func:`search_best_encoding` and :func:`write_with_craft` are single-block
 wrappers around them.
 """
@@ -22,21 +28,23 @@ from typing import Sequence
 import numpy as np
 
 from .bitops import as_bit_array, bits_from_u32, u32_from_bits
-from .codecs import (ALL_CONFIGS, N_CONFIGS, PAYLOAD_BITS, EncodingConfig, Precision,
-                     decode_words, encode_words)
+from .codecs import (ALL_CONFIGS, N_CONFIGS, PAYLOAD_BITS, REMAP_SLOTS, EncodingConfig,
+                     Precision, encode_words, frame_stuck)
 from .memory import FaultMap, apply_stuck, stuck_words
 
 #: Delta contributed by a non-finite float32 readout weight.  Just above
 #: float32 max, so a config producing NaN/Inf loses to any finite one.
 NONFINITE_SENTINEL = 2.0 ** 128
 
-#: Blocks searched per pass of :func:`store_words`.  Each pass holds a few
+#: Blocks searched per pass of :func:`best_encodings`.  Each pass holds a few
 #: (chunk, configs, 16) arrays, so memory stays flat in the model size.
 SEARCH_CHUNK_BLOCKS = 32
 
 #: Aux codes of all 64 configs, ascending.
 ALL_CODES = np.arange(N_CONFIGS)
 ALL_CODES.setflags(write=False)
+
+_SLOTS = np.arange(REMAP_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -134,23 +142,31 @@ class DeviationReport:
         return "\n".join(lines) + "\n"
 
 
+def _score(words, keep, stuck, precision, scale, codes: np.ndarray) -> np.ndarray:
+    """(n, len(codes)) deltas of (n, 16) blocks from their frame tables
+    (see :func:`craft.codecs.frame_stuck`), `keep` being the complement of
+    the mask table."""
+    columns = codes[:, None] ^ _SLOTS
+    original = words[:, None, :]
+    readback = (original & np.take(keep, columns, axis=1)) | np.take(stuck, columns, axis=1)
+    return deviation_words(original, readback, precision,
+                           None if scale is None else scale[:, None])
+
+
 def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
                  precision: Precision, scale, codes: np.ndarray) -> np.ndarray:
     """Deltas of every config in `codes` for every one of (n, 16) blocks.
 
-    Each config's store -> faulty readout -> decode is simulated on words,
-    all configs of all n blocks in one (n, len(codes), 16) pass; `mask` and
-    `stuck` are the blocks' stuck cells (see :func:`craft.memory.stuck_words`)
-    and `scale` is None for fp32 or the per-block u8 scales, shape (n,).
-    Returns (n, len(codes)) deltas.  Memory grows with n:
-    :func:`store_words` passes at most :data:`SEARCH_CHUNK_BLOCKS` blocks.
+    Each config's store -> faulty readout -> decode is found in the data's
+    frame (see :func:`craft.codecs.frame_stuck`), all configs of all n
+    blocks in one (n, len(codes), 16) pass; `mask` and `stuck` are the
+    blocks' stuck cells (see :func:`craft.memory.stuck_words`) and `scale`
+    is None for fp32 or the per-block u8 scales, shape (n,).  Returns
+    (n, len(codes)) deltas.  Memory grows with n: :func:`best_encodings`
+    passes at most :data:`SEARCH_CHUNK_BLOCKS` blocks.
     """
-    original = words[:, None, :]
-    stored = apply_stuck(encode_words(original, codes, precision),
-                         mask[:, None, :], stuck[:, None, :])
-    readback = decode_words(stored, codes, precision)
-    return deviation_words(original, readback, precision,
-                           None if scale is None else scale[:, None])
+    mask_t, stuck_t = frame_stuck(mask, stuck, precision)
+    return _score(words, ~mask_t, stuck_t, precision, scale, np.asarray(codes))
 
 
 def best_indices(deltas: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -160,25 +176,55 @@ def best_indices(deltas: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(minimal, codes, N_CONFIGS), axis=-1)
 
 
+def best_encodings(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
+                   precision: Precision, scale, code_sets: Sequence[np.ndarray]):
+    """Each block's best config within each of several code sets.
+
+    One search scores the union of the sets, :data:`SEARCH_CHUNK_BLOCKS`
+    blocks at a time; each set's winners come from that set's columns of
+    the scores, ties going to the smallest aux code.  Returns, per set in order, the
+    chosen aux code of each block, its (n, 16) readback words (decoded,
+    stuck cells applied) and its net deviation.  Each result equals a
+    search of that set alone.
+    """
+    code_sets = [np.asarray(codes) for codes in code_sets]
+    n = words.shape[0]
+    found = [(np.empty(n, dtype=codes.dtype), np.empty_like(words), np.empty(n))
+             for codes in code_sets]
+    if not code_sets:
+        return found
+    present = np.zeros(N_CONFIGS, dtype=bool)
+    for codes in code_sets:
+        present[codes] = True
+    union = np.flatnonzero(present)
+    column = np.cumsum(present) - 1  # where each code's deltas sit in the union's
+    for lo in range(0, n, SEARCH_CHUNK_BLOCKS):
+        part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
+        x = words[part]
+        mask_t, stuck_t = frame_stuck(mask[part], stuck[part], precision)
+        keep = ~mask_t
+        scored = _score(x, keep, stuck_t, precision,
+                        None if scale is None else scale[part], union)
+        rows = np.arange(x.shape[0])
+        for codes, (chosen, readback, deltas) in zip(code_sets, found):
+            own = scored[:, column[codes]]
+            best = best_indices(own, codes)
+            chosen[part] = codes[best]
+            deltas[part] = own[rows, best]
+            won = rows[:, None], codes[best][:, None] ^ _SLOTS
+            readback[part] = (x & keep[won]) | stuck_t[won]
+    return found
+
+
 def store_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
                 precision: Precision, scale=None, codes: np.ndarray = ALL_CODES):
     """Word-level :func:`write_with_craft` for (n, 16) blocks.
 
-    Searches :data:`SEARCH_CHUNK_BLOCKS` blocks at a time.  Returns the
-    chosen aux code of each block, the stored words as the memory holds
-    them (encoded, stuck cells overriding) and each block's achieved net
-    deviation.
+    Returns the chosen aux code of each block (see :func:`best_encodings`),
+    the stored words as the memory holds them (encoded, stuck cells
+    overriding) and each block's achieved net deviation.
     """
-    codes = np.asarray(codes)
-    chosen = np.empty(words.shape[0], dtype=codes.dtype)
-    deltas = np.empty(words.shape[0])
-    for lo in range(0, words.shape[0], SEARCH_CHUNK_BLOCKS):
-        part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
-        scored = search_words(words[part], mask[part], stuck[part], precision,
-                              None if scale is None else scale[part], codes)
-        best = best_indices(scored, codes)
-        chosen[part] = codes[best]
-        deltas[part] = scored[np.arange(best.size), best]
+    chosen, _, deltas = best_encodings(words, mask, stuck, precision, scale, [codes])[0]
     stored = apply_stuck(encode_words(words, chosen, precision), mask, stuck)
     return chosen, stored, deltas
 

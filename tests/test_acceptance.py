@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from craft import nn
-from craft.bitops import bits_from_bytes, bytes_from_bits
+from craft.bitops import bits_from_bytes, bytes_from_bits, u32_from_bits
 from craft.codecs import (ALL_CONFIGS, REMAP_CONFIGS, REMAP_INVERT_CONFIGS,
                           EncodingConfig, Precision, craft_overhead, decode,
                           ecp_correct, ecp_overhead, encode, switch_bits)
 from craft.harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
                            robustness_improvement, second_zero_exponent_bit)
-from craft.memory import FaultMap, count_mismatches, generate_fault_map
-from craft.objective import WeightView, search_best_encoding
+from craft.memory import FaultMap, count_mismatches, generate_fault_map, stuck_words
+from craft.objective import WeightView, search_best_encoding, store_words
 from craft.cli import main
 
 # frozen after the first validated run of each deterministic experiment
@@ -69,11 +69,22 @@ def test_03_single_fault_guarantee():
     with criterion(3, "single stuck cell always recoverable, exhaustive"):
         rng = np.random.default_rng(31173)
         payloads = rng.integers(0, 2, (100, 512)).astype(np.uint8)
-        for x in payloads:
-            for pos in range(512):
-                for stuck in (0, 1):
-                    report = search_best_encoding(x, single_cell_map(pos, stuck), 0, U8_UNIT)
-                    assert report.best_delta == 0.0
+        # One block per (payload, position, stuck value), in that nesting
+        # order, each holding its single stuck cell, searched in one call.
+        cases = len(payloads) * 512 * 2
+        words = np.repeat(u32_from_bits(payloads), 512 * 2, axis=0)
+        positions = np.tile(np.repeat(np.arange(512), 2), len(payloads))
+        values = np.tile(np.array([0, 1], dtype=np.uint8), len(payloads) * 512)
+        fmap = FaultMap(cases * 512, np.arange(cases) * 512 + positions, values, 0.0, 0.5, 0)
+        mask, stuck = stuck_words(fmap, 0, cases)
+        codes, _, deltas = store_words(words, mask, stuck, Precision.U8, np.ones(cases))
+        assert np.all(deltas == 0.0)
+        # the bit-level search agrees case by case on the first payload
+        for i in range(512 * 2):
+            report = search_best_encoding(payloads[0], single_cell_map(positions[i], values[i]),
+                                          0, U8_UNIT)
+            assert report.best_delta == deltas[i] == 0.0
+            assert report.best_config.aux_code == codes[i]
 
 
 def test_04_config_space_nesting():

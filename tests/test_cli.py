@@ -85,6 +85,12 @@ class TestUsageErrors:
         ["criticality", "--trials", "0"],
         ["criticality", "--ber", "2"],
         ["criticality", "--ber", "-0.1"],
+        ["sweep", "--ber-grid", "1e-3:inf:5"],
+        ["sweep", "--ber-grid", "nan:1e-1:5"],
+        ["sweep", "--ber-grid", "1e-2:10:1"],
+        # oversized grids, rejected before any point is built
+        ["sweep", "--ber-grid", "1e-300:1e-1:100000000"],
+        ["sweep", "--ber-grid", "1e-300:1e-1:10000"],
     ])
     def test_out_of_range_numbers_exit_1(self, capsys, tmp_path, argv):
         code, _, err = run(capsys, *argv, "--model", str(tmp_path / "m.w"),

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from craft import harness, nn
 from craft.bitops import bits_from_u32
 from craft.codecs import PAYLOAD_BITS
-from craft.harness import (DEFAULT_SA1_FRACTION, BerPoint, CriticalityPoint,
-                           CriticalityResult, Scheme, SweepResult, TrialRecord,
-                           _apply_scheme, _test_error, ber_sweep, bit_criticality,
+from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
+                           CriticalityPoint, CriticalityResult, Scheme, SweepResult, TrialRecord,
+                           _apply_schemes, _test_error, ber_sweep, bit_criticality,
                            default_ber_grid, robustness_improvement, run_trial,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
@@ -84,7 +86,7 @@ class TestRunTrial:
             entries_val.append(1 - int(bits[b, pos % PAYLOAD_BITS]))
         fmap = FaultMap(layout.n_blocks * PAYLOAD_BITS, np.array(entries_idx),
                         np.array(entries_val, dtype=np.uint8), 0.0, 0.5, 0)
-        read, total = _apply_scheme(blocks, layout, Scheme.parse("ecp1"), fmap)
+        read, total = _apply_schemes(blocks, layout, [Scheme.parse("ecp1")], fmap)[0]
         assert np.array_equal(read, blocks)
         assert total == 0.0
 
@@ -171,7 +173,7 @@ def reference_criticality(model, dataset, ber, trials, base_seed):
             indices = np.flatnonzero(stuck).astype(np.int64) * word_bits + position
             fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION,
                             trial_seed(base_seed, t))
-            read, total = _apply_scheme(blocks, layout, Scheme("baseline"), fmap)
+            read, total = _apply_schemes(blocks, layout, [Scheme("baseline")], fmap)[0]
             differing += not np.array_equal(read, blocks)
             errs[t] = _test_error(read, layout, dataset, buffers)
             deltas[t] = total
@@ -193,7 +195,7 @@ def differing_sweep_readbacks(model, schemes, bers, trials, base_seed):
             fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION,
                                       trial_seed(base_seed, t))
             for scheme in schemes:
-                read, _ = _apply_scheme(blocks, layout, scheme, fmap)
+                read, _ = _apply_schemes(blocks, layout, [scheme], fmap)[0]
                 differing += not np.array_equal(read, blocks)
     return differing
 
@@ -251,6 +253,20 @@ class TestUnchangedReadbacks:
                 assert (r.classification_error, r.total_delta) == (err, delta)
 
 
+def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_dataset):
+    """remap_invert and craft share one search of each non-empty fault map."""
+    searches = []
+    search = harness.best_encodings
+
+    def counted(words, mask, stuck, precision, scale, code_sets):
+        searches.append([len(codes) for codes in code_sets])
+        return search(words, mask, stuck, precision, scale, code_sets)
+
+    monkeypatch.setattr(harness, "best_encodings", counted)
+    ber_sweep(u8_model, default_dataset, SCHEMES, [0.0, 1e-3, 1e-2], 2, 7)
+    assert searches == [[32, 64]] * 4
+
+
 class TestBitCriticality:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, u8_model, default_dataset, trials):
@@ -284,7 +300,7 @@ class TestBitCriticality:
             stuck = 1 - int(bits[0, pos])
             fmap = FaultMap(region, np.array([pos]), np.array([stuck], dtype=np.uint8),
                             0.0, 0.5, 0)
-            _, delta = _apply_scheme(blocks, layout, Scheme.parse("baseline"), fmap)
+            _, delta = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)[0]
             assert delta == pytest.approx(2 ** position * layout.quant[0][0])
 
     def test_fp32_reports_32_positions(self, fp32_model, default_dataset):
@@ -373,3 +389,28 @@ class TestGrid:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             default_ber_grid(1e-1, 1e-5, 5)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-3, math.inf), (math.nan, 1e-1), (1e-3, math.nan),
+                                        (1e-2, 10.0), (0.0, 1e-1), (-1e-3, 1e-1)])
+    def test_bounds_outside_unit_interval_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="bounds"):
+            default_ber_grid(lo, hi, 5)
+
+    @pytest.mark.parametrize("per_decade", [0, -1, MAX_BER_GRID_POINTS + 1, 100_000_000,
+                                            pytest.param(10**400, id="10**400")])
+    def test_points_per_decade_bounded(self, per_decade):
+        with pytest.raises(ValueError, match="per decade"):
+            default_ber_grid(1e-3, 1e-1, per_decade)
+
+    def test_oversized_grid_rejected_before_it_is_built(self):
+        # about 3e6 points: the count is checked, the list never made
+        with pytest.raises(ValueError, match="exceeds"):
+            default_ber_grid(1e-300, 1e-1, MAX_BER_GRID_POINTS)
+        with pytest.raises(ValueError, match="exceeds"):
+            default_ber_grid(1e-1, 1.0, MAX_BER_GRID_POINTS)  # one point too many
+
+    def test_largest_grid_accepted(self):
+        grid = default_ber_grid(1e-1, 1.0, MAX_BER_GRID_POINTS - 1)
+        assert len(grid) == MAX_BER_GRID_POINTS
+        assert grid[0] == pytest.approx(1e-1) and grid[-1] == pytest.approx(1.0)
+        assert default_ber_grid(1e-2, 1e-2, MAX_BER_GRID_POINTS) == [pytest.approx(1e-2)]

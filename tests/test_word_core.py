@@ -1,9 +1,11 @@
 """Differential tests of the word-level codec core.
 
 The search, fault application and deviation are re-derived here on plain
-Python integers (codecs through ``codec_oracle``), and the harness's
-batched scheme application is compared with a per-block loop over the
-bit-level wrappers.  Per-config deltas must agree bit for bit.
+Python integers (codecs through ``codec_oracle``), the search's frame
+readbacks are compared with encode -> stuck cells -> decode, one shared
+search with a search of each code set alone, and the harness's batched
+scheme application with a per-block loop over the bit-level wrappers.
+Per-config deltas must agree bit for bit.
 """
 
 import math
@@ -16,11 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft.bitops import bits_from_u32
-from craft.codecs import PAYLOAD_BITS, EncodingConfig, Precision, decode, ecp_correct
-from craft.harness import Scheme, _apply_scheme
-from craft.memory import FaultMap, apply_faults, generate_fault_map
-from craft.objective import (NONFINITE_SENTINEL, WeightView, deviation,
-                             search_best_encoding, write_with_craft)
+from craft.codecs import (PAYLOAD_BITS, EncodingConfig, Precision, decode, decode_words,
+                          ecp_correct, encode_words, frame_stuck)
+from craft.harness import Scheme, _apply_schemes
+from craft.memory import FaultMap, apply_faults, apply_stuck, generate_fault_map
+from craft.objective import (NONFINITE_SENTINEL, WeightView, best_encodings, best_indices,
+                             deviation, deviation_words, search_best_encoding, search_words,
+                             store_words, write_with_craft)
 from craft.weightfile import flatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -193,8 +197,128 @@ def test_apply_scheme_matches_per_block_loop(fp32_model, u8_model, precision, sc
                                              ber, sa1, seed):
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
-    read, total = _apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
+    read, total = _apply_schemes(blocks, layout, [Scheme.parse(scheme)], fmap)[0]
     ref_read, ref_total = reference_apply_scheme(bits_from_u32(blocks), layout,
                                                  Scheme.parse(scheme), fmap)
     assert np.array_equal(bits_from_u32(read), ref_read)
     assert total == ref_total
+
+
+@st.composite
+def stuck_block(draw):
+    """(mask, stuck) words of one block: the cells of a fault map, or stuck
+    words drawn apart from the mask, with bits outside it."""
+    if draw(st.booleans()):
+        mask, stuck = [0] * 16, [0] * 16
+        for pos, value in draw(stuck_cells()).items():
+            w, k = divmod(pos, 32)
+            mask[w] |= 1 << k
+            stuck[w] |= value << k
+        return mask, stuck
+    words = st.lists(st.integers(0, MASK32), min_size=16, max_size=16)
+    return draw(words), draw(words)
+
+
+stuck_blocks = st.lists(st.tuples(blocks, stuck_block()), min_size=1, max_size=4)
+precisions = st.sampled_from(list(Precision))
+ALL_SA0 = ([0] * 16, [0] * 16)
+ALL_SA1 = ([MASK32] * 16, [MASK32] * 16)
+NONFINITE = [0x7F800000, 0xFF800000, 0x7FC00000, 0x7F800001] * 4
+
+
+def as_arrays(data):
+    words = np.array([w for w, _ in data], dtype=np.uint32)
+    mask = np.array([m for _, (m, _) in data], dtype=np.uint32)
+    stuck = np.array([s for _, (_, s) in data], dtype=np.uint32)
+    return words, mask, stuck
+
+
+def chain_readback(words, mask, stuck, codes, precision):
+    """Readback through the memory's frame: encode, stuck cells, decode."""
+    stored = apply_stuck(encode_words(words, codes, precision), mask, stuck)
+    return decode_words(stored, codes, precision)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=stuck_blocks, precision=precisions)
+@example(data=[(NONFINITE, ALL_SA0), (NONFINITE, ALL_SA1)], precision=Precision.FP32)
+@example(data=[(NONFINITE, ALL_SA1), ([0] * 16, ALL_SA0)], precision=Precision.U8)
+@example(data=[([0x3F800000] * 16, ([0] * 16, [MASK32] * 16))], precision=Precision.FP32)
+def test_frame_readback_matches_encode_stuck_decode(data, precision):
+    words, mask, stuck = as_arrays(data)
+    frame_mask, frame_stuck_ = frame_stuck(mask, stuck, precision)
+    assert frame_mask.shape == frame_stuck_.shape == (len(data), 64)
+    for code in range(64):
+        columns = code ^ np.arange(16)
+        got = (words & ~frame_mask[:, columns]) | frame_stuck_[:, columns]
+        expected = chain_readback(words, mask, stuck, np.full(len(data), code), precision)
+        assert np.array_equal(got, expected), code
+
+
+code_subsets = st.permutations(range(64)).flatmap(
+    lambda perm: st.integers(1, 64).map(lambda n: list(perm[:n])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=stuck_blocks, precision=precisions,
+       code_sets=st.lists(code_subsets, min_size=1, max_size=4),
+       scale=st.floats(1e-3, 10.0, allow_nan=False))
+@example(data=[(NONFINITE, ALL_SA1), (NONFINITE, ALL_SA0)], precision=Precision.FP32,
+         code_sets=[list(range(64)), list(range(32)), list(range(64))], scale=1.0)
+def test_shared_search_matches_each_code_set_alone(data, precision, code_sets, scale):
+    words, mask, stuck = as_arrays(data)
+    scales = None if precision is Precision.FP32 else np.full(len(data), scale)
+    rows = np.arange(len(data))
+    found = best_encodings(words, mask, stuck, precision, scales, code_sets)
+    assert len(found) == len(code_sets)
+    for codes, (chosen, readback, deltas) in zip(code_sets, found):
+        codes = np.array(codes)
+        scored = search_words(words, mask, stuck, precision, scales, codes)
+        best = best_indices(scored, codes)
+        assert chosen.tolist() == codes[best].tolist()
+        assert deltas.tolist() == scored[rows, best].tolist()
+        assert np.array_equal(readback, chain_readback(words, mask, stuck, chosen, precision))
+        assert deltas.tolist() == deviation_words(words, readback, precision, scales).tolist()
+        alone, stored, alone_deltas = store_words(words, mask, stuck, precision, scales, codes)
+        assert alone.tolist() == chosen.tolist()
+        assert alone_deltas.tolist() == deltas.tolist()
+        assert np.array_equal(stored, apply_stuck(encode_words(words, chosen, precision),
+                                                  mask, stuck))
+
+
+SCHEME_NAMES = ["baseline", "ecp1", "ecp3", "remap_invert", "craft"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(precision=st.sampled_from(["fp32", "u8"]),
+       names=st.lists(st.sampled_from(SCHEME_NAMES), max_size=6),
+       ber=st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0]),
+       sa1=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**16))
+@example(precision="fp32", names=["craft", "remap_invert", "craft", "baseline"],
+         ber=0.1, sa1=0.5, seed=3)
+@example(precision="u8", names=["ecp3", "ecp1"], ber=1e-2, sa1=0.5, seed=4)
+@example(precision="fp32", names=SCHEME_NAMES, ber=0.0, sa1=0.5, seed=5)
+@example(precision="u8", names=[], ber=1e-2, sa1=0.5, seed=6)
+def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision, names,
+                                                 ber, sa1, seed):
+    """Any list of schemes (any order, duplicates, ECP only, an empty fault
+    map) gives each scheme what it gets alone and from the per-block loop."""
+    blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
+    fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
+    schemes = [Scheme.parse(name) for name in names]
+    results = _apply_schemes(blocks, layout, schemes, fmap)
+    assert len(results) == len(schemes)
+    reference = {}
+    for i, (scheme, (read, total)) in enumerate(zip(schemes, results)):
+        alone_read, alone_total = _apply_schemes(blocks, layout, [scheme], fmap)[0]
+        assert np.array_equal(read, alone_read)
+        assert total == alone_total
+        if scheme not in reference:
+            reference[scheme] = reference_apply_scheme(bits_from_u32(blocks), layout,
+                                                       scheme, fmap)
+        ref_read, ref_total = reference[scheme]
+        assert np.array_equal(bits_from_u32(read), ref_read)
+        assert total == ref_total
+        assert not np.shares_memory(read, blocks)
+        assert not any(np.shares_memory(read, other) for other, _ in results[:i])
