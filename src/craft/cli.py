@@ -10,6 +10,7 @@ outputs byte for byte.  Exit codes: 0 success, 1 usage error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -47,13 +48,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _flag_type(parse):
+    """An argparse type that says why it rejected a value: argparse prints
+    an ArgumentTypeError's message, but for a ValueError only the name of
+    the type function."""
+    @functools.wraps(parse)
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return checked
+
+
+@_flag_type
 def _hidden_dims(text: str) -> tuple[int, ...]:
     dims = tuple(int(part) for part in text.split(",") if part)
     if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"bad hidden dims {text!r}")
+        raise ValueError(f"hidden dims must be positive integers, got {text!r}")
     return dims
 
 
+@_flag_type
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -61,6 +77,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@_flag_type
 def _ber(text: str) -> float:
     value = float(text)
     if not 0 <= value <= 1:
@@ -68,13 +85,18 @@ def _ber(text: str) -> float:
     return value
 
 
+@_flag_type
 def _ber_list(text: str) -> list[float]:
     values = [float(part) for part in text.split(",") if part]
-    if not values or any(not 0 <= b <= 1 for b in values):
-        raise ValueError(f"bad BER list {text!r}")
+    if not values:
+        raise ValueError("empty BER list")
+    for value in values:
+        if not 0 <= value <= 1:
+            raise ValueError(f"every BER must be in [0, 1], got {value!r}")
     return values
 
 
+@_flag_type
 def _ber_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -82,6 +104,7 @@ def _ber_grid(text: str) -> list[float]:
     return default_ber_grid(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+@_flag_type
 def _schemes(text: str) -> list[Scheme]:
     schemes = [Scheme.parse(part) for part in text.split(",") if part]
     if not schemes:

@@ -11,10 +11,11 @@ in the data's frame: it never encodes.  :func:`craft.codecs.frame_stuck`
 gathers each block's stuck cells into the position where every logical
 word sits under every config, so a config's readback is the original words
 with those cells applied.  :func:`search_words` scores every config of a
-few blocks in one (blocks, configs, 16) pass.  :func:`best_encodings` runs
-one search over the union of several code sets, a chunk of blocks at a
-time, and gives each set its winners, their readbacks and their deltas
-from that one pass; :func:`store_words` builds on it and encodes only the
+chunk of blocks in one word-major (16, configs, blocks) pass, in work
+arrays each thread keeps between calls.  :func:`best_encodings` runs one
+search over the union of several code sets, a chunk at a time, and gives
+each set its winners, their readbacks and their deltas from that one
+pass; :func:`store_words` builds on it and encodes only the
 winners, for the words the memory holds.  The bit-level
 :func:`search_best_encoding` and :func:`write_with_craft` are single-block
 wrappers around them.
@@ -22,6 +23,8 @@ wrappers around them.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,8 +39,9 @@ from .memory import FaultMap, apply_stuck, stuck_words
 #: float32 max, so a config producing NaN/Inf loses to any finite one.
 NONFINITE_SENTINEL = 2.0 ** 128
 
-#: Blocks searched per pass of :func:`best_encodings`.  Each pass holds a few
-#: (chunk, configs, 16) arrays, so memory stays flat in the model size.
+#: Blocks scored per pass of the search.  A pass works in a few
+#: (16, configs, chunk) arrays kept per thread (about 0.4 MB for all 64
+#: configs), so memory stays flat in the model size.
 SEARCH_CHUNK_BLOCKS = 32
 
 #: Aux codes of all 64 configs, ascending.
@@ -45,6 +49,14 @@ ALL_CODES = np.arange(N_CONFIGS)
 ALL_CODES.setflags(write=False)
 
 _SLOTS = np.arange(REMAP_SLOTS)
+
+#: The order in which the search lays out a block's 16 words: halving it
+#: repeatedly pairs them as numpy pairs 16 contiguous float64 in a sum.
+_WORD_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15])
+
+#: _COLUMNS[p, c] = c ^ _WORD_ORDER[p]: the frame-table column of the
+#: p-th laid-out word under aux code c.
+_COLUMNS = _WORD_ORDER[:, None] ^ ALL_CODES
 
 
 @dataclass(frozen=True)
@@ -142,15 +154,115 @@ class DeviationReport:
         return "\n".join(lines) + "\n"
 
 
-def _score(words, keep, stuck, precision, scale, codes: np.ndarray) -> np.ndarray:
-    """(n, len(codes)) deltas of (n, 16) blocks from their frame tables
-    (see :func:`craft.codecs.frame_stuck`), `keep` being the complement of
-    the mask table."""
-    columns = codes[:, None] ^ _SLOTS
-    original = words[:, None, :]
-    readback = (original & np.take(keep, columns, axis=1)) | np.take(stuck, columns, axis=1)
-    return deviation_words(original, readback, precision,
-                           None if scale is None else scale[:, None])
+class _Workspace(threading.local):
+    """The search's work arrays, kept per thread.
+
+    Each role has one flat byte buffer, grown to the largest chunk the
+    thread has searched (never past :data:`SEARCH_CHUNK_BLOCKS` blocks of
+    all 64 configs) and viewed at each call's dtype and shape.  Nothing
+    handed back to a caller points into it.
+    """
+
+    def __init__(self):
+        self.flat = {}
+
+    def array(self, role: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(shape)
+        buf = self.flat.get(role)
+        if buf is None or buf.size < nbytes:
+            buf = self.flat[role] = np.empty(nbytes, dtype=np.uint8)
+        return np.ndarray(shape, dtype, buf)
+
+
+_WORK = _Workspace()
+
+
+def _sum_halves(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, of power-of-two length, into `out`: each
+    step adds the second half to the first, so every add reads and writes
+    whole contiguous slabs; `terms` is overwritten.  On 16 words in
+    :data:`_WORD_ORDER` this is numpy's sum of 16 contiguous float64: eight
+    lanes r_k = a_k + a_(k+8), then ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))."""
+    while len(terms) > 2:
+        half = len(terms) // 2
+        np.add(terms[:half], terms[half:], out=terms[:half])
+        terms = terms[:half]
+    return np.add(terms[0], terms[1], out=out)
+
+
+def _score(words, mask_t, stuck_t, precision, scale, columns, out: np.ndarray) -> np.ndarray:
+    """Deltas of (m, 16) blocks under the configs whose frame-table
+    columns (see :func:`craft.codecs.frame_stuck`) are `columns`, shape
+    (16, configs) with words in :data:`_WORD_ORDER`, written into `out`,
+    shape (configs, m).
+
+    Works word-major, (16, configs, m), so each table gather copies whole
+    rows and the 16-word sum is four slab adds.  The fp32 adds follow
+    numpy's own order (see :func:`_sum_halves`), so the deltas equal
+    :func:`deviation_words` bit for bit; u8 code differences add exactly
+    in 16-bit integers.
+    """
+    work = _WORK
+    m = words.shape[0]
+    shape = columns.shape + (m,)
+    x = work.array("words", np.uint32, (REMAP_SLOTS, m))
+    np.take(words.T, _WORD_ORDER, axis=0, out=x, mode="clip")
+    keep = work.array("keep", np.uint32, (N_CONFIGS, m))
+    np.invert(mask_t.T, out=keep)
+    stuck = work.array("stuck", np.uint32, (N_CONFIGS, m))
+    np.copyto(stuck, stuck_t.T)
+    readback = work.array("readback", np.uint32, shape)
+    np.take(keep, columns, axis=0, out=readback, mode="clip")
+    np.bitwise_and(readback, x[:, None, :], out=readback)
+    # The gathered stuck values live in the terms' buffer until the terms
+    # are written, and the fp32 non-finite mask in the readback's after.
+    gathered = work.array("terms", np.uint32, shape)
+    np.take(stuck, columns, axis=0, out=gathered, mode="clip")
+    np.bitwise_or(readback, gathered, out=readback)
+    if precision is Precision.U8:
+        # |qr - qo| as max - min in uint8, widened to uint16 by the first add.
+        qr = readback.view(np.uint8)
+        qo = x.view(np.uint8)[:, None, :]
+        low = np.minimum(qr, qo, out=gathered.view(np.uint8))
+        np.subtract(np.maximum(qr, qo, out=qr), low, out=qr)
+        lanes = work.array("terms", np.uint16, (8,) + qr.shape[1:])
+        np.add(qr[:8], qr[8:], out=lanes, dtype=np.uint16)
+        # Each uint64 holds a block's four byte sums (at most 16 * 255 each);
+        # the top 16 bits of its product with 0x0001000100010001 are their
+        # sum, which stays below 2 ** 16, so no carry spills between fields.
+        sums = _sum_halves(lanes, lanes[0]).view(np.uint64)
+        np.multiply(sums, 0x0001000100010001, out=sums)
+        return np.multiply(np.right_shift(sums, 48, out=sums), scale, out=out)
+    terms = work.array("terms", np.float64, shape)
+    original = work.array("original", np.float64, x.shape)
+    # Blocks are arbitrary bit patterns; signaling NaNs and inf-inf are
+    # expected here and resolved through the sentinel.
+    with np.errstate(invalid="ignore"):
+        np.copyto(original, x.view("<f4"))
+        np.copyto(terms, readback.view("<f4"))
+        np.subtract(terms, original[:, None, :], out=terms)
+    np.abs(terms, out=terms)
+    nonfinite = work.array("readback", np.bool_, shape)
+    np.isfinite(terms, out=nonfinite)
+    np.logical_not(nonfinite, out=nonfinite)
+    np.copyto(terms, NONFINITE_SENTINEL, where=nonfinite)
+    return _sum_halves(terms, out)
+
+
+def _scored_chunks(words, mask, stuck, precision, scale, codes):
+    """Per chunk of at most :data:`SEARCH_CHUNK_BLOCKS` blocks: its slice,
+    its frame tables and its (len(codes), m) deltas.  The deltas live in
+    the calling thread's workspace until the next chunk."""
+    columns = _COLUMNS[:, codes]
+    for lo in range(0, words.shape[0], SEARCH_CHUNK_BLOCKS):
+        part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
+        x = words[part]
+        mask_t, stuck_t = frame_stuck(mask[part], stuck[part], precision)
+        scores = _WORK.array("scores", np.float64, (len(codes), x.shape[0]))
+        _score(x, mask_t, stuck_t, precision, None if scale is None else scale[part],
+               columns, scores)
+        yield part, mask_t, stuck_t, scores
 
 
 def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
@@ -158,15 +270,18 @@ def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     """Deltas of every config in `codes` for every one of (n, 16) blocks.
 
     Each config's store -> faulty readout -> decode is found in the data's
-    frame (see :func:`craft.codecs.frame_stuck`), all configs of all n
-    blocks in one (n, len(codes), 16) pass; `mask` and `stuck` are the
-    blocks' stuck cells (see :func:`craft.memory.stuck_words`) and `scale`
-    is None for fp32 or the per-block u8 scales, shape (n,).  Returns
-    (n, len(codes)) deltas.  Memory grows with n: :func:`best_encodings`
-    passes at most :data:`SEARCH_CHUNK_BLOCKS` blocks.
+    frame (see :func:`craft.codecs.frame_stuck`), all configs of
+    :data:`SEARCH_CHUNK_BLOCKS` blocks in one pass; `mask` and `stuck` are
+    the blocks' stuck cells (see :func:`craft.memory.stuck_words`) and
+    `scale` is None for fp32 or the per-block u8 scales, shape (n,).
+    Returns (n, len(codes)) deltas.  Work memory is kept per thread and
+    bounded by one chunk, whatever n is.
     """
-    mask_t, stuck_t = frame_stuck(mask, stuck, precision)
-    return _score(words, ~mask_t, stuck_t, precision, scale, np.asarray(codes))
+    codes = np.asarray(codes)
+    deltas = np.empty((len(codes), words.shape[0]))
+    for part, _, _, scores in _scored_chunks(words, mask, stuck, precision, scale, codes):
+        deltas[:, part] = scores
+    return deltas.T
 
 
 def best_indices(deltas: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -181,8 +296,8 @@ def best_encodings(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     """Each block's best config within each of several code sets.
 
     One search scores the union of the sets, :data:`SEARCH_CHUNK_BLOCKS`
-    blocks at a time; each set's winners come from that set's columns of
-    the scores, ties going to the smallest aux code.  Returns, per set in order, the
+    blocks at a time; each set's winners come from that set's rows of the
+    scores, ties going to the smallest aux code.  Returns, per set in order, the
     chosen aux code of each block, its (n, 16) readback words (decoded,
     stuck cells applied) and its net deviation.  Each result equals a
     search of that set alone.
@@ -197,22 +312,18 @@ def best_encodings(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     for codes in code_sets:
         present[codes] = True
     union = np.flatnonzero(present)
-    column = np.cumsum(present) - 1  # where each code's deltas sit in the union's
-    for lo in range(0, n, SEARCH_CHUNK_BLOCKS):
-        part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
+    union_row = np.cumsum(present) - 1  # where each code's deltas sit in the union's
+    for part, mask_t, stuck_t, scored in _scored_chunks(words, mask, stuck, precision,
+                                                        scale, union):
         x = words[part]
-        mask_t, stuck_t = frame_stuck(mask[part], stuck[part], precision)
-        keep = ~mask_t
-        scored = _score(x, keep, stuck_t, precision,
-                        None if scale is None else scale[part], union)
         rows = np.arange(x.shape[0])
         for codes, (chosen, readback, deltas) in zip(code_sets, found):
-            own = scored[:, column[codes]]
+            own = scored[union_row[codes]].T
             best = best_indices(own, codes)
             chosen[part] = codes[best]
             deltas[part] = own[rows, best]
             won = rows[:, None], codes[best][:, None] ^ _SLOTS
-            readback[part] = (x & keep[won]) | stuck_t[won]
+            readback[part] = (x & ~mask_t[won]) | stuck_t[won]
     return found
 
 

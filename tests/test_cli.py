@@ -98,6 +98,22 @@ class TestUsageErrors:
         assert code == 1
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["sweep", "--ber-grid", "1e-2:10:1"], "0 < lo <= hi <= 1, got 0.01:10.0"),
+        (["sweep", "--ber-grid", "1e-3:1e-1"], "grid must be lo:hi:per-decade"),
+        (["criticality", "--ber", "2"], "BER must be in [0, 1], got 2.0"),
+        (["sweep", "--ber", "1e-3,2"], "every BER must be in [0, 1], got 2.0"),
+        (["sweep", "--trials", "0"], "must be at least 1, got 0"),
+        (["train", "--hidden", "32,0"], "hidden dims must be positive integers, got '32,0'"),
+        (["sweep", "--schemes", "baseline,parity"], "unknown scheme 'parity'"),
+    ])
+    def test_rejected_flag_names_the_broken_rule(self, capsys, tmp_path, argv, reason):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 1
+        flag = argv[1]
+        assert f"argument {flag}: " in err and reason in err, err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_byte_identical_csvs(self, capsys, tmp_path):

@@ -5,6 +5,8 @@ Python integers (codecs through ``codec_oracle``), the search's frame
 readbacks are compared with encode -> stuck cells -> decode, one shared
 search with a search of each code set alone, and the harness's batched
 scheme application with a per-block loop over the bit-level wrappers.
+The chunked search and its per-thread work arrays are checked against
+one-block searches, searches in fresh threads and concurrent threads.
 Per-config deltas must agree bit for bit.
 """
 
@@ -12,6 +14,8 @@ import math
 import pathlib
 import struct
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,9 +26,10 @@ from craft.codecs import (PAYLOAD_BITS, EncodingConfig, Precision, decode, decod
                           ecp_correct, encode_words, frame_stuck)
 from craft.harness import Scheme, _apply_schemes
 from craft.memory import FaultMap, apply_faults, apply_stuck, generate_fault_map
-from craft.objective import (NONFINITE_SENTINEL, WeightView, best_encodings, best_indices,
-                             deviation, deviation_words, search_best_encoding, search_words,
-                             store_words, write_with_craft)
+from craft import objective
+from craft.objective import (ALL_CODES, NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, WeightView,
+                             best_encodings, best_indices, deviation, deviation_words,
+                             search_best_encoding, search_words, store_words, write_with_craft)
 from craft.weightfile import flatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -322,3 +327,178 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
         assert total == ref_total
         assert not np.shares_memory(read, blocks)
         assert not any(np.shares_memory(read, other) for other, _ in results[:i])
+
+
+def random_stuck_blocks(seed, n, precision, density=0.02):
+    """Search inputs: (n, 16) words, their stuck cells, the precision and
+    the u8 scales.  fp32 words are small weights with NaN, infinity and
+    float32-max words mixed in; u8 words are random codes."""
+    rng = np.random.default_rng(seed)
+    if precision is Precision.FP32:
+        words = (rng.standard_normal((n, 16)) * 0.1).astype("<f4").view("<u4")
+        special = rng.random((n, 16)) < 0.05
+        words[special] = rng.choice(SPECIAL_WORDS + NONFINITE, special.sum())
+        scale = None
+    else:
+        words = rng.integers(0, 2**32, (n, 16), dtype=np.uint64).astype(np.uint32)
+        scale = rng.uniform(1e-3, 1.0, n)
+    cells = rng.random((n, 16, 32)) < density
+    mask = np.packbits(cells, axis=-1, bitorder="little").view("<u4").reshape(n, 16)
+    stuck = rng.integers(0, 2**32, (n, 16), dtype=np.uint64).astype(np.uint32) & mask
+    return words, mask, stuck, precision, scale
+
+
+def reference_deltas(words, mask, stuck, precision, scale, codes):
+    """(n, len(codes)) deltas through encode -> stuck cells -> decode and
+    deviation_words, without the search's work arrays."""
+    return np.stack([deviation_words(words, chain_readback(words, mask, stuck,
+                                                           np.full(len(words), code),
+                                                           precision), precision, scale)
+                     for code in codes], axis=-1)
+
+
+def searches(words, mask, stuck, precision, scale, codes):
+    """Every public search result for one input, as plain arrays."""
+    found = best_encodings(words, mask, stuck, precision, scale, [codes, codes[::2]])
+    return ([search_words(words, mask, stuck, precision, scale, codes)]
+            + [array for result in found for array in result]
+            + list(store_words(words, mask, stuck, precision, scale, codes)))
+
+
+def assert_same(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) in a thread of its own, so with a workspace of its own."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def workspace_nbytes():
+    return sum(buf.nbytes for buf in objective._WORK.flat.values())
+
+
+CHUNKED = 2 * SEARCH_CHUNK_BLOCKS + 3
+
+
+def test_chunked_search_matches_one_block_at_a_time():
+    codes = np.array([5, 0, 63, 16, 32, 48, 17, 33])
+    for precision in Precision:
+        words, mask, stuck, _, scale = random_stuck_blocks(1, CHUNKED, precision, 0.05)
+        for code_set in (ALL_CODES, codes):
+            chosen, deltas = [], []
+            for b in range(CHUNKED):
+                one = slice(b, b + 1)
+                scored = search_words(words[one], mask[one], stuck[one], precision,
+                                      None if scale is None else scale[one], code_set)
+                best = best_indices(scored, code_set)[0]
+                chosen.append(code_set[best])
+                deltas.append(scored[0, best])
+            found_chosen, readback, found_deltas = best_encodings(
+                words, mask, stuck, precision, scale, [code_set])[0]
+            assert found_chosen.tolist() == chosen
+            assert found_deltas.tolist() == deltas
+            assert np.array_equal(readback, chain_readback(words, mask, stuck, found_chosen,
+                                                           precision))
+            stored_chosen, stored, stored_deltas = store_words(words, mask, stuck, precision,
+                                                               scale, code_set)
+            assert stored_chosen.tolist() == chosen
+            assert stored_deltas.tolist() == deltas
+            assert np.array_equal(stored, apply_stuck(encode_words(words, stored_chosen,
+                                                                   precision), mask, stuck))
+
+
+def test_small_search_after_a_large_one_matches_a_fresh_thread():
+    small = {p: random_stuck_blocks(3, 5, p, 0.2) for p in Precision}
+    codes = np.array([40, 1, 22, 63, 0])
+    fresh = {p: in_new_thread(searches, *small[p], codes) for p in Precision}
+    for p, inputs in small.items():
+        assert np.array_equal(fresh[p][0], reference_deltas(*inputs, codes))
+    for large in Precision:
+        searches(*random_stuck_blocks(4, CHUNKED, large, 0.5), ALL_CODES)
+        for p in Precision:
+            assert_same(searches(*small[p], codes), fresh[p])
+
+
+def test_results_do_not_alias_the_workspace():
+    for precision in Precision:
+        first_in = random_stuck_blocks(5, 40, precision, 0.1)
+        first = searches(*first_in, ALL_CODES)
+        kept = [a.copy() for a in first]
+        searches(*random_stuck_blocks(6, 40, precision, 0.3), ALL_CODES)
+        assert_same(first, kept)
+        for array in first:
+            assert not any(np.shares_memory(array, buf) for buf in objective._WORK.flat.values())
+
+
+def test_workspace_stays_within_one_chunk():
+    def one_chunk():
+        for precision in Precision:
+            searches(*random_stuck_blocks(7, SEARCH_CHUNK_BLOCKS, precision), ALL_CODES)
+        return workspace_nbytes()
+
+    def many_sizes():
+        sizes = [1, 2, 3, 17, SEARCH_CHUNK_BLOCKS - 1, SEARCH_CHUNK_BLOCKS,
+                 SEARCH_CHUNK_BLOCKS + 1, CHUNKED, 5 * SEARCH_CHUNK_BLOCKS + 7, 64, 9]
+        for i, n in enumerate(sizes):
+            for precision in Precision:
+                codes = ALL_CODES if i % 2 else ALL_CODES[i % 5::3]
+                searches(*random_stuck_blocks(i, n, precision), codes)
+        return workspace_nbytes()
+
+    chunk_bytes = in_new_thread(one_chunk)
+    assert chunk_bytes > 0
+    assert in_new_thread(many_sizes) <= chunk_bytes
+
+
+def test_concurrent_searches_match_serial_ones():
+    inputs = [random_stuck_blocks(10 + k, CHUNKED + 11 * k, precision, 0.05)
+              for k in range(2) for precision in Precision]
+    serial = [in_new_thread(searches, *args, ALL_CODES) for args in inputs]
+    barrier = threading.Barrier(len(inputs))
+    mismatches = []
+
+    def worker(k):
+        barrier.wait(timeout=60)
+        for _ in range(4):
+            got = searches(*inputs[k], ALL_CODES)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(got, serial[k])):
+                mismatches.append(k)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_fp32_deltas_add_in_numpys_order():
+    # Stuck cells set every word of a zero block to a float32 of widely
+    # spread magnitude, so how the 16 terms are paired changes the rounded
+    # sum; the search must pair them as numpy's sum does.
+    rng = np.random.default_rng(12)
+    n = 64
+    values = (2.0 ** rng.uniform(-40, 60, (n, 16))).astype("<f4")
+    words = np.zeros((n, 16), dtype=np.uint32)
+    mask = np.full((n, 16), 0xFFFFFFFF, dtype=np.uint32)
+    stuck = values.view("<u4")
+    deltas = search_words(words, mask, stuck, Precision.FP32, None, ALL_CODES)
+    assert deltas.tolist() == reference_deltas(words, mask, stuck, Precision.FP32, None,
+                                               ALL_CODES).tolist()
+    terms = values.astype(np.float64)
+    assert deltas[:, 0].tolist() == terms.sum(axis=-1).tolist()
+    halved = terms[:, :8] + terms[:, 8:]
+    while halved.shape[1] > 1:
+        halved = halved[:, : halved.shape[1] // 2] + halved[:, halved.shape[1] // 2:]
+    assert (halved[:, 0] != deltas[:, 0]).any()  # the pairing is visible here
