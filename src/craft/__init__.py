@@ -9,16 +9,17 @@ bit error rates against a small quantized MLP.
 
 from .codecs import (ALL_CONFIGS, IDENTITY_CONFIG, REMAP_CONFIGS,
                      REMAP_INVERT_CONFIGS, EncodingConfig, Precision,
-                     craft_overhead, decode, ecp_correct, ecp_overhead, encode,
-                     invert, remap, switch_bits)
-from .memory import (AUX_BITS, PAYLOAD_BITS, DataBlock, FaultMap, apply_faults,
-                     count_mismatches, generate_fault_map, load_fault_map,
-                     save_fault_map)
+                     craft_overhead, decode_words, ecp_overhead, ecp_words,
+                     encode_words, frame_stuck)
+from .memory import (AUX_BITS, PAYLOAD_BITS, FaultMap, apply_stuck,
+                     generate_fault_map, load_fault_map, save_fault_map,
+                     stuck_words)
 from .nn import (MlpModel, QuantizedLayer, QuantizedModel, SyntheticDataset,
                  TrainingDivergedError, TrainResult, accuracy, dequantize,
                  infer, make_dataset, quantize, train)
-from .objective import (DeviationReport, WeightView, deviation,
-                        search_best_encoding, write_with_craft)
+from .objective import (DeviationReport, WeightView, best_encodings,
+                        deviation_words, search_best_encoding, search_words,
+                        store_words)
 from .harness import (CriticalityResult, RobustnessRatio, Scheme, SweepResult,
                       ber_sweep, bit_criticality, default_ber_grid,
                       robustness_improvement, run_trial,

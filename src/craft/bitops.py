@@ -1,6 +1,9 @@
-"""Bit-sequence helpers shared across the package.
+"""Bit-sequence helpers for the one entry point that takes a block as bits.
 
-A bit sequence is a numpy uint8 array of 0/1 values along the last axis.
+The package computes on (n, 16) uint32 words; only
+:func:`craft.objective.search_best_encoding` accepts a 512-bit block, and
+converts it here.  A bit sequence is a numpy uint8 array of 0/1 values
+along the last axis.
 Bit index i lives in byte i // 8 at in-byte position i % 8 (LSB first), and
 bytes are externalized in ascending address order.  For a W-bit word stored
 little-endian this makes bit index w * W + k the k-th significance bit of
@@ -12,12 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def bits_from_bytes(data: bytes | np.ndarray) -> np.ndarray:
-    """Expand raw bytes into a 0/1 bit array (LSB of byte 0 first)."""
-    arr = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
-    return np.unpackbits(arr, axis=-1, bitorder="little")
-
-
 def bytes_from_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a 0/1 bit array into bytes along the last axis."""
     bits = np.asarray(bits, dtype=np.uint8)
@@ -26,38 +23,10 @@ def bytes_from_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little")
 
 
-def bits_from_u32(words: np.ndarray) -> np.ndarray:
-    """Bit array for an array of 32-bit words (last axis expands 32x)."""
-    w = np.ascontiguousarray(words, dtype="<u4")
-    return bits_from_bytes(w.view(np.uint8).reshape(w.shape[:-1] + (w.shape[-1] * 4,)))
-
-
 def u32_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Little-endian 32-bit words of a bit array (last axis shrinks 32x)."""
     raw = np.ascontiguousarray(bytes_from_bits(bits))
     return raw.view("<u4").reshape(raw.shape[:-1] + (raw.shape[-1] // 4,))
-
-
-def bits_from_f32(values: np.ndarray) -> np.ndarray:
-    """Bit array for an array of float32 values (preserves NaN payloads)."""
-    v = np.ascontiguousarray(values, dtype="<f4")
-    return bits_from_bytes(v.view(np.uint8).reshape(v.shape[:-1] + (v.shape[-1] * 4,)))
-
-
-def f32_from_bits(bits: np.ndarray) -> np.ndarray:
-    raw = np.ascontiguousarray(bytes_from_bits(bits))
-    return raw.view("<f4").reshape(raw.shape[:-1] + (raw.shape[-1] // 4,))
-
-
-def hex_from_bits(bits: np.ndarray) -> str:
-    """Hex string of the externalized bytes (1-D input only)."""
-    packed = bytes_from_bits(np.asarray(bits))
-    if packed.ndim != 1:
-        raise ValueError("hex_from_bits expects a single bit sequence")
-    return packed.tobytes().hex()
-
-
-def bits_from_hex(text: str) -> np.ndarray:
-    return bits_from_bytes(bytes.fromhex(text))
 
 
 def as_bit_array(bits, length: int | None = None) -> np.ndarray:

@@ -140,6 +140,14 @@ def _check_out_dir(path) -> None:
         raise IOFailure(f"output directory {directory} is missing or not writable")
 
 
+def _dataset(seed: int, args):
+    """The synthetic dataset that the dataset flags describe."""
+    try:
+        return make_dataset(seed, args.classes, args.features, args.samples)
+    except ValueError as exc:
+        raise UsageFailure(f"bad dataset flags: {exc}") from exc
+
+
 def _run_inputs(args):
     """Model and dataset of a sweep or criticality run, checked before any work:
     the output directory must take files and the dataset must fit the model."""
@@ -149,10 +157,7 @@ def _run_inputs(args):
     if (dims[0], dims[-1]) != (args.features, args.classes):
         raise UsageFailure(f"model maps {dims[0]} features to {dims[-1]} classes, not "
                            f"--features {args.features} to --classes {args.classes}")
-    try:
-        return model, make_dataset(args.data_seed, args.classes, args.features, args.samples)
-    except ValueError as exc:
-        raise UsageFailure(f"bad dataset flags: {exc}") from exc
+    return model, _dataset(args.data_seed, args)
 
 
 def _add_dataset_flags(sub, seed_flag: bool = True):
@@ -239,7 +244,7 @@ def _overlay_config(argv: list[str]) -> list[str]:
     try:
         with open(path) as fh:
             lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFailure(f"cannot read config file {path}: {exc}") from exc
     extra = []
     for line in lines:
@@ -264,9 +269,12 @@ def cmd_train(args) -> int:
     _echo(args, {"dataset_seed": dataset_seed, "train_seed": train_seed,
                  "precision": "u8" if args.quantize else "fp32"})
     _check_out_dir(args.out)
-    dataset = make_dataset(dataset_seed, args.classes, args.features, args.samples)
-    result = train(dataset, hidden_dims=args.hidden, epochs=args.epochs,
-                   lr=args.lr, seed=train_seed)
+    dataset = _dataset(dataset_seed, args)
+    try:
+        result = train(dataset, hidden_dims=args.hidden, epochs=args.epochs,
+                       lr=args.lr, seed=train_seed)
+    except ValueError as exc:
+        raise UsageFailure(f"bad training flags: {exc}") from exc
     model = quantize(result.model) if args.quantize else result.model
     acc = accuracy(model, dataset.test_inputs, dataset.test_labels)
     try:

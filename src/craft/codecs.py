@@ -14,14 +14,13 @@ words (16 float32 weights, or 64 uint8 weights grouped 4 per word):
 A block's chosen combination is recorded in 6 fault-free auxiliary bits:
 key (4) then invert flag then switch flag, giving the 64-point search
 space enumerated by `ALL_CONFIGS`.  An error-correcting-pointers baseline
-(`ecp_correct`) and the storage-overhead formulas live here too.
+(`ecp_words`) and the storage-overhead formulas live here too.
 
-The transforms are implemented once, on the word form of a block: 16
-little-endian uint32 words, bit w*32+k of the block being bit k of word w
+Every function here takes blocks in one form: (n, 16) arrays of
+little-endian uint32 words, bit w*32+k of a block being bit k of word w
 (`encode_words`, `decode_words`, `ecp_words`).  Remap is a slot gather,
 inversion an XOR with 0xFFFFFFFF, switching a rotate-left by 10 (fp32) or
-a nibble swap in every byte (u8).  The bit-level functions convert at the
-boundary and call the word form.
+a nibble swap in every byte (u8).
 
 Every transform is a bit permutation or a complement, so the stuck cells a
 config's decode hands back can be moved into the data's frame instead of
@@ -34,12 +33,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .bitops import as_bit_array, bits_from_u32, u32_from_bits
-from .memory import AUX_BITS, PAYLOAD_BITS, FaultMap, apply_stuck, stuck_words
+from .memory import PAYLOAD_BITS, apply_stuck
 
 REMAP_SLOTS = 16
 SLOT_BITS = 32
@@ -85,22 +82,11 @@ class EncodingConfig:
         """6-bit integer form: key in bits 0-3, invert bit 4, switch bit 5."""
         return self.xor_key | (int(self.invert) << 4) | (int(self.switch) << 5)
 
-    def aux(self) -> np.ndarray:
-        """The 6 auxiliary bits, LSB of the code first."""
-        code = self.aux_code
-        return np.array([(code >> i) & 1 for i in range(AUX_BITS)], dtype=np.uint8)
-
     @classmethod
     def from_aux_code(cls, code: int) -> "EncodingConfig":
         if not 0 <= code < N_CONFIGS:
             raise ValueError(f"aux code must be in [0, 64), got {code}")
         return cls(xor_key=code & 0xF, invert=bool(code & 0x10), switch=bool(code & 0x20))
-
-    @classmethod
-    def from_aux(cls, bits: np.ndarray) -> "EncodingConfig":
-        bits = as_bit_array(bits, AUX_BITS)
-        code = int(np.dot(bits.astype(np.int64), 1 << np.arange(AUX_BITS)))
-        return cls.from_aux_code(code)
 
 
 #: All 64 configurations in ascending aux-code order.  The nested scheme
@@ -145,7 +131,7 @@ def _switch_words(words: np.ndarray, flags: np.ndarray, precision: Precision,
 
 
 def encode_words(words: np.ndarray, codes: np.ndarray, precision: Precision) -> np.ndarray:
-    """Word-level :func:`encode`.
+    """Remap, then optional inversion, then optional bit switching.
 
     A block is 16 little-endian uint32 words: bit w*32+k of the block is
     bit k of word w.  `words` has shape (..., C, 16), C blocks for the C
@@ -188,67 +174,14 @@ def frame_stuck(mask: np.ndarray, stuck: np.ndarray,
             np.concatenate([stuck, mask & ~stuck, unstuck, unmask & ~unstuck], axis=-1))
 
 
-def _payload_words(payload: np.ndarray) -> np.ndarray:
-    """(n, 16) words of one or a batch of bit-level payloads."""
-    return u32_from_bits(as_bit_array(payload, PAYLOAD_BITS)).reshape(-1, REMAP_SLOTS)
-
-
-def _payload_bits(words: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    return bits_from_u32(words).reshape(np.shape(payload))
-
-
-def _per_block(words: np.ndarray, code: int) -> np.ndarray:
-    return np.full(words.shape[0], code, dtype=np.intp)
-
-
-def remap(payload: np.ndarray, xor_key: int) -> np.ndarray:
-    """Permute the 16 32-bit slots: output slot (i XOR key) = input slot i.
-
-    Self-inverse for any fixed key.  Accepts batched payloads (last axis).
-    """
-    if not 0 <= xor_key < (1 << KEY_BITS):
-        raise ValueError(f"xor_key must be a 4-bit value, got {xor_key}")
-    words = _payload_words(payload)
-    return _payload_bits(_remap_words(words, _per_block(words, xor_key)), payload)
-
-
-def invert(payload: np.ndarray) -> np.ndarray:
-    """Complement every payload bit; self-inverse."""
-    words = _payload_words(payload)
-    return _payload_bits(_invert_words(words, _per_block(words, 1)), payload)
-
-
-def switch_bits(payload: np.ndarray, precision: Precision,
-                direction: Literal["encode", "decode"] = "encode") -> np.ndarray:
-    """Rotate each weight word left by the precision's rotation on encode,
-    right on decode.  Word boundaries are respected."""
-    if direction not in ("encode", "decode"):
-        raise ValueError(f"direction must be 'encode' or 'decode', got {direction!r}")
-    words = _payload_words(payload)
-    switched = _switch_words(words, _per_block(words, 1), precision, direction == "encode")
-    return _payload_bits(switched, payload)
-
-
-def encode(payload: np.ndarray, config: EncodingConfig, precision: Precision) -> np.ndarray:
-    """Apply remap, then optional inversion, then optional bit switching."""
-    words = _payload_words(payload)
-    return _payload_bits(encode_words(words, _per_block(words, config.aux_code), precision),
-                         payload)
-
-
-def decode(payload: np.ndarray, config: EncodingConfig, precision: Precision) -> np.ndarray:
-    """Exact inverse of :func:`encode` for the same config and precision."""
-    words = _payload_words(payload)
-    return _payload_bits(decode_words(words, _per_block(words, config.aux_code), precision),
-                         payload)
-
-
 def ecp_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray, n: int) -> np.ndarray:
-    """Word-level readout of (blocks, 16) words under n-pointer ECP.
+    """Readout of (blocks, 16) words under n-pointer error correction.
 
-    `mask` and `stuck` come from :func:`craft.memory.stuck_words`.  The
-    pointers of a block repair its first n mismatching stuck cells in
-    ascending bit order.
+    `mask` and `stuck` come from :func:`craft.memory.stuck_words`.  Each
+    pointer repairs one stuck cell whose value disagrees with the written
+    bit: the pointers of a block go to its first n mismatching stuck cells
+    in ascending bit order.  Pointer storage itself is modeled as
+    fault-free.
     """
     readout = apply_stuck(words, mask, stuck)
     wrong = mask & (words ^ stuck)
@@ -262,22 +195,6 @@ def ecp_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray, n: int) ->
         readout[rows, first] ^= lowest
         wrong[rows, first] ^= lowest
     return readout
-
-
-def ecp_correct(desired: np.ndarray, fault_map: FaultMap, offset: int = 0, n: int = 1) -> np.ndarray:
-    """Readout of a 512-bit block under an n-pointer error-correcting scheme.
-
-    Each pointer repairs one stuck cell whose value disagrees with the
-    desired bit; pointers are spent on mismatches in ascending bit order.
-    Pointer storage itself is modeled as fault-free.
-    """
-    desired = as_bit_array(desired, PAYLOAD_BITS)
-    if desired.ndim != 1:
-        raise ValueError("ecp_correct expects a single block")
-    if n < 0:
-        raise ValueError("pointer count must be non-negative")
-    mask, stuck = stuck_words(fault_map, offset)
-    return _payload_bits(ecp_words(_payload_words(desired), mask, stuck, n), desired)
 
 
 def ecp_overhead(n: int, d: int) -> float:

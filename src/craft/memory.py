@@ -8,12 +8,11 @@ stuck with probability `ber`, and a stuck cell holds 1 with probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bitops import as_bit_array
 from .prng import make_rng
 
 PAYLOAD_BITS = 512
@@ -94,27 +93,6 @@ class FaultMap:
         return self.bit_indices[lo:hi] - offset, self.stuck_values[lo:hi]
 
 
-@dataclass(frozen=True)
-class DataBlock:
-    """One 512-bit payload plus its 6 fault-free auxiliary bits.
-
-    The payload is subject to stuck-at faults; the aux bits (remap key,
-    invert flag, switch flag) are assumed to live in fault-free storage and
-    are never passed through fault application.
-    """
-
-    payload: np.ndarray
-    aux: np.ndarray = field(default_factory=lambda: np.zeros(AUX_BITS, dtype=np.uint8))
-
-    def __post_init__(self):
-        payload = as_bit_array(self.payload, PAYLOAD_BITS)
-        aux = as_bit_array(self.aux, AUX_BITS)
-        payload.setflags(write=False)
-        aux.setflags(write=False)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "aux", aux)
-
-
 def generate_fault_map(region_size_bits: int, ber: float, sa1_fraction: float = 0.5,
                        seed: int = 0) -> FaultMap:
     """Draw an i.i.d. stuck-at fault map; deterministic for fixed arguments."""
@@ -137,20 +115,6 @@ def _check_bounds(fault_map: FaultMap, offset: int, length: int) -> None:
             f"bit range [{offset}, {offset + length}) outside region of "
             f"{fault_map.region_size_bits} bits"
         )
-
-
-def apply_faults(desired: np.ndarray, fault_map: FaultMap, offset: int = 0) -> np.ndarray:
-    """Readout after writing `desired` at `offset`: stuck cells override.
-
-    `desired` may be batched; faults apply along the last axis, at the same
-    positions for every row.
-    """
-    desired = as_bit_array(desired)
-    _check_bounds(fault_map, offset, desired.shape[-1])
-    positions, values = fault_map.slice_range(offset, desired.shape[-1])
-    readout = desired.copy()
-    readout[..., positions] = values
-    return readout
 
 
 #: 2**k as float64, the weight of bit k of a word.
@@ -184,17 +148,10 @@ def stuck_words(fault_map: FaultMap, offset: int = 0, n_blocks: int = 1):
 
 
 def apply_stuck(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray) -> np.ndarray:
-    """Word-level :func:`apply_faults`: stuck cells override written bits."""
+    """Readout of words written over stuck cells, ``(words & ~mask) | stuck``:
+    with `mask` and `stuck` from :func:`stuck_words`, each stuck cell reads
+    back its stuck value and every other bit its written value."""
     return (words & ~mask) | stuck
-
-
-def count_mismatches(desired: np.ndarray, fault_map: FaultMap, offset: int = 0) -> int:
-    """Number of stuck cells in range whose value differs from the desired bit."""
-    desired = as_bit_array(desired)
-    _check_bounds(fault_map, offset, desired.shape[-1])
-    positions, values = fault_map.slice_range(offset, desired.shape[-1])
-    mism = (desired[..., positions] != values).sum(axis=-1)
-    return int(mism) if np.ndim(mism) == 0 else mism
 
 
 def save_fault_map(fault_map: FaultMap, path) -> None:

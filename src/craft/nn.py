@@ -9,6 +9,7 @@ storable representation); arithmetic runs in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,11 +139,12 @@ def make_dataset(seed: int = DEFAULT_SEED, n_classes: int = DEFAULT_CLASSES,
                  train_fraction: float = 0.75) -> SyntheticDataset:
     """Gaussian clusters, one per class, means drawn once from the seed."""
     if n_classes < 2:
-        raise ValueError("need at least two classes")
-    if n_features < 1 or n_samples < n_classes:
-        raise ValueError("degenerate dataset size")
-    if n_samples % n_classes:
-        raise ValueError("n_samples must split evenly across classes")
+        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
+    if n_features < 1:
+        raise ValueError(f"n_features must be at least 1, got {n_features}")
+    if n_samples < n_classes or n_samples % n_classes:
+        raise ValueError(f"n_samples must split evenly across the {n_classes} classes, "
+                         f"at least one sample each, got {n_samples}")
     rng = make_rng(seed)
     per_class = n_samples // n_classes
     means = rng.normal(0.0, 1.5, size=(n_classes, n_features))
@@ -208,8 +210,12 @@ def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN
           epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR, seed: int = DEFAULT_SEED,
           momentum: float = 0.9, batch_size: int = 64) -> TrainResult:
     """Momentum SGD on the train split; bit-deterministic for fixed inputs."""
-    if epochs < 0 or lr < 0 or batch_size < 1:
-        raise ValueError("invalid training hyperparameters")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"lr must be finite and non-negative, got {lr!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     dims = [dataset.inputs.shape[1], *hidden_dims, int(dataset.labels.max()) + 1]
     if any(d < 1 for d in dims):
         raise ValueError("invalid layer dimensions")

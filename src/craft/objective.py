@@ -16,9 +16,9 @@ arrays each thread keeps between calls.  :func:`best_encodings` runs one
 search over the union of several code sets, a chunk at a time, and gives
 each set its winners, their readbacks and their deltas from that one
 pass; :func:`store_words` builds on it and encodes only the
-winners, for the words the memory holds.  The bit-level
-:func:`search_best_encoding` and :func:`write_with_craft` are single-block
-wrappers around them.
+winners, for the words the memory holds.  :func:`search_best_encoding`
+is the one function that takes a block as 512 bits: a single-block search
+that reports every config's delta.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitops import as_bit_array, bits_from_u32, u32_from_bits
+from .bitops import as_bit_array, u32_from_bits
 from .codecs import (ALL_CONFIGS, N_CONFIGS, PAYLOAD_BITS, REMAP_SLOTS, EncodingConfig,
                      Precision, encode_words, frame_stuck)
 from .memory import FaultMap, apply_stuck, stuck_words
@@ -85,13 +85,16 @@ class WeightView:
 
 def deviation_words(original: np.ndarray, readout: np.ndarray, precision: Precision,
                     scale=None) -> np.ndarray:
-    """Word-level :func:`deviation` of (..., 16) uint32 blocks.
+    """Net deviation between (..., 16) uint32 blocks and their readouts.
 
     `original` broadcasts against `readout`.  For u8, `scale` is the
     quantization scale, a float or an array broadcasting against the
-    result; fp32 takes none.  The 16 per-weight fp32 differences of a block
-    are summed along a contiguous last axis, so the result matches the
-    bit-level function bit for bit.
+    result; fp32 takes none.  A u8 delta is scale times the exact integer
+    sum of absolute code differences (equal to the dequantized sum,
+    rounded once).  fp32 differences are taken in float64 and summed along
+    a contiguous last axis, and any non-finite weight, in the readout or
+    the original, contributes :data:`NONFINITE_SENTINEL`, so comparisons
+    stay total and deterministic.
     """
     if precision is Precision.U8:
         qo = np.ascontiguousarray(original).view(np.uint8).astype(np.int16)
@@ -106,25 +109,6 @@ def deviation_words(original: np.ndarray, readout: np.ndarray, precision: Precis
     np.abs(diff, out=diff)
     diff[~np.isfinite(diff)] = NONFINITE_SENTINEL
     return diff.sum(axis=-1)
-
-
-def deviation(original: np.ndarray, readout: np.ndarray, view: WeightView):
-    """Net deviation between two blocks under a weight view.
-
-    For u8 the result is computed as scale times the exact integer sum of
-    absolute code differences (equal to the dequantized sum, rounded once).
-    For fp32, differences are taken in float64 and any non-finite readout
-    weight contributes :data:`NONFINITE_SENTINEL`.  Originals are normally
-    finite (trained weights); a non-finite original also falls back to the
-    sentinel so comparisons stay total and deterministic.
-
-    `readout` may be batched (configs on leading axes); a matching array of
-    deltas is returned, a plain float for single blocks.
-    """
-    original = u32_from_bits(as_bit_array(original, PAYLOAD_BITS))
-    readout = u32_from_bits(as_bit_array(readout, PAYLOAD_BITS))
-    delta = deviation_words(original, readout, view.precision, view.scale)
-    return float(delta) if np.ndim(delta) == 0 else delta
 
 
 @dataclass(frozen=True)
@@ -329,7 +313,7 @@ def best_encodings(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
 
 def store_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
                 precision: Precision, scale=None, codes: np.ndarray = ALL_CODES):
-    """Word-level :func:`write_with_craft` for (n, 16) blocks.
+    """Store (n, 16) blocks, each with the best encoding for its stuck cells.
 
     Returns the chosen aux code of each block (see :func:`best_encodings`),
     the stored words as the memory holds them (encoded, stuck cells
@@ -365,10 +349,12 @@ def search_best_encoding(original: np.ndarray, fault_map: FaultMap, offset: int,
                          configs: Sequence[EncodingConfig] | None = None) -> DeviationReport:
     """Exhaustively evaluate every config and pick the minimal-deviation one.
 
-    For each config the stored block is encode(original), reads back through
-    the fault map, and is decoded; the reported delta is the deviation of
-    that readback from the original.  Ties break toward the smallest aux
-    code, so identical inputs always produce identical reports.
+    `original` is one block as 512 0/1 values, bit w*32+k being bit k of
+    word w, at bit `offset` of the fault map's region.  For each config the
+    stored block is the encoded original; it reads back through the fault
+    map and is decoded, and the reported delta is the deviation of that
+    readback from the original.  Ties break toward the smallest aux code,
+    so identical inputs always produce identical reports.
     """
     words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
     configs = ALL_CONFIGS if configs is None else tuple(configs)
@@ -376,19 +362,3 @@ def search_best_encoding(original: np.ndarray, fault_map: FaultMap, offset: int,
     deltas = search_words(words, mask, stuck, view.precision, scale, codes)
     return DeviationReport(configs=configs, deltas=deltas[0],
                            best_index=int(best_indices(deltas, codes)[0]))
-
-
-def write_with_craft(original: np.ndarray, fault_map: FaultMap, offset: int,
-                     view: WeightView,
-                     configs: Sequence[EncodingConfig] | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Store a block with the best encoding for its stuck cells.
-
-    Returns the stored payload as the memory will hold it (encoded, with
-    stuck cells overriding), the 6 aux bits recording the chosen config,
-    and the achieved net deviation.
-    """
-    words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
-    chosen, stored, delta = store_words(words, mask, stuck, view.precision, scale,
-                                        config_codes(configs))
-    return bits_from_u32(stored[0]), ALL_CONFIGS[chosen[0]].aux(), float(delta[0])

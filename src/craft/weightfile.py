@@ -7,8 +7,8 @@ always covered by one layer's quantization view.  Biases and quantization
 parameters travel beside the blocks in fault-free storage.
 
 A block stream is an ``(n_blocks, 16)`` array of little-endian uint32
-words, the form the codec core computes on; bit ``w*32+k`` of a block in
-the bit-level API is bit ``k`` of word ``w``.
+words, the form the codecs compute on: bit ``w*32+k`` of a block is bit
+``k`` of word ``w``.
 
 Two file containers:
 
@@ -32,7 +32,6 @@ import numpy as np
 from .codecs import N_CONFIGS, PAYLOAD_BITS, Precision
 from .memory import WORDS_PER_BLOCK
 from .nn import MlpModel, QuantizedLayer, QuantizedModel
-from .objective import WeightView
 
 WEIGHT_MAGIC = b"CRFTW1"
 BLOCK_MAGIC = b"CRFTB1"
@@ -75,15 +74,6 @@ class BlockLayout:
         if self.quant is None:
             return None
         return np.repeat([scale for scale, _ in self.quant], self.layer_blocks)
-
-    def view_for_block(self, index: int) -> WeightView:
-        if not 0 <= index < self.n_blocks:
-            raise IndexError(f"block {index} outside layout of {self.n_blocks} blocks")
-        if self.quant is None:
-            return WeightView(Precision.FP32)
-        layer = int(np.searchsorted(np.cumsum(self.layer_blocks), index, side="right"))
-        scale, zero_point = self.quant[layer]
-        return WeightView(Precision.U8, scale=scale, zero_point=zero_point)
 
 
 def _layout_and_weights(model: MlpModel | QuantizedModel) -> tuple[BlockLayout, list[np.ndarray]]:

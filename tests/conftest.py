@@ -28,7 +28,3 @@ def u8_model(fp32_model):
 def rng():
     return np.random.default_rng(12345)
 
-
-def random_payload(rng, batch=None):
-    shape = (512,) if batch is None else (batch, 512)
-    return rng.integers(0, 2, shape).astype(np.uint8)

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from craft import nn
-from craft.bitops import bits_from_bytes, bytes_from_bits, u32_from_bits
+from craft.bitops import u32_from_bits
 from craft.codecs import (ALL_CONFIGS, REMAP_CONFIGS, REMAP_INVERT_CONFIGS,
-                          EncodingConfig, Precision, craft_overhead, decode,
-                          ecp_correct, ecp_overhead, encode, switch_bits)
+                          Precision, craft_overhead, decode_words, ecp_overhead,
+                          ecp_words, encode_words)
 from craft.harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
                            robustness_improvement, second_zero_exponent_bit)
-from craft.memory import FaultMap, count_mismatches, generate_fault_map, stuck_words
+from craft.memory import FaultMap, generate_fault_map, stuck_words
 from craft.objective import WeightView, search_best_encoding, store_words
 from craft.cli import main
 
@@ -48,21 +48,23 @@ def single_cell_map(pos, stuck, region=512):
 def test_01_codec_conformance():
     with criterion(1, "codec round-trip, 10k payloads x 64 configs, <10s"):
         rng = np.random.default_rng(424242)
-        payloads = rng.integers(0, 2, (10_000, 512)).astype(np.uint8)
+        words = u32_from_bits(rng.integers(0, 2, (10_000, 512)).astype(np.uint8))
         start = time.time()
         for prec in Precision:
             for cfg in ALL_CONFIGS:
-                out = decode(encode(payloads, cfg, prec), cfg, prec)
-                assert np.array_equal(out, payloads)
+                codes = np.full(len(words), cfg.aux_code)
+                out = decode_words(encode_words(words, codes, prec), codes, prec)
+                assert np.array_equal(out, words)
         assert time.time() - start < 10.0
 
 
 def test_02_switch_vector():
     with criterion(2, "bit switching maps 0b01110101 to 0b01010111"):
-        payload = np.zeros(512, dtype=np.uint8)
-        payload[:8] = bits_from_bytes(bytes([0b01110101]))
-        encoded = switch_bits(payload, Precision.U8, "encode")
-        assert bytes_from_bits(encoded)[0] == 0b01010111
+        words = np.zeros((1, 16), dtype=np.uint32)
+        words[0, 0] = 0b01110101  # byte 0 of the block
+        switch_only = [0x20]
+        encoded = encode_words(words, switch_only, Precision.U8)
+        assert encoded[0, 0] & 0xFF == 0b01010111
 
 
 def test_03_single_fault_guarantee():
@@ -113,12 +115,13 @@ def test_06_ecp1_semantics():
     with criterion(6, "ecp1 exact with <=1 mismatch, exhaustive positions"):
         rng = np.random.default_rng(90210)
         for _ in range(3):
-            x = rng.integers(0, 2, 512).astype(np.uint8)
+            x = u32_from_bits(rng.integers(0, 2, (1, 512)).astype(np.uint8))
             for pos in range(512):
-                for stuck in (0, 1):
-                    fmap = single_cell_map(pos, stuck)
-                    assert count_mismatches(x, fmap, 0) <= 1
-                    assert np.array_equal(ecp_correct(x, fmap, 0, 1), x)
+                for value in (0, 1):
+                    mask, stuck = stuck_words(single_cell_map(pos, value))
+                    mismatching = mask & (x ^ stuck)
+                    assert sum(bin(int(w)).count("1") for w in mismatching[0]) <= 1
+                    assert np.array_equal(ecp_words(x, mask, stuck, 1), x)
 
 
 def test_07_bit_criticality(fp32_model, u8_model, default_dataset):

@@ -10,7 +10,6 @@ import pytest
 
 import craft
 from craft import cli, nn
-from craft.bitops import bits_from_u32
 from craft.cli import main
 from craft.codecs import PAYLOAD_BITS
 from craft.memory import generate_fault_map, save_fault_map, FaultMap
@@ -62,6 +61,23 @@ class TestTrain:
                            "--lr", "1e9", "--epochs", "3")
         assert code == 3
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize("argv, rule", [
+        (["--features", "0"], "bad dataset flags: n_features must be at least 1, got 0"),
+        (["--samples", "3"], "bad dataset flags: n_samples must split evenly across the "
+                             "4 classes, at least one sample each, got 3"),
+        (["--classes", "1"], "bad dataset flags: n_classes must be at least 2, got 1"),
+        (["--epochs", "-1"], "bad training flags: epochs must be non-negative, got -1"),
+        (["--lr", "-1"], "bad training flags: lr must be finite and non-negative, got -1.0"),
+        (["--lr", "nan"], "bad training flags: lr must be finite and non-negative, got nan"),
+    ])
+    def test_bad_dataset_or_training_flags_exit_1(self, capsys, tmp_path, argv, rule):
+        out = tmp_path / "m.w"
+        code, _, err = run(capsys, "train", "--out", str(out), *argv)
+        assert code == 1
+        assert rule in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -212,11 +228,10 @@ class TestEncodeDecode:
     def test_single_fault_per_block_gives_zero_deltas(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
         blocks, layout = flatten_model(load_model(model))
-        bits = bits_from_u32(blocks)
-        idx = np.array([b * PAYLOAD_BITS + (37 * b) % PAYLOAD_BITS
-                        for b in range(layout.n_blocks)])
-        val = np.array([1 - int(bits[b, (37 * b) % PAYLOAD_BITS])
-                        for b in range(layout.n_blocks)], dtype=np.uint8)
+        local = [(37 * b) % PAYLOAD_BITS for b in range(layout.n_blocks)]
+        idx = np.array([b * PAYLOAD_BITS + pos for b, pos in enumerate(local)])
+        val = np.array([1 - (int(blocks[b, pos // 32]) >> (pos % 32) & 1)
+                        for b, pos in enumerate(local)], dtype=np.uint8)
         fmap = FaultMap(layout.n_blocks * PAYLOAD_BITS, idx, val, 0.0, 0.5, 0)
         fmap_path = tmp_path / "faults.txt"
         save_fault_map(fmap, fmap_path)
@@ -244,15 +259,13 @@ class TestEncodeDecode:
                 if l and l[0].isdigit() and len(l.split(",")) == 2]
         assert len(rows) == layout.n_blocks
         # identity deltas recomputed independently
-        from craft.memory import apply_faults, load_fault_map
-        from craft.objective import deviation
-        fmap = load_fault_map(fmap_path)
-        bits = bits_from_u32(blocks)
-        for i, (_, delta_text) in enumerate(rows):
-            identity = deviation(bits[i],
-                                 apply_faults(bits[i], fmap, i * PAYLOAD_BITS),
-                                 layout.view_for_block(i))
-            assert float(delta_text) <= identity
+        from craft.memory import apply_stuck, load_fault_map, stuck_words
+        from craft.objective import deviation_words
+        mask, stuck = stuck_words(load_fault_map(fmap_path), 0, layout.n_blocks)
+        identity = deviation_words(blocks, apply_stuck(blocks, mask, stuck),
+                                   layout.precision, layout.block_scales())
+        for (_, delta_text), bound in zip(rows, identity.tolist()):
+            assert float(delta_text) <= bound
 
     def test_missing_sidecar_exits_2(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
@@ -465,3 +478,11 @@ class TestConfigOverlay:
         code, _, _ = run(capsys, "train", "--out", str(tmp_path / "m.w"),
                          "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+    def test_config_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "train", "--out", str(tmp_path / "m.w"),
+                           "--config", str(cfg))
+        assert code == 2
+        assert f"cannot read config file {cfg}" in err and "Traceback" not in err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from craft import harness, nn
-from craft.bitops import bits_from_u32
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
                            CriticalityPoint, CriticalityResult, Scheme, SweepResult, TrialRecord,
@@ -77,13 +76,12 @@ class TestRunTrial:
 
     def test_ecp1_with_single_mismatch_per_block_is_exact(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
-        bits = bits_from_u32(blocks)
         # one mismatching cell in every block
         entries_idx, entries_val = [], []
         for b in range(layout.n_blocks):
-            pos = b * PAYLOAD_BITS + (b * 13 % PAYLOAD_BITS)
-            entries_idx.append(pos)
-            entries_val.append(1 - int(bits[b, pos % PAYLOAD_BITS]))
+            word, k = divmod(b * 13 % PAYLOAD_BITS, 32)
+            entries_idx.append(b * PAYLOAD_BITS + word * 32 + k)
+            entries_val.append(1 - (int(blocks[b, word]) >> k & 1))
         fmap = FaultMap(layout.n_blocks * PAYLOAD_BITS, np.array(entries_idx),
                         np.array(entries_val, dtype=np.uint8), 0.0, 0.5, 0)
         read, total = _apply_schemes(blocks, layout, [Scheme.parse("ecp1")], fmap)[0]
@@ -292,12 +290,11 @@ class TestBitCriticality:
 
     def test_single_cell_deviation_is_power_of_two_times_scale(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
-        bits = bits_from_u32(blocks)
         region = layout.n_blocks * PAYLOAD_BITS
         for position in (0, 3, 7):
             word = 5  # an arbitrary weight in layer 0
             pos = word * 8 + position
-            stuck = 1 - int(bits[0, pos])
+            stuck = 1 - (int(blocks[0, pos // 32]) >> (pos % 32) & 1)
             fmap = FaultMap(region, np.array([pos]), np.array([stuck], dtype=np.uint8),
                             0.0, 0.5, 0)
             _, delta = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)[0]

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from craft.memory import (DataBlock, FaultMap, apply_faults, count_mismatches,
-                          generate_fault_map, load_fault_map, save_fault_map)
+from craft.memory import (FaultMap, apply_stuck, generate_fault_map, load_fault_map,
+                          save_fault_map, stuck_words)
 
 
 def make_map(size, entries):
     idx = np.array([i for i, _ in entries], dtype=np.int64)
     val = np.array([v for _, v in entries], dtype=np.uint8)
     return FaultMap(size, idx, val, 0.0, 0.5, 0)
+
+
+def random_words(rng, n=1):
+    return rng.integers(0, 2**32, (n, 16), dtype=np.uint64).astype(np.uint32)
+
+
+def bits_of(words):
+    """Bit i of a block at index i, LSB of word 0 first."""
+    return np.unpackbits(np.ascontiguousarray(words, dtype="<u4").view(np.uint8),
+                         axis=-1, bitorder="little")
 
 
 class TestGenerate:
@@ -55,69 +65,75 @@ class TestApplyFaults:
         # Written data 101101 with two agreeing stuck cells (positions 0 and
         # 4) and two disagreeing ones (positions 1 and 3): the agreeing cells
         # introduce no error, the disagreeing ones flip their bits.
-        desired = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
-        fmap = make_map(6, [(0, 1), (1, 1), (3, 0), (4, 0)])
-        readout = apply_faults(desired, fmap, 0)
-        assert readout.tolist() == [1, 1, 1, 0, 0, 1]
-        assert count_mismatches(desired, fmap, 0) == 2
-        flipped = np.flatnonzero(readout != desired)
+        desired = np.array([[0b101101] + [0] * 15], dtype=np.uint32)
+        mask, stuck = stuck_words(make_map(512, [(0, 1), (1, 1), (3, 0), (4, 0)]))
+        readout = apply_stuck(desired, mask, stuck)
+        assert readout[0].tolist() == [0b100111] + [0] * 15
+        assert int(bits_of(mask & (desired ^ stuck)).sum()) == 2
+        flipped = np.flatnonzero(bits_of(readout ^ desired))
         assert flipped.tolist() == [1, 3]
 
     def test_empty_map_is_identity(self, rng):
-        desired = rng.integers(0, 2, 512).astype(np.uint8)
-        fmap = make_map(512, [])
-        assert np.array_equal(apply_faults(desired, fmap), desired)
+        desired = random_words(rng)
+        mask, stuck = stuck_words(make_map(512, []))
+        assert np.array_equal(apply_stuck(desired, mask, stuck), desired)
 
     def test_all_zero_data_counts_sa1_cells(self):
         fmap = make_map(512, [(3, 1), (100, 1), (200, 0), (301, 1), (400, 0)])
-        readout = apply_faults(np.zeros(512, dtype=np.uint8), fmap)
-        assert int(readout.sum()) == 3
+        readout = apply_stuck(np.zeros((1, 16), dtype=np.uint32), *stuck_words(fmap))
+        assert int(bits_of(readout).sum()) == 3
 
     def test_idempotent(self, rng):
-        desired = rng.integers(0, 2, 512).astype(np.uint8)
-        fmap = generate_fault_map(512, 0.05, 0.5, 9)
-        once = apply_faults(desired, fmap)
-        assert np.array_equal(apply_faults(once, fmap), once)
+        desired = random_words(rng)
+        mask, stuck = stuck_words(generate_fault_map(512, 0.05, 0.5, 9))
+        once = apply_stuck(desired, mask, stuck)
+        assert np.array_equal(apply_stuck(once, mask, stuck), once)
 
     def test_differs_in_exactly_count_mismatches_positions(self, rng):
         for seed in range(5):
-            desired = rng.integers(0, 2, 512).astype(np.uint8)
+            desired = random_words(rng)
             fmap = generate_fault_map(2048, 0.02, 0.4, seed)
-            offset = 512
-            readout = apply_faults(desired, fmap, offset)
-            diff = int((readout != desired).sum())
-            assert diff == count_mismatches(desired, fmap, offset)
+            mask, stuck = stuck_words(fmap, 512)
+            readout = apply_stuck(desired, mask, stuck)
+            diff = int(bits_of(readout ^ desired).sum())
+            assert diff == int(bits_of(mask & (desired ^ stuck)).sum())
 
     def test_offset_out_of_range(self):
-        fmap = make_map(512, [])
+        fmap = make_map(1024, [])
         with pytest.raises(IndexError):
-            apply_faults(np.zeros(128, dtype=np.uint8), fmap, 400)
+            stuck_words(fmap, 600)
         with pytest.raises(IndexError):
-            count_mismatches(np.zeros(128, dtype=np.uint8), fmap, -1)
+            stuck_words(fmap, 0, 3)
+        with pytest.raises(IndexError):
+            stuck_words(fmap, -1)
 
     def test_batched_rows_share_positions(self, rng):
-        rows = rng.integers(0, 2, (4, 512)).astype(np.uint8)
-        fmap = generate_fault_map(512, 0.05, 0.5, 11)
-        out = apply_faults(rows, fmap)
+        rows = random_words(rng, 4)
+        mask, stuck = stuck_words(generate_fault_map(512, 0.05, 0.5, 11))
+        out = apply_stuck(rows, mask, stuck)
         for i in range(4):
-            assert np.array_equal(out[i], apply_faults(rows[i], fmap))
+            assert np.array_equal(out[i], apply_stuck(rows[i], mask[0], stuck[0]))
 
 
 class TestCountMismatches:
+    """Mismatching stuck cells, counted on the words of :func:`stuck_words`."""
+
     def test_matches_brute_force(self, rng):
-        desired = rng.integers(0, 2, 512).astype(np.uint8)
+        desired = random_words(rng)
         fmap = generate_fault_map(512, 0.03, 0.5, 13)
+        bits = bits_of(desired)[0]
         expected = sum(
-            1 for i, v in fmap.entries if desired[i] != v
+            1 for i, v in fmap.entries if bits[i] != v
         )
-        assert count_mismatches(desired, fmap, 0) == expected
+        mask, stuck = stuck_words(fmap)
+        assert int(bits_of(mask & (desired ^ stuck)).sum()) == expected
 
     def test_data_equal_to_stuck_pattern(self):
-        fmap = make_map(512, [(7, 1), (8, 0), (200, 1)])
-        data = np.zeros(512, dtype=np.uint8)
-        data[7] = 1
-        data[200] = 1
-        assert count_mismatches(data, fmap) == 0
+        mask, stuck = stuck_words(make_map(512, [(7, 1), (8, 0), (200, 1)]))
+        data = np.zeros((1, 16), dtype=np.uint32)
+        data[0, 0] = 1 << 7
+        data[0, 200 // 32] = 1 << (200 % 32)
+        assert not (mask & (data ^ stuck)).any()
 
 
 class TestFaultMapType:
@@ -164,17 +180,3 @@ class TestSerialization:
         path.write_text(f"16 0.0 0.5 0\n2 1\n{entry}\n")
         with pytest.raises(ValueError):
             load_fault_map(path)
-
-
-class TestDataBlock:
-    def test_lengths_enforced(self):
-        with pytest.raises(ValueError):
-            DataBlock(payload=np.zeros(511, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            DataBlock(payload=np.zeros(512, dtype=np.uint8), aux=np.zeros(5, dtype=np.uint8))
-
-    def test_defaults_and_immutability(self):
-        block = DataBlock(payload=np.zeros(512, dtype=np.uint8))
-        assert block.aux.tolist() == [0] * 6
-        with pytest.raises(ValueError):
-            block.payload[0] = 1

@@ -1,27 +1,33 @@
 import numpy as np
 import pytest
 
-from craft.bitops import bits_from_bytes, bits_from_f32, bytes_from_bits
-from craft.codecs import (ALL_CONFIGS, REMAP_CONFIGS, REMAP_INVERT_CONFIGS,
-                          EncodingConfig, Precision, decode, encode)
-from craft.memory import FaultMap, apply_faults, generate_fault_map
-from craft.objective import (NONFINITE_SENTINEL, DeviationReport, WeightView,
-                             deviation, search_best_encoding, write_with_craft)
+from craft.bitops import u32_from_bits
+from craft.codecs import (ALL_CONFIGS, REMAP_CONFIGS, REMAP_INVERT_CONFIGS, Precision,
+                          decode_words, encode_words)
+from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
+from craft.objective import (NONFINITE_SENTINEL, WeightView, deviation_words,
+                             search_best_encoding, store_words)
 
 U8_UNIT = WeightView(Precision.U8, scale=1.0, zero_point=0)
 FP32 = WeightView(Precision.FP32)
+U8 = Precision.U8
 
 
 def u8_block(codes):
+    """(16,) words of a block whose first u8 codes are `codes`."""
     buf = np.zeros(64, dtype=np.uint8)
     buf[: len(codes)] = codes
-    return bits_from_bytes(buf)
+    return buf.view("<u4")
 
 
 def fp32_block(values):
     buf = np.zeros(16, dtype=np.float32)
     buf[: len(values)] = values
-    return bits_from_f32(buf)
+    return buf.view("<u4")
+
+
+def random_words(rng, n=1):
+    return rng.integers(0, 2**32, (n, 16), dtype=np.uint64).astype(np.uint32)
 
 
 def make_map(entries, size=512):
@@ -46,46 +52,44 @@ class TestWeightView:
 
 class TestDeviation:
     def test_identical_blocks_zero(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        assert deviation(x, x, U8_UNIT) == 0.0
-        assert deviation(x, x, FP32) == 0.0
+        x = random_words(rng)
+        assert deviation_words(x, x, U8, 1.0).tolist() == [0.0]
+        assert deviation_words(x, x, Precision.FP32).tolist() == [0.0]
 
     def test_msb_side_flip_costs_32(self):
         # one significant-bit error: weight 117 with bit 5 stuck low reads
         # back as 85, a deviation of 32
         original = u8_block([117])
         readout = u8_block([117 ^ (1 << 5)])
-        assert deviation(original, readout, U8_UNIT) == 32.0
+        assert deviation_words(original, readout, U8, 1.0) == 32.0
 
     def test_three_lsb_flips_with_carry_cost_1(self):
         # three insignificant-bit errors on one weight: 0111 0011 becomes
         # 0111 0100, a net deviation of 1
         original = u8_block([0b01110011])
         readout = u8_block([0b01110100])
-        assert deviation(original, readout, U8_UNIT) == 1.0
+        assert deviation_words(original, readout, U8, 1.0) == 1.0
 
     def test_three_separate_lsb_flips_cost_3(self):
         original = u8_block([10, 20, 30])
         readout = u8_block([11, 21, 31])
-        assert deviation(original, readout, U8_UNIT) == 3.0
+        assert deviation_words(original, readout, U8, 1.0) == 3.0
 
     def test_u8_uses_dequantized_domain(self):
-        view = WeightView(Precision.U8, scale=0.25, zero_point=128)
+        # scale 0.25: four codes apart is one unit of weight, whatever the
+        # zero point
         original = u8_block([100])
         readout = u8_block([104])
-        assert deviation(original, readout, view) == pytest.approx(1.0)
+        assert deviation_words(original, readout, U8, 0.25) == pytest.approx(1.0)
 
     def test_scale_equivariance(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        y = rng.integers(0, 2, 512).astype(np.uint8)
-        v1 = WeightView(Precision.U8, scale=0.5, zero_point=3)
-        v2 = WeightView(Precision.U8, scale=1.0, zero_point=3)
-        assert deviation(x, y, v2) == 2.0 * deviation(x, y, v1)
+        x, y = random_words(rng, 2)
+        assert deviation_words(x, y, U8, 1.0) == 2.0 * deviation_words(x, y, U8, 0.5)
 
     def test_fp32_simple_difference(self):
         original = fp32_block([1.0, -2.0])
         readout = fp32_block([1.5, -4.0])
-        assert deviation(original, readout, FP32) == pytest.approx(2.5)
+        assert deviation_words(original, readout, Precision.FP32) == pytest.approx(2.5)
 
     def test_nonfinite_original_stays_total(self, rng):
         # a block whose fp32 interpretation is NaN must still search cleanly
@@ -93,24 +97,25 @@ class TestDeviation:
         fmap = generate_fault_map(512, 0.02, 0.5, 3)
         report = search_best_encoding(x, fmap, 0, FP32)
         assert np.isfinite(report.best_delta)
-        assert deviation(x, x, FP32) == 16 * NONFINITE_SENTINEL
+        words = np.full(16, 0xFFFFFFFF, dtype=np.uint32)
+        assert deviation_words(words, words, Precision.FP32) == 16 * NONFINITE_SENTINEL
 
     def test_fp32_nonfinite_readout_uses_sentinel(self):
         original = fp32_block([1.0, 2.0])
-        nan_word = np.zeros(512, dtype=np.uint8)
-        nan_word[:512] = original
-        nan_word[23:32] = 1  # exponent all ones, mantissa nonzero -> NaN
-        nan_word[5] = 1
-        assert deviation(original, nan_word, FP32) >= NONFINITE_SENTINEL
+        nan_word = original.copy()
+        nan_word[0] |= 0xFF800000  # exponent all ones, mantissa nonzero -> NaN
+        nan_word[0] |= 1 << 5
+        assert deviation_words(original, nan_word, Precision.FP32) >= NONFINITE_SENTINEL
         inf = fp32_block([np.inf, 2.0])
-        assert deviation(original, inf, FP32) == NONFINITE_SENTINEL
+        assert deviation_words(original, inf, Precision.FP32) == NONFINITE_SENTINEL
 
     def test_batched_matches_scalar(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        rows = rng.integers(0, 2, (8, 512)).astype(np.uint8)
-        for view in (U8_UNIT, FP32):
-            batched = deviation(x, rows, view)
-            scalar = np.array([deviation(x, rows[i], view) for i in range(8)])
+        x = random_words(rng)[0]
+        rows = random_words(rng, 8)
+        for precision, scale in ((U8, 1.0), (Precision.FP32, None)):
+            batched = deviation_words(x, rows, precision, scale)
+            scalar = np.array([deviation_words(x, rows[i], precision, scale)
+                               for i in range(8)])
             assert np.array_equal(batched, scalar)
 
 
@@ -186,10 +191,13 @@ class TestSearch:
         for view in (U8_UNIT, FP32,
                      WeightView(Precision.U8, scale=0.013, zero_point=77)):
             report = search_best_encoding(x, fmap, 0, view)
+            words = u32_from_bits(x)[None]
+            mask, stuck = stuck_words(fmap, 0)
             for cfg, delta in zip(report.configs, report.deltas):
-                stored = apply_faults(encode(x, cfg, view.precision), fmap, 0)
-                readback = decode(stored, cfg, view.precision)
-                assert deviation(x, readback, view) == delta
+                code = [cfg.aux_code]
+                stored = apply_stuck(encode_words(words, code, view.precision), mask, stuck)
+                readback = decode_words(stored, code, view.precision)
+                assert deviation_words(words, readback, view.precision, view.scale) == delta
 
     def test_config_space_nesting(self, rng):
         for seed in range(20):
@@ -236,9 +244,10 @@ class TestSearch:
         x = rng.integers(0, 2, 512).astype(np.uint8)
         fmap = generate_fault_map(2048, 0.02, 0.5, 31)
         report = search_best_encoding(x, fmap, 1024, U8_UNIT)
-        cfg = report.best_config
-        stored = apply_faults(encode(x, cfg, Precision.U8), fmap, 1024)
-        assert deviation(x, decode(stored, cfg, Precision.U8), U8_UNIT) == report.best_delta
+        code = [report.best_config.aux_code]
+        words = u32_from_bits(x)[None]
+        stored = apply_stuck(encode_words(words, code, U8), *stuck_words(fmap, 1024))
+        assert deviation_words(words, decode_words(stored, code, U8), U8, 1.0) == report.best_delta
 
     def test_csv_export(self, rng):
         x = rng.integers(0, 2, 512).astype(np.uint8)
@@ -250,27 +259,28 @@ class TestSearch:
 
 
 class TestWriteWithCraft:
+    """Storing blocks under their best encodings with :func:`store_words`."""
+
     def test_zero_faults_stores_plain(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        stored, aux, delta = write_with_craft(x, make_map([]), 0, U8_UNIT)
+        x = random_words(rng)
+        mask, stuck = stuck_words(make_map([]))
+        chosen, stored, delta = store_words(x, mask, stuck, U8, np.ones(1))
         assert np.array_equal(stored, x)
-        assert aux.tolist() == [0] * 6
-        assert delta == 0.0
+        assert chosen.tolist() == [0]
+        assert delta.tolist() == [0.0]
 
     def test_delta_matches_independent_recompute(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        fmap = generate_fault_map(512, 0.05, 0.5, 8)
-        stored, aux, delta = write_with_craft(x, fmap, 0, U8_UNIT)
-        cfg = EncodingConfig.from_aux(aux)
-        assert deviation(x, decode(stored, cfg, Precision.U8), U8_UNIT) == delta
-        # stored payload already reflects the stuck cells
-        assert np.array_equal(stored, apply_faults(stored, fmap, 0))
+        x = random_words(rng)
+        mask, stuck = stuck_words(generate_fault_map(512, 0.05, 0.5, 8))
+        chosen, stored, delta = store_words(x, mask, stuck, U8, np.ones(1))
+        assert deviation_words(x, decode_words(stored, chosen, U8), U8, 1.0) == delta
+        # stored words already reflect the stuck cells
+        assert np.array_equal(stored, apply_stuck(stored, mask, stuck))
 
     def test_never_worse_than_identity(self, rng):
         for seed in range(10):
-            gen = np.random.default_rng(seed)
-            x = gen.integers(0, 2, 512).astype(np.uint8)
-            fmap = generate_fault_map(512, 0.03, 0.5, 100 + seed)
-            _, _, delta = write_with_craft(x, fmap, 0, U8_UNIT)
-            identity_delta = deviation(x, apply_faults(x, fmap, 0), U8_UNIT)
+            x = random_words(np.random.default_rng(seed))
+            mask, stuck = stuck_words(generate_fault_map(512, 0.03, 0.5, 100 + seed))
+            _, _, delta = store_words(x, mask, stuck, U8, np.ones(1))
+            identity_delta = deviation_words(x, apply_stuck(x, mask, stuck), U8, 1.0)
             assert delta <= identity_delta

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from craft import nn
-from craft.bitops import bits_from_u32
 from craft.codecs import Precision
 from craft.weightfile import (BlockLayout, flatten_model, load_blocks, load_model,
                               load_sidecar, save_blocks, save_model, save_sidecar,
@@ -37,8 +36,7 @@ class TestFlatten:
             biases=(np.zeros(4, dtype=np.float32),),
         )
         blocks, layout = flatten_model(model)
-        assert blocks.shape == (1, 16)
-        assert bits_from_u32(blocks).shape == (1, 512)
+        assert blocks.shape == (1, 16) and blocks.dtype == np.dtype("<u4")
         assert layout.layer_blocks == (1,)
 
     def test_65_u8_weights_need_two_blocks_with_63_pads(self):
@@ -48,11 +46,11 @@ class TestFlatten:
         )
         model = nn.QuantizedModel(layers=(layer,))
         blocks, layout = flatten_model(model)
-        bits = bits_from_u32(blocks)
-        assert bits.shape == (2, 512)
-        pad_bits = 2 * 512 - 65 * 8
-        assert pad_bits == 63 * 8
-        assert bits.reshape(-1)[65 * 8:].sum() == 0
+        assert blocks.shape == (2, 16)
+        codes = blocks.view(np.uint8).reshape(-1)
+        assert codes.size - 65 == 63
+        assert codes[:65].tolist() == list(range(65))
+        assert not codes[65:].any()
 
     def test_roundtrip_random_models(self):
         gen = np.random.default_rng(4)
@@ -75,9 +73,8 @@ class TestFlatten:
         assert np.isnan(rebuilt.weights[0].reshape(-1)[0])
         blocks2, _ = flatten_model(rebuilt)
         # padding slots of a value-level roundtrip are re-zeroed; data slots match
-        n_data_bits = layout.shapes[0][0] * layout.shapes[0][1] * 32
-        assert np.array_equal(bits_from_u32(blocks2)[0][:min(512, n_data_bits)],
-                              bits_from_u32(scrambled)[0][:min(512, n_data_bits)])
+        n_data_words = min(16, layout.shapes[0][0] * layout.shapes[0][1])
+        assert np.array_equal(blocks2[0, :n_data_words], scrambled[0, :n_data_words])
 
     def test_layout_mismatch_rejected(self):
         gen = np.random.default_rng(4)
@@ -93,8 +90,9 @@ class TestFlatten:
             rebuilt = unflatten_model(blocks, layout)
             arrays = rebuilt.weights if m is model else [l.codes for l in rebuilt.layers]
             assert not any(np.shares_memory(w, blocks) for w in arrays)
+            bits = np.unpackbits(blocks.view(np.uint8), axis=-1, bitorder="little")
             with pytest.raises(ValueError):
-                unflatten_model(bits_from_u32(blocks), layout)
+                unflatten_model(bits, layout)
 
     def test_view_per_layer(self):
         layers = (
@@ -106,10 +104,7 @@ class TestFlatten:
         model = nn.QuantizedModel(layers=layers)
         _, layout = flatten_model(model)
         assert layout.layer_blocks == (1, 1)
-        assert layout.view_for_block(0).scale == 0.5
-        assert layout.view_for_block(1).scale == 0.25
-        with pytest.raises(IndexError):
-            layout.view_for_block(2)
+        assert layout.block_scales().tolist() == [0.5, 0.25]
 
 
 class TestWeightFile:

@@ -1,16 +1,15 @@
 """Differential tests of the word-level codec core.
 
-The search, fault application and deviation are re-derived here on plain
-Python integers (codecs through ``codec_oracle``), the search's frame
-readbacks are compared with encode -> stuck cells -> decode, one shared
-search with a search of each code set alone, and the harness's batched
-scheme application with a per-block loop over the bit-level wrappers.
+The search, fault application, ECP and deviation are re-derived on plain
+Python integers in ``codec_oracle``; the search's frame readbacks are
+compared with encode -> stuck cells -> decode, one shared search with a
+search of each code set alone, and the harness's batched scheme
+application with a per-block loop over the integer references.
 The chunked search and its per-thread work arrays are checked against
 one-block searches, searches in fresh threads and concurrent threads.
 Per-config deltas must agree bit for bit.
 """
 
-import math
 import pathlib
 import struct
 import sys
@@ -21,19 +20,19 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from craft.bitops import bits_from_u32
-from craft.codecs import (PAYLOAD_BITS, EncodingConfig, Precision, decode, decode_words,
-                          ecp_correct, encode_words, frame_stuck)
+from craft.codecs import (PAYLOAD_BITS, EncodingConfig, Precision, decode_words,
+                          encode_words, frame_stuck)
 from craft.harness import Scheme, _apply_schemes
-from craft.memory import FaultMap, apply_faults, apply_stuck, generate_fault_map
+from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
 from craft import objective
 from craft.objective import (ALL_CODES, NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, WeightView,
-                             best_encodings, best_indices, deviation, deviation_words,
-                             search_best_encoding, search_words, store_words, write_with_craft)
+                             best_encodings, best_indices, config_codes, deviation_words,
+                             search_best_encoding, search_words, store_words)
 from craft.weightfile import flatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from codec_oracle import decode_ref, encode_ref
+from codec_oracle import (decode_ref, deviation_ref, ecp_ref, encode_ref, search_ref,
+                          stuck_ref)
 
 MASK32 = 0xFFFFFFFF
 SPECIAL_WORDS = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000,
@@ -68,49 +67,9 @@ config_orders = st.one_of(
 )
 
 
-def stuck_ref(words, cells):
-    out = list(words)
-    for pos, value in cells.items():
-        w, k = divmod(pos, 32)
-        out[w] = (out[w] & ~(1 << k) & MASK32) | (value << k)
-    return out
-
-
-def _f32(word):
-    return struct.unpack("<f", struct.pack("<I", word))[0]
-
-
-def pairwise16(terms):
-    """numpy's sum of 16 float64 terms: eight lanes, then a fixed tree."""
-    lanes = [terms[k] + terms[k + 8] for k in range(8)]
-    return (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-
-
-def deviation_ref(original, readout, precision, scale):
-    if precision == "u8":
-        total = 0
-        for o, r in zip(original, readout):
-            total += sum(abs(((r >> s) & 0xFF) - ((o >> s) & 0xFF)) for s in range(0, 32, 8))
-        return scale * total
-    terms = []
-    for o, r in zip(original, readout):
-        fo, fr = _f32(o), _f32(r)
-        terms.append(abs(fr - fo) if math.isfinite(fo) and math.isfinite(fr)
-                     else NONFINITE_SENTINEL)
-    return pairwise16(terms)
-
-
-def search_ref(words, cells, precision, scale, codes):
-    deltas = []
-    for code in codes:
-        stored = stuck_ref(encode_ref(words, code, precision), cells)
-        deltas.append(deviation_ref(words, decode_ref(stored, code, precision), precision, scale))
-    return deltas
-
-
 def bits_of(words):
-    return bits_from_u32(np.array(words, dtype="<u4"))
+    """A block of words as the 512 bits search_best_encoding takes."""
+    return np.unpackbits(np.array(words, dtype="<u4").view(np.uint8), bitorder="little")
 
 
 OFFSET = PAYLOAD_BITS  # the block sits second in a two-block region
@@ -143,11 +102,13 @@ def test_search_matches_integer_reference(words, cells, order, precision, scale)
     best = min(range(len(codes)), key=lambda i: (expected[i], codes[i]))
     assert report.best_index == best
 
-    stored, aux, delta = write_with_craft(bits_of(words), fmap, OFFSET, view, configs)
-    assert EncodingConfig.from_aux(aux).aux_code == codes[best]
-    assert delta == expected[best]
-    assert np.array_equal(stored, bits_of(stuck_ref(encode_ref(words, codes[best], precision),
-                                                    cells)))
+    mask, stuck = stuck_words(fmap, OFFSET)
+    scales = None if view.scale is None else np.array([view.scale])
+    chosen, stored, delta = store_words(np.array([words], dtype=np.uint32), mask, stuck,
+                                        view.precision, scales, np.array(codes))
+    assert chosen[0] == codes[best]
+    assert delta[0] == expected[best]
+    assert stored[0].tolist() == stuck_ref(encode_ref(words, codes[best], precision), cells)
 
 
 def test_all_sa1_fp32_block_loses_to_nan_unless_inverted():
@@ -163,30 +124,41 @@ def test_all_sa1_fp32_block_loses_to_nan_unless_inverted():
 @settings(max_examples=100, deadline=None)
 @given(words=blocks, readout=blocks, precision=st.sampled_from(["fp32", "u8"]))
 def test_deviation_matches_integer_reference(words, readout, precision):
-    view = (WeightView(Precision.FP32) if precision == "fp32"
-            else WeightView(Precision.U8, scale=0.25, zero_point=3))
-    got = deviation(bits_of(words), bits_of(readout), view)
-    assert got == deviation_ref(words, readout, precision, view.scale)
+    scale = None if precision == "fp32" else 0.25
+    got = deviation_words(np.array(words, dtype=np.uint32), np.array(readout, dtype=np.uint32),
+                          Precision(precision), scale)
+    assert got == deviation_ref(words, readout, precision, scale)
+
+
+def cells_by_block(fault_map):
+    """{block: {local bit position: stuck value}} of a fault map's cells."""
+    cells = {}
+    for pos, value in fault_map.entries:
+        block, local = divmod(pos, PAYLOAD_BITS)
+        cells.setdefault(block, {})[local] = value
+    return cells
 
 
 def reference_apply_scheme(blocks, layout, scheme, fault_map):
-    """The per-block loop the harness once ran, over the bit-level API."""
+    """A scheme applied block by block on plain ints, through the oracle."""
     read = blocks.copy()
     total = 0.0
-    for b in np.unique(fault_map.bit_indices // PAYLOAD_BITS).tolist():
-        offset = b * PAYLOAD_BITS
-        view = layout.view_for_block(b)
-        block = blocks[b]
-        if scheme.kind == "baseline":
-            out = apply_faults(block, fault_map, offset)
-            delta = deviation(block, out, view)
-        elif scheme.kind == "ecp":
-            out = ecp_correct(block, fault_map, offset, scheme.ecp_n)
-            delta = deviation(block, out, view)
+    precision = layout.precision.value
+    scales = layout.block_scales()
+    for b, cells in sorted(cells_by_block(fault_map).items()):
+        words = blocks[b].tolist()
+        scale = None if scales is None else scales[b]
+        if scheme.kind in ("baseline", "ecp"):
+            out = (stuck_ref(words, cells) if scheme.kind == "baseline"
+                   else ecp_ref(words, cells, scheme.ecp_n))
+            delta = deviation_ref(words, out, precision, scale)
         else:
-            stored, aux, delta = write_with_craft(block, fault_map, offset, view,
-                                                  scheme.config_space)
-            out = decode(stored, EncodingConfig.from_aux(aux), layout.precision)
+            codes = config_codes(scheme.config_space).tolist()
+            deltas = search_ref(words, cells, precision, scale, codes)
+            best = min(range(len(codes)), key=lambda i: (deltas[i], codes[i]))
+            stored = stuck_ref(encode_ref(words, codes[best], precision), cells)
+            out = decode_ref(stored, codes[best], precision)
+            delta = deltas[best]
         read[b] = out
         total += delta
     return read, total
@@ -203,9 +175,8 @@ def test_apply_scheme_matches_per_block_loop(fp32_model, u8_model, precision, sc
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
     read, total = _apply_schemes(blocks, layout, [Scheme.parse(scheme)], fmap)[0]
-    ref_read, ref_total = reference_apply_scheme(bits_from_u32(blocks), layout,
-                                                 Scheme.parse(scheme), fmap)
-    assert np.array_equal(bits_from_u32(read), ref_read)
+    ref_read, ref_total = reference_apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
+    assert np.array_equal(read, ref_read)
     assert total == ref_total
 
 
@@ -320,10 +291,9 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
         assert np.array_equal(read, alone_read)
         assert total == alone_total
         if scheme not in reference:
-            reference[scheme] = reference_apply_scheme(bits_from_u32(blocks), layout,
-                                                       scheme, fmap)
+            reference[scheme] = reference_apply_scheme(blocks, layout, scheme, fmap)
         ref_read, ref_total = reference[scheme]
-        assert np.array_equal(bits_from_u32(read), ref_read)
+        assert np.array_equal(read, ref_read)
         assert total == ref_total
         assert not np.shares_memory(read, blocks)
         assert not any(np.shares_memory(read, other) for other, _ in results[:i])
