@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit comma-separated BER list, overrides the grid")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True, help="output prefix for _raw.csv and _summary.csv")
     _add_dataset_flags(p)
     p.add_argument("--config", help="key=value file overlaying the flags")
@@ -292,8 +291,7 @@ def cmd_sweep(args) -> int:
     bers = args.ber if args.ber is not None else (args.ber_grid or default_ber_grid())
     _echo(args, {"ber_points": bers, "trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
     model, dataset = _run_inputs(args)
-    results = ber_sweep(model, dataset, args.schemes, bers, args.trials,
-                        args.seed, threads=args.threads)
+    results = ber_sweep(model, dataset, args.schemes, bers, args.trials, args.seed)
     raw_path = f"{args.out}_raw.csv"
     summary_path = f"{args.out}_summary.csv"
     try:
@@ -368,20 +366,21 @@ def cmd_decode_file(args) -> int:
         model = unflatten_model(decoded, layout)
     except ValueError as exc:  # e.g. layer shapes that do not chain
         raise IOFailure(f"block file {args.in_path} does not describe a model: {exc}") from exc
-    try:
-        save_model(model, args.out)
-    except OSError as exc:
-        raise IOFailure(f"cannot write {args.out}: {exc}") from exc
     if args.reference is not None:
         reference = _open_model(args.reference)
         ref_blocks, ref_layout = flatten_model(reference)
-        if ref_layout.n_blocks != layout.n_blocks or ref_layout.precision is not layout.precision:
+        if (ref_layout.precision, ref_layout.shapes, ref_layout.quant) != \
+                (layout.precision, layout.shapes, layout.quant):
             raise IOFailure("reference model does not match the block file layout")
         deltas = deviation_words(ref_blocks, decoded, layout.precision,
                                  ref_layout.block_scales())
         print("block,delta")
         for i, delta in enumerate(deltas.tolist()):
             print(f"{i},{delta!r}")
+    try:
+        save_model(model, args.out)
+    except OSError as exc:
+        raise IOFailure(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -10,8 +10,6 @@ derives from base_seed + trial_index.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,19 +147,19 @@ def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) ->
 
 
 def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
-                   fault_map: FaultMap) -> list[tuple[np.ndarray, float]]:
-    """Readout words and total deviation of each scheme, in order, after
-    protecting each block.
+                   fault_map: FaultMap) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+    """Protect the blocks that hold stuck cells under each scheme.
 
     `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`.
-    Only blocks holding stuck cells are processed; the others read back
-    unchanged with zero deviation.  The encoding schemes share one search
-    over the union of their config spaces (see
+    Returns the indices of the blocks holding stuck cells and, per scheme in
+    order, their readout words and the total deviation; every other block
+    reads back unchanged with zero deviation.  The encoding schemes share
+    one search over the union of their config spaces (see
     :func:`craft.objective.best_encodings`), and each one's total adds its
     winners' search deltas.
     """
     if len(fault_map) == 0:
-        return [(blocks.copy(), 0.0) for _ in schemes]
+        return np.empty(0, dtype=np.intp), [(blocks[:0].copy(), 0.0) for _ in schemes]
     touched, mask, stuck = fault_map.touched_blocks
     words = blocks[touched]
     scales = layout.block_scales()
@@ -181,10 +179,8 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
         else:
             _, out, deltas = next(found)
             total = _in_order_sum(deltas)
-        read = blocks.copy()
-        read[touched] = out
-        results.append((read, total))
-    return results
+        results.append((out, total))
+    return touched, results
 
 
 def _in_order_sum(deltas: np.ndarray) -> float:
@@ -207,12 +203,39 @@ def _test_error(blocks, layout, dataset, buffers: InferenceBuffers | None = None
     return 1.0 - accuracy(rebuilt, dataset.test_inputs, dataset.test_labels, buffers)
 
 
+class _Readbacks:
+    """Test errors of faulty readbacks of one fault-free block stream.
+
+    A readback is the stream with the blocks at `touched` reading `out`.
+    One equal to the fault-free stream takes the fault-free error without
+    another inference; any other is written into a kept copy of the
+    stream, inferred with kept buffers and undone.
+    """
+
+    def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
+        self.layout, self.dataset = layout, dataset
+        self.buffers = InferenceBuffers()
+        self.fault_free = _test_error(blocks, layout, dataset, self.buffers)
+        self.work = blocks.copy()
+
+    def error(self, touched: np.ndarray, out: np.ndarray) -> float:
+        words = self.work[touched]
+        if np.array_equal(out, words):
+            return self.fault_free
+        self.work[touched] = out
+        err = _test_error(self.work, self.layout, self.dataset, self.buffers)
+        self.work[touched] = words
+        return err
+
+
 def run_trial(model: MlpModel | QuantizedModel, dataset, scheme: Scheme, ber: float,
               seed: int, sa1_fraction: float = DEFAULT_SA1_FRACTION) -> tuple[float, float]:
     """One fault-injection trial: (classification error, total deviation)."""
     blocks, layout = flatten_model(model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1_fraction, seed)
-    read, total = _apply_schemes(blocks, layout, [scheme], fmap)[0]
+    touched, [(out, total)] = _apply_schemes(blocks, layout, [scheme], fmap)
+    read = blocks.copy()
+    read[touched] = out
     return _test_error(read, layout, dataset), total
 
 
@@ -222,59 +245,40 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
               sa1_fraction: float = DEFAULT_SA1_FRACTION) -> list[SweepResult]:
     """Run trials for every scheme x BER with paired fault maps.
 
-    Results are reduced in (scheme, ber, trial) order regardless of how many
-    worker threads execute them, so output is order-deterministic.  A
-    readback equal to the fault-free stream takes the fault-free error
-    without another inference.
+    Every trial runs in the calling thread, in (ber, trial) order, and its
+    results are reduced in (scheme, ber, trial) order, so output is
+    order-deterministic.  `threads` must be 1.  A readback equal to the
+    fault-free stream takes the fault-free error without another inference.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if threads != 1:
+        raise ValueError(f"ber_sweep runs every trial in the calling thread; "
+                         f"threads must be 1, got {threads}")
     blocks, layout = flatten_model(model)
     region = layout.n_blocks * PAYLOAD_BITS
-    # One set of inference buffers per thread; the calling thread's serves
-    # the fault-free model too.
-    per_thread = threading.local()
-    per_thread.buffers = InferenceBuffers()
-    fault_free = _test_error(blocks, layout, dataset, per_thread.buffers)
-
-    def one_cell(task):
-        ber, trial = task
-        if not hasattr(per_thread, "buffers"):
-            per_thread.buffers = InferenceBuffers()
-        fmap = generate_fault_map(region, ber, sa1_fraction,
-                                  trial_seed(base_seed, trial))
-        out = []
-        for read, total in _apply_schemes(blocks, layout, schemes, fmap):
-            if np.array_equal(read, blocks):
-                err = fault_free
-            else:
-                err = _test_error(read, layout, dataset, per_thread.buffers)
-            out.append((err, total))
-        return out
-
-    tasks = [(ber, t) for ber in ber_list for t in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(one_cell, tasks))
-    else:
-        cells = [one_cell(t) for t in tasks]
+    readbacks = _Readbacks(blocks, layout, dataset)
+    errs = np.empty((len(schemes), len(ber_list), trials))
+    deltas = np.empty_like(errs)
+    for bi, ber in enumerate(ber_list):
+        for t in range(trials):
+            fmap = generate_fault_map(region, ber, sa1_fraction, trial_seed(base_seed, t))
+            touched, found = _apply_schemes(blocks, layout, schemes, fmap)
+            for si, (out, total) in enumerate(found):
+                errs[si, bi, t] = readbacks.error(touched, out)
+                deltas[si, bi, t] = total
 
     results = []
     for si, scheme in enumerate(schemes):
-        records = []
-        points = []
-        for bi, ber in enumerate(ber_list):
-            errs = np.array([cells[bi * trials + t][si][0] for t in range(trials)])
-            deltas = np.array([cells[bi * trials + t][si][1] for t in range(trials)])
-            records.extend(
-                TrialRecord(float(ber), t, float(errs[t]), float(deltas[t]))
-                for t in range(trials)
-            )
-            points.append(BerPoint(float(ber), float(errs.mean()),
-                                   float(errs.std(ddof=0)), float(deltas.mean())))
+        records = tuple(TrialRecord(float(ber), t, float(errs[si, bi, t]),
+                                    float(deltas[si, bi, t]))
+                        for bi, ber in enumerate(ber_list) for t in range(trials))
+        points = tuple(BerPoint(float(ber), float(errs[si, bi].mean()),
+                                float(errs[si, bi].std(ddof=0)), float(deltas[si, bi].mean()))
+                       for bi, ber in enumerate(ber_list))
         results.append(SweepResult(
-            scheme=scheme.name, ber_points=tuple(points), trials=trials,
-            seed=base_seed, fault_free_error=fault_free, records=tuple(records),
+            scheme=scheme.name, ber_points=points, trials=trials,
+            seed=base_seed, fault_free_error=readbacks.fault_free, records=records,
         ))
     return results
 
@@ -303,10 +307,7 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     region = layout.n_blocks * PAYLOAD_BITS
     n_words = region // word_bits
     scales = layout.block_scales()
-    buffers = InferenceBuffers()
-    fault_free = _test_error(blocks, layout, dataset, buffers)
-    # Faulty readbacks are written into this copy, and undone after inference.
-    work = blocks.copy()
+    readbacks = _Readbacks(blocks, layout, dataset)
     errs = np.empty((word_bits, trials))
     deltas = np.empty((word_bits, trials))
     for t in range(trials):
@@ -323,17 +324,12 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
             shift = np.uint32(position)
             out = apply_stuck(words, mask0 << shift, stuck0 << shift)
             deltas[position, t] = _total_deviation(words, out, precision, scale)
-            if np.array_equal(out, words):
-                errs[position, t] = fault_free
-            else:
-                work[touched] = out
-                errs[position, t] = _test_error(work, layout, dataset, buffers)
-                work[touched] = words
+            errs[position, t] = readbacks.error(touched, out)
     points = tuple(CriticalityPoint(p, float(errs[p].mean()), float(errs[p].std(ddof=0)),
                                     float(deltas[p].mean()))
                    for p in range(word_bits))
     return CriticalityResult(points=points, ber=ber, trials=trials,
-                             seed=base_seed, fault_free_error=fault_free)
+                             seed=base_seed, fault_free_error=readbacks.fault_free)
 
 
 def second_zero_exponent_bit(model: MlpModel) -> int:

@@ -15,8 +15,8 @@ chunk of blocks in one word-major (16, configs, blocks) pass, in work
 arrays each thread keeps between calls.  :func:`best_encodings` runs one
 search over the union of several code sets, a chunk at a time, and gives
 each set its winners, their readbacks and their deltas from that one
-pass; :func:`store_words` builds on it and encodes only the
-winners, for the words the memory holds.  :func:`search_best_encoding`
+pass; :func:`store_words` builds on it and encodes the winners'
+readbacks into the words the memory holds.  :func:`search_best_encoding`
 is the one function that takes a block as 512 bits: a single-block search
 that reports every config's delta.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from .bitops import as_bit_array, u32_from_bits
 from .codecs import (ALL_CONFIGS, N_CONFIGS, PAYLOAD_BITS, REMAP_SLOTS, EncodingConfig,
                      Precision, encode_words, frame_stuck)
-from .memory import FaultMap, apply_stuck, stuck_words
+from .memory import FaultMap, stuck_words
 
 #: Delta contributed by a non-finite float32 readout weight.  Just above
 #: float32 max, so a config producing NaN/Inf loses to any finite one.
@@ -319,8 +319,10 @@ def store_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     the stored words as the memory holds them (encoded, stuck cells
     overriding) and each block's achieved net deviation.
     """
-    chosen, _, deltas = best_encodings(words, mask, stuck, precision, scale, [codes])[0]
-    stored = apply_stuck(encode_words(words, chosen, precision), mask, stuck)
+    chosen, readback, deltas = best_encodings(words, mask, stuck, precision, scale, [codes])[0]
+    # Encoding inverts decoding, so this is the encoded block with the
+    # stuck cells applied.
+    stored = encode_words(readback, chosen, precision)
     return chosen, stored, deltas
 
 

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
                            CriticalityPoint, CriticalityResult, Scheme, SweepResult, TrialRecord,
-                           _apply_schemes, _test_error, ber_sweep, bit_criticality,
+                           _test_error, ber_sweep, bit_criticality,
                            default_ber_grid, robustness_improvement, run_trial,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
@@ -15,6 +17,9 @@ from craft.memory import FaultMap, generate_fault_map
 from craft.nn import InferenceBuffers, accuracy
 from craft.prng import make_rng, trial_seed
 from craft.weightfile import flatten_model, unflatten_model
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from readbacks import scheme_readbacks
 
 SCHEMES = [Scheme.parse(s) for s in ("baseline", "ecp1", "remap_invert", "craft")]
 
@@ -84,7 +89,7 @@ class TestRunTrial:
             entries_val.append(1 - (int(blocks[b, word]) >> k & 1))
         fmap = FaultMap(layout.n_blocks * PAYLOAD_BITS, np.array(entries_idx),
                         np.array(entries_val, dtype=np.uint8), 0.0, 0.5, 0)
-        read, total = _apply_schemes(blocks, layout, [Scheme.parse("ecp1")], fmap)[0]
+        read, total = scheme_readbacks(blocks, layout, [Scheme.parse("ecp1")], fmap)[0]
         assert np.array_equal(read, blocks)
         assert total == 0.0
 
@@ -97,11 +102,18 @@ class TestBerSweep:
         assert a == b
 
     def test_threads_do_not_change_results(self, u8_model, default_dataset):
+        # Trials run in the calling thread; a rerun reproduces every record
+        # in (ber, trial) order, and no other thread count is accepted.
         schemes = [Scheme.parse("baseline"), Scheme.parse("craft")]
-        serial = ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5)
-        threaded = ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5,
-                             threads=4)
-        assert serial == threaded
+        first = ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5)
+        again = ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5,
+                          threads=1)
+        assert first == again
+        for res in first:
+            assert [(r.ber, r.trial) for r in res.records] == \
+                [(ber, t) for ber in (1e-3, 1e-2) for t in range(4)]
+        with pytest.raises(ValueError, match="threads must be 1"):
+            ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5, threads=2)
 
     def test_row_counts(self, u8_model, default_dataset):
         schemes = [Scheme.parse("baseline"), Scheme.parse("craft")]
@@ -171,7 +183,7 @@ def reference_criticality(model, dataset, ber, trials, base_seed):
             indices = np.flatnonzero(stuck).astype(np.int64) * word_bits + position
             fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION,
                             trial_seed(base_seed, t))
-            read, total = _apply_schemes(blocks, layout, [Scheme("baseline")], fmap)[0]
+            read, total = scheme_readbacks(blocks, layout, [Scheme("baseline")], fmap)[0]
             differing += not np.array_equal(read, blocks)
             errs[t] = _test_error(read, layout, dataset, buffers)
             deltas[t] = total
@@ -193,7 +205,7 @@ def differing_sweep_readbacks(model, schemes, bers, trials, base_seed):
             fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION,
                                       trial_seed(base_seed, t))
             for scheme in schemes:
-                read, _ = _apply_schemes(blocks, layout, [scheme], fmap)[0]
+                read, _ = scheme_readbacks(blocks, layout, [scheme], fmap)[0]
                 differing += not np.array_equal(read, blocks)
     return differing
 
@@ -297,7 +309,7 @@ class TestBitCriticality:
             stuck = 1 - (int(blocks[0, pos // 32]) >> (pos % 32) & 1)
             fmap = FaultMap(region, np.array([pos]), np.array([stuck], dtype=np.uint8),
                             0.0, 0.5, 0)
-            _, delta = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)[0]
+            _, delta = scheme_readbacks(blocks, layout, [Scheme.parse("baseline")], fmap)[0]
             assert delta == pytest.approx(2 ** position * layout.quant[0][0])
 
     def test_fp32_reports_32_positions(self, fp32_model, default_dataset):

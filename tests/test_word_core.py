@@ -33,6 +33,7 @@ from craft.weightfile import flatten_model
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from codec_oracle import (decode_ref, deviation_ref, ecp_ref, encode_ref, search_ref,
                           stuck_ref)
+from readbacks import scheme_readbacks
 
 MASK32 = 0xFFFFFFFF
 SPECIAL_WORDS = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000,
@@ -174,7 +175,7 @@ def test_apply_scheme_matches_per_block_loop(fp32_model, u8_model, precision, sc
                                              ber, sa1, seed):
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
-    read, total = _apply_schemes(blocks, layout, [Scheme.parse(scheme)], fmap)[0]
+    read, total = scheme_readbacks(blocks, layout, [Scheme.parse(scheme)], fmap)[0]
     ref_read, ref_total = reference_apply_scheme(blocks, layout, Scheme.parse(scheme), fmap)
     assert np.array_equal(read, ref_read)
     assert total == ref_total
@@ -283,11 +284,13 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
     schemes = [Scheme.parse(name) for name in names]
-    results = _apply_schemes(blocks, layout, schemes, fmap)
+    results = scheme_readbacks(blocks, layout, schemes, fmap)
     assert len(results) == len(schemes)
+    _, found = _apply_schemes(blocks, layout, schemes, fmap)
     reference = {}
-    for i, (scheme, (read, total)) in enumerate(zip(schemes, results)):
-        alone_read, alone_total = _apply_schemes(blocks, layout, [scheme], fmap)[0]
+    for i, (scheme, (read, total), (out, _)) in enumerate(zip(schemes, results, found,
+                                                              strict=True)):
+        alone_read, alone_total = scheme_readbacks(blocks, layout, [scheme], fmap)[0]
         assert np.array_equal(read, alone_read)
         assert total == alone_total
         if scheme not in reference:
@@ -295,8 +298,8 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
         ref_read, ref_total = reference[scheme]
         assert np.array_equal(read, ref_read)
         assert total == ref_total
-        assert not np.shares_memory(read, blocks)
-        assert not any(np.shares_memory(read, other) for other, _ in results[:i])
+        assert not np.shares_memory(out, blocks)
+        assert not any(np.shares_memory(out, other) for other, _ in found[:i])
 
 
 def random_stuck_blocks(seed, n, precision, density=0.02):
