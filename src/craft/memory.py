@@ -8,6 +8,7 @@ stuck with probability `ber`, and a stuck cell holds 1 with probability
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,25 +165,37 @@ def save_fault_map(fault_map: FaultMap, path) -> None:
 
 
 def load_fault_map(path) -> FaultMap:
+    """Read the text form that :func:`save_fault_map` writes.
+
+    After the header line, each entry is `bit_index value`: two ASCII
+    decimal integers, each with an optional sign, separated by whitespace.
+    Blank lines are ignored and entries may come in any order; the map
+    holds them ascending.  Raises ValueError for any non-ASCII character
+    after the header (non-ASCII digits and whitespace included), an entry
+    that is not exactly two such integers (`_` digit separators included),
+    an index outside `[0, size)`, a value other than 0 or 1, or an index
+    listed twice.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4:
             raise ValueError(f"malformed fault map header in {path}")
         size, ber, frac, seed = int(header[0]), float(header[1]), float(header[2]), int(header[3])
-        # Two lists of ints rather than a list of pairs: ints are not tracked
-        # by the garbage collector, so reading a large map sets off no
-        # collections, some of which would visit every object in the process.
-        indices, values = [], []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError(f"fault map line {lineno}: expected `bit_index value`, got {line.strip()!r}")
-            index, value = int(fields[0]), int(fields[1])
-            if not 0 <= index < size or value not in (0, 1):
-                raise ValueError(f"fault map line {lineno}: bad entry {line.strip()!r}")
-            indices.append(index)
-            values.append(value)
-    return FaultMap(size, np.array(indices, dtype=np.int64), np.array(values, dtype=np.uint8),
-                    ber, frac, seed)
+        body = fh.read()
+    if not body or body.isspace():  # loadtxt would warn "input contained no data"
+        entries = np.empty((0, 2), dtype=np.int64)
+    elif not body.isascii():
+        # numpy's text reader can crash on some non-ASCII input, and the
+        # format has no use for it.
+        raise ValueError(f"fault map entries in {path} hold a non-ASCII character")
+    else:
+        entries = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+    if entries.shape[1] != 2:  # every entry has as many fields as the first
+        raise ValueError(f"fault map entry 1: expected `bit_index value`, got "
+                         f"'{' '.join(map(str, entries[0].tolist()))}'")
+    index, value = entries[:, 0], entries[:, 1]
+    bad = (index < 0) | (index >= size) | (value < 0) | (value > 1)
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"fault map entry {row + 1}: bad entry '{index[row]} {value[row]}'")
+    return FaultMap(size, index, value.astype(np.uint8), ber, frac, seed)

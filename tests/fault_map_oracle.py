@@ -1,0 +1,34 @@
+"""Reference fault-map reader, one line at a time in plain Python.
+
+The package parses a fault map's entries with numpy in one pass; tests
+check it against this loop, which splits each line and converts its
+fields with `int()`.  The two differ on purpose where `int()` is looser
+than the documented format: `_` digit separators and non-ASCII digits or
+whitespace, which this reader accepts and the package rejects.
+"""
+
+import numpy as np
+
+from craft.memory import FaultMap
+
+
+def load_fault_map_ref(path) -> FaultMap:
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 4:
+            raise ValueError(f"malformed fault map header in {path}")
+        size, ber, frac, seed = int(header[0]), float(header[1]), float(header[2]), int(header[3])
+        indices, values = [], []
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise ValueError(f"fault map line {lineno}: expected `bit_index value`, got {line.strip()!r}")
+            index, value = int(fields[0]), int(fields[1])
+            if not 0 <= index < size or value not in (0, 1):
+                raise ValueError(f"fault map line {lineno}: bad entry {line.strip()!r}")
+            indices.append(index)
+            values.append(value)
+    return FaultMap(size, np.array(indices, dtype=np.int64), np.array(values, dtype=np.uint8),
+                    ber, frac, seed)

@@ -349,6 +349,17 @@ class TestEncodeDecode:
         assert code == 2
         assert "fault map" in err and "Traceback" not in err
 
+    def test_digit_separator_in_fault_map_exits_2(self, capsys, tmp_path):
+        # `int()` would read `1_0` as 10, a free cell of this empty map
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        fmap_path, _, _ = self._fault_map_path(tmp_path, model, 0.0)
+        with open(fmap_path, "a") as fh:
+            fh.write("1_0 1\n")
+        code, _, err = run(capsys, "encode-file", "--in", str(model),
+                           "--out", str(tmp_path / "m.blk"), "--fault-map", str(fmap_path))
+        assert code == 2
+        assert "cannot read fault map" in err and "Traceback" not in err
+
     def test_stuck_cells_past_the_weights_are_ignored(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
         blocks, layout = flatten_model(load_model(model))

@@ -1,8 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craft.memory import (FaultMap, apply_stuck, generate_fault_map, load_fault_map,
                           save_fault_map, stuck_words)
+from fault_map_oracle import load_fault_map_ref
 
 
 def make_map(size, entries):
@@ -19,6 +25,64 @@ def bits_of(words):
     """Bit i of a block at index i, LSB of word 0 first."""
     return np.unpackbits(np.ascontiguousarray(words, dtype="<u4").view(np.uint8),
                          axis=-1, bitorder="little")
+
+
+#: ASCII characters a damaged entry line may gain. `_` is left out: `int()`
+#: reads `1_0` as 10 and the loader rejects it on purpose.
+ENTRY_CHARS = "0123456789+- \t\r\x0b\x0c.ex#"
+
+
+def damage_entries(draw, lines, size):
+    """Apply up to five ASCII edits to a fault map's entry lines, in place."""
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["blank", "pad", "tab", "sign", "extra", "missing", "value",
+                                     "index", "duplicate", "swap", "insert", "delete"]))
+        if kind == "blank" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", " ", "\t", " \t  "])))
+            continue
+        at = draw(st.integers(0, len(lines) - 1))
+        line, fields = lines[at], lines[at].split()
+        if kind == "pad":
+            pad = draw(st.sampled_from([" ", "\t", "  \t"]))
+            line = pad + line if draw(st.booleans()) else line + pad
+        elif kind == "tab":
+            line = line.replace(" ", draw(st.sampled_from(["\t", "   ", " \t "])))
+        elif kind == "sign" and fields:
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(st.sampled_from("+-")) + fields[k]
+            line = " ".join(fields)
+        elif kind == "extra":
+            line += " " + draw(st.sampled_from(["0", "1", "7"]))
+        elif kind == "missing" and fields:
+            del fields[draw(st.integers(0, len(fields) - 1))]
+            line = " ".join(fields)
+        elif kind == "value" and len(fields) == 2:
+            line = f"{fields[0]} {draw(st.sampled_from(['2', '-1', '256']))}"
+        elif kind == "index" and len(fields) == 2:
+            line = f"{draw(st.sampled_from([size, -1]))} {fields[1]}"
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+            continue
+        elif kind == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], line
+            continue
+        elif kind == "insert":
+            pos = draw(st.integers(0, len(line)))
+            line = line[:pos] + draw(st.sampled_from(ENTRY_CHARS)) + line[pos:]
+        elif kind == "delete" and line:
+            pos = draw(st.integers(0, len(line) - 1))
+            line = line[:pos] + line[pos + 1:]
+        lines[at] = line
+
+
+def outcome(load, path):
+    """The map `load` reads from path, or None when it raises ValueError."""
+    try:
+        return load(path)
+    except ValueError:
+        return None
 
 
 class TestGenerate:
@@ -157,6 +221,11 @@ class TestFaultMapType:
             fmap.bit_indices[0] = 2
 
 
+@pytest.fixture(scope="module")
+def edited_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited") / "faults.txt"
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         fmap = generate_fault_map(4096, 1e-2, 0.25, 321)
@@ -174,9 +243,62 @@ class TestSerialization:
         assert lines[0].split() == ["16", "0.0", "0.5", "0"]
         assert lines[1:] == ["2 1", "5 0"]
 
-    @pytest.mark.parametrize("entry", ["17", "3 1 0", "5 2", "16 1", "-1 0", "x 1"])
-    def test_malformed_entry_rejected(self, tmp_path, entry):
+    @pytest.mark.parametrize("body", [
+        *(pytest.param(f"2 1\n{entry}\n", id=entry)
+          for entry in ["17", "3 1 0", "5 2", "16 1", "-1 0", "x 1", "3 256", "1_0 1",
+                        "\u0663 1", "99999999999999999999 1"]),
+        pytest.param("2\n5\n", id="one column"),
+        pytest.param("2 1 0\n5 0 1\n", id="three columns"),
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, body):
         path = tmp_path / "faults.txt"
-        path.write_text(f"16 0.0 0.5 0\n2 1\n{entry}\n")
+        path.write_text(f"16 0.0 0.5 0\n{body}")
         with pytest.raises(ValueError):
             load_fault_map(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("2 1\n\n16 1\n", "entry 2: bad entry '16 1'"),
+        ("2 1\n3 256\n", "entry 2: bad entry '3 256'"),
+        ("2 1\n1_0 1\n", "'1_0'"),
+        ("2 1 0\n5 0 1\n", "entry 1: expected `bit_index value`, got '2 1 0'"),
+    ], ids=["index is size", "value past uint8", "digit separator", "three columns"])
+    def test_error_names_the_entry(self, tmp_path, body, message):
+        path = tmp_path / "faults.txt"
+        path.write_text(f"16 0.0 0.5 0\n{body}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_fault_map(path)
+
+    @pytest.mark.parametrize("body, entries", [
+        ("", []),
+        ("\n  \n\t\n", []),
+        ("2 1\r\n\r\n\n5 0\r\n", [(2, 1), (5, 0)]),
+        ("9 1\n2 0\n5 1", [(2, 0), (5, 1), (9, 1)]),
+    ], ids=["header only", "whitespace only", "blank lines and CRLF", "unsorted"])
+    def test_accepted_bodies(self, tmp_path, body, entries):
+        path = tmp_path / "faults.txt"
+        path.write_text(f"16 0.0 0.5 0\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fmap = load_fault_map(path)
+        assert fmap.entries == entries
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(8, 200), ber=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_agrees_with_line_by_line_reader(self, edited_path, size, ber, seed, data):
+        save_fault_map(generate_fault_map(size, ber, 0.5, seed), edited_path)
+        header, *lines = edited_path.read_text().splitlines()
+        damage_entries(data.draw, lines, size)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join([header, *lines]) + data.draw(st.sampled_from([newline, ""]))
+        edited_path.write_bytes(text.encode("ascii"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = outcome(load_fault_map, edited_path)
+        ref = outcome(load_fault_map_ref, edited_path)
+        assert (new is None) == (ref is None), text
+        if new is not None:
+            assert new == ref
+            assert (new.ber, new.sa1_fraction, new.seed) == (ref.ber, ref.sa1_fraction, ref.seed)
+            assert new.bit_indices.dtype == ref.bit_indices.dtype
+            assert new.stuck_values.dtype == ref.stuck_values.dtype
