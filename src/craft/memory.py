@@ -170,11 +170,12 @@ def load_fault_map(path) -> FaultMap:
     After the header line, each entry is `bit_index value`: two ASCII
     decimal integers, each with an optional sign, separated by whitespace.
     Blank lines are ignored and entries may come in any order; the map
-    holds them ascending.  Raises ValueError for any non-ASCII character
-    after the header (non-ASCII digits and whitespace included), an entry
-    that is not exactly two such integers (`_` digit separators included),
-    an index outside `[0, size)`, a value other than 0 or 1, or an index
-    listed twice.
+    holds them ascending.  Raises ValueError for any character after the
+    header other than ASCII digits, `+`, `-`, spaces, tabs, vertical tabs,
+    form feeds and line breaks (so `_` separators, decimal points,
+    exponents and non-ASCII digits or whitespace), an entry that is not
+    exactly two integers, an index outside `[0, size)`, a value other
+    than 0 or 1, or an index listed twice.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -182,12 +183,18 @@ def load_fault_map(path) -> FaultMap:
             raise ValueError(f"malformed fault map header in {path}")
         size, ber, frac, seed = int(header[0]), float(header[1]), float(header[2]), int(header[3])
         body = fh.read()
-    if not body or body.isspace():  # loadtxt would warn "input contained no data"
+    # Checked before numpy sees the body: older numpy releases read `5.9`
+    # or `1e1` as an integer with only a DeprecationWarning, and some
+    # non-ASCII input crashes numpy's reader.
+    raw = body.encode("ascii", "replace")  # one '?' per non-ASCII character
+    stray = raw.translate(None, b"0123456789+- \t\n\x0b\x0c")
+    if stray:
+        at = raw.index(stray[:1])
+        lineno = raw.count(b"\n", 0, at)
+        line = body.split("\n")[lineno]
+        raise ValueError(f"fault map line {lineno + 2}: unexpected {body[at]!r} in {line!r}")
+    if not raw.strip():  # loadtxt would warn "input contained no data"
         entries = np.empty((0, 2), dtype=np.int64)
-    elif not body.isascii():
-        # numpy's text reader can crash on some non-ASCII input, and the
-        # format has no use for it.
-        raise ValueError(f"fault map entries in {path} hold a non-ASCII character")
     else:
         entries = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
     if entries.shape[1] != 2:  # every entry has as many fields as the first
