@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .codecs import PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
+from .codecs import N_CONFIGS, PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
 from .memory import FaultMap, apply_stuck, generate_fault_map
 from .nn import InferenceBuffers, MlpModel, QuantizedModel, accuracy
-from .objective import best_encodings, config_codes, deviation_words
+from .objective import best_encodings, deviation_words
 from .prng import make_rng, trial_seed
 from .weightfile import BlockLayout, flatten_model, unflatten_model
 
@@ -45,13 +45,14 @@ class Scheme:
         return f"ecp{self.ecp_n}" if self.kind == "ecp" else self.kind
 
     @property
-    def config_space(self):
-        """Encoding subspace searched by this scheme (None for non-encoding)."""
+    def n_configs(self) -> int:
+        """How many configs this scheme searches, a prefix of aux-code order
+        (0 for the schemes that do not encode)."""
         if self.kind == "craft":
-            return None  # full 64-config space
+            return N_CONFIGS
         if self.kind == "remap_invert":
-            return REMAP_INVERT_CONFIGS
-        return ()
+            return len(REMAP_INVERT_CONFIGS)
+        return 0
 
     @classmethod
     def parse(cls, text: str) -> "Scheme":
@@ -153,10 +154,10 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
     `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`.
     Returns the indices of the blocks holding stuck cells and, per scheme in
     order, their readout words and the total deviation; every other block
-    reads back unchanged with zero deviation.  The encoding schemes share
-    one search over the union of their config spaces (see
-    :func:`craft.objective.best_encodings`), and each one's total adds its
-    winners' search deltas.
+    reads back unchanged with zero deviation.  The encoding schemes search
+    nested prefixes of aux-code order, so they share one search of the
+    longest (see :func:`craft.objective.best_encodings`), and each one's
+    total adds its winners' search deltas.
     """
     if len(fault_map) == 0:
         return np.empty(0, dtype=np.intp), [(blocks[:0].copy(), 0.0) for _ in schemes]
@@ -165,9 +166,8 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     precision = layout.precision
-    searched = [config_codes(s.config_space) for s in schemes
-                if s.kind in ("remap_invert", "craft")]
-    found = iter(best_encodings(words, mask, stuck, precision, scale, searched))
+    sizes = [s.n_configs for s in schemes if s.n_configs]
+    found = iter(best_encodings(words, mask, stuck, precision, scale, sizes))
     results = []
     for scheme in schemes:
         if scheme.kind == "baseline":

@@ -37,6 +37,10 @@ class FaultMap:
         val = np.asarray(self.stuck_values, dtype=np.uint8)
         if self.region_size_bits <= 0:
             raise ValueError("fault map region must be non-empty")
+        if not 0.0 <= self.ber <= 1.0:
+            raise ValueError(f"ber must be in [0, 1], got {self.ber}")
+        if not 0.0 <= self.sa1_fraction <= 1.0:
+            raise ValueError(f"sa1_fraction must be in [0, 1], got {self.sa1_fraction}")
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("bit_indices and stuck_values must be parallel 1-D arrays")
         if idx.size:
@@ -99,10 +103,6 @@ def generate_fault_map(region_size_bits: int, ber: float, sa1_fraction: float = 
     """Draw an i.i.d. stuck-at fault map; deterministic for fixed arguments."""
     if region_size_bits <= 0:
         raise ValueError("fault map region must be non-empty")
-    if not 0.0 <= ber <= 1.0:
-        raise ValueError(f"ber must be in [0, 1], got {ber}")
-    if not 0.0 <= sa1_fraction <= 1.0:
-        raise ValueError(f"sa1_fraction must be in [0, 1], got {sa1_fraction}")
     rng = make_rng(seed)
     stuck = rng.random(region_size_bits) < ber
     indices = np.flatnonzero(stuck).astype(np.int64)
@@ -167,19 +167,23 @@ def save_fault_map(fault_map: FaultMap, path) -> None:
 def load_fault_map(path) -> FaultMap:
     """Read the text form that :func:`save_fault_map` writes.
 
-    After the header line, each entry is `bit_index value`: two ASCII
-    decimal integers, each with an optional sign, separated by whitespace.
-    Blank lines are ignored and entries may come in any order; the map
-    holds them ascending.  Raises ValueError for any character after the
-    header other than ASCII digits, `+`, `-`, spaces, tabs, vertical tabs,
+    The header is `size ber sa1_fraction seed`: four ASCII fields without
+    `_` separators, with `ber` and `sa1_fraction` in [0, 1].  After it,
+    each entry is `bit_index value`: two ASCII decimal integers, each with
+    an optional sign, separated by whitespace.  Blank lines are ignored and
+    entries may come in any order; the map holds them ascending.  Raises
+    ValueError for any other header, for any character after the header
+    other than ASCII digits, `+`, `-`, spaces, tabs, vertical tabs,
     form feeds and line breaks (so `_` separators, decimal points,
     exponents and non-ASCII digits or whitespace), an entry that is not
     exactly two integers, an index outside `[0, size)`, a value other
     than 0 or 1, or an index listed twice.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
+        first = fh.readline()
+        header = first.split()
+        # int() and float() also take `_` separators and non-ASCII digits.
+        if len(header) != 4 or not first.isascii() or "_" in first:
             raise ValueError(f"malformed fault map header in {path}")
         size, ber, frac, seed = int(header[0]), float(header[1]), float(header[2]), int(header[3])
         body = fh.read()

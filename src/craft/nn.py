@@ -102,8 +102,8 @@ class QuantizedLayer:
     biases: np.ndarray  # float32, untouched by quantization
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         if not 0 <= self.zero_point <= QMAX:
             raise ValueError("zero_point must be in [0, 255]")
         self.codes.setflags(write=False)

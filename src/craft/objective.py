@@ -2,23 +2,25 @@
 
 The quality of a stored block is judged by net deviation: the sum over the
 block's weights of |readout value - original value|.  For a given fault
-map the best encoding is found by brute force over the (sub)space of
-configurations, simulating store -> faulty readout -> decode for each one
-and keeping the argmin (ties go to the smallest aux code).
+map the best encoding is found by brute force over the first k configs in
+aux-code order, simulating store -> faulty readout -> decode for each one
+and keeping the argmin (ties go to the smallest aux code).  The aux code
+is ``key | invert << 4 | switch << 5``, so the encoding spaces nest as
+prefixes of that order: identity 1, remap 16, remap+invert 32, craft 64.
 
 The search runs on the word form of blocks (see :mod:`craft.codecs`) and
 in the data's frame: it never encodes.  :func:`craft.codecs.frame_stuck`
 gathers each block's stuck cells into the position where every logical
 word sits under every config, so a config's readback is the original words
-with those cells applied.  :func:`search_words` scores every config of a
-chunk of blocks in one word-major (16, configs, blocks) pass, in work
-arrays each thread keeps between calls.  :func:`best_encodings` runs one
-search over the union of several code sets, a chunk at a time, and gives
-each set its winners, their readbacks and their deltas from that one
-pass; :func:`store_words` builds on it and encodes the winners'
-readbacks into the words the memory holds.  :func:`search_best_encoding`
-is the one function that takes a block as 512 bits: a single-block search
-that reports every config's delta.
+with those cells applied.  :func:`search_words` scores the first k configs
+of a chunk of blocks in one word-major (16, k, blocks) pass, in work
+arrays each thread keeps between calls.  :func:`best_encodings` scores the
+longest of several prefixes once, a chunk at a time, and gives each prefix
+its winners, their readbacks and their deltas from that one pass;
+:func:`store_words` builds on it, searches all 64 configs and encodes the
+winners' readbacks into the words the memory holds.
+:func:`search_best_encoding` is the one function that takes a block as 512
+bits: a single-block search that reports every config's delta.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ NONFINITE_SENTINEL = 2.0 ** 128
 #: configs), so memory stays flat in the model size.
 SEARCH_CHUNK_BLOCKS = 32
 
-#: Aux codes of all 64 configs, ascending.
-ALL_CODES = np.arange(N_CONFIGS)
-ALL_CODES.setflags(write=False)
-
 _SLOTS = np.arange(REMAP_SLOTS)
 
 #: The order in which the search lays out a block's 16 words: halving it
@@ -56,7 +54,7 @@ _WORD_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15])
 
 #: _COLUMNS[p, c] = c ^ _WORD_ORDER[p]: the frame-table column of the
 #: p-th laid-out word under aux code c.
-_COLUMNS = _WORD_ORDER[:, None] ^ ALL_CODES
+_COLUMNS = _WORD_ORDER[:, None] ^ np.arange(N_CONFIGS)
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,8 @@ class WeightView:
         if self.precision is Precision.U8:
             if self.scale is None or self.zero_point is None:
                 raise ValueError("u8 views require scale and zero_point")
-            if self.scale <= 0:
-                raise ValueError("scale must be positive")
+            if not 0 < self.scale < math.inf:
+                raise ValueError("scale must be positive and finite")
             if not 0 <= self.zero_point <= 255:
                 raise ValueError("zero_point must be in [0, 255]")
         elif self.scale is not None or self.zero_point is not None:
@@ -234,106 +232,96 @@ def _score(words, mask_t, stuck_t, precision, scale, columns, out: np.ndarray) -
     return _sum_halves(terms, out)
 
 
-def _scored_chunks(words, mask, stuck, precision, scale, codes):
+def _check_size(n_configs: int) -> None:
+    if not 1 <= n_configs <= N_CONFIGS:
+        raise ValueError(f"a search covers 1 to {N_CONFIGS} configs, got {n_configs}")
+
+
+def _scored_chunks(words, mask, stuck, precision, scale, n_configs):
     """Per chunk of at most :data:`SEARCH_CHUNK_BLOCKS` blocks: its slice,
-    its frame tables and its (len(codes), m) deltas.  The deltas live in
-    the calling thread's workspace until the next chunk."""
-    columns = _COLUMNS[:, codes]
+    its frame tables and the (n_configs, m) deltas of aux codes 0 to
+    n_configs - 1.  The deltas live in the calling thread's workspace until
+    the next chunk."""
+    columns = _COLUMNS[:, :n_configs]
     for lo in range(0, words.shape[0], SEARCH_CHUNK_BLOCKS):
         part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
         x = words[part]
         mask_t, stuck_t = frame_stuck(mask[part], stuck[part], precision)
-        scores = _WORK.array("scores", np.float64, (len(codes), x.shape[0]))
+        scores = _WORK.array("scores", np.float64, (n_configs, x.shape[0]))
         _score(x, mask_t, stuck_t, precision, None if scale is None else scale[part],
                columns, scores)
         yield part, mask_t, stuck_t, scores
 
 
 def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
-                 precision: Precision, scale, codes: np.ndarray) -> np.ndarray:
-    """Deltas of every config in `codes` for every one of (n, 16) blocks.
+                 precision: Precision, scale, n_configs: int = N_CONFIGS) -> np.ndarray:
+    """Deltas of aux codes 0 to n_configs - 1 for every one of (n, 16) blocks.
 
     Each config's store -> faulty readout -> decode is found in the data's
     frame (see :func:`craft.codecs.frame_stuck`), all configs of
     :data:`SEARCH_CHUNK_BLOCKS` blocks in one pass; `mask` and `stuck` are
     the blocks' stuck cells (see :func:`craft.memory.stuck_words`) and
     `scale` is None for fp32 or the per-block u8 scales, shape (n,).
-    Returns (n, len(codes)) deltas.  Work memory is kept per thread and
-    bounded by one chunk, whatever n is.
+    Returns (n, n_configs) deltas, column c holding aux code c.  Raises
+    ValueError unless 1 <= n_configs <= 64.  Work memory is kept per
+    thread and bounded by one chunk, whatever n is.
     """
-    codes = np.asarray(codes)
-    deltas = np.empty((len(codes), words.shape[0]))
-    for part, _, _, scores in _scored_chunks(words, mask, stuck, precision, scale, codes):
+    _check_size(n_configs)
+    deltas = np.empty((n_configs, words.shape[0]))
+    for part, _, _, scores in _scored_chunks(words, mask, stuck, precision, scale, n_configs):
         deltas[:, part] = scores
     return deltas.T
 
 
-def best_indices(deltas: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per row of `deltas`, the index of the minimal delta; ties go to the
-    smallest aux code, whatever the order of `codes`."""
-    minimal = deltas == deltas.min(axis=-1, keepdims=True)
-    return np.argmin(np.where(minimal, codes, N_CONFIGS), axis=-1)
-
-
 def best_encodings(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
-                   precision: Precision, scale, code_sets: Sequence[np.ndarray]):
-    """Each block's best config within each of several code sets.
+                   precision: Precision, scale, sizes: Sequence[int]):
+    """Each block's best config among the first `size` aux codes, for each
+    of `sizes`.
 
-    One search scores the union of the sets, :data:`SEARCH_CHUNK_BLOCKS`
-    blocks at a time; each set's winners come from that set's rows of the
-    scores, ties going to the smallest aux code.  Returns, per set in order, the
-    chosen aux code of each block, its (n, 16) readback words (decoded,
-    stuck cells applied) and its net deviation.  Each result equals a
-    search of that set alone.
+    One search scores the first max(sizes) configs,
+    :data:`SEARCH_CHUNK_BLOCKS` blocks at a time; a size's winner is the
+    first minimum of its leading rows of the scores.  No delta is NaN
+    (fp32 non-finite weights score the sentinel, and u8 scales are
+    finite), so that is the smallest aux code among the minimal deltas.
+    Returns, per size in order, the chosen aux code of each block, its
+    (n, 16) readback words (decoded, stuck cells applied) and its net
+    deviation.  Each result equals a search of that size alone.  Raises
+    ValueError unless every size is in [1, 64].
     """
-    code_sets = [np.asarray(codes) for codes in code_sets]
+    for size in sizes:
+        _check_size(size)
     n = words.shape[0]
-    found = [(np.empty(n, dtype=codes.dtype), np.empty_like(words), np.empty(n))
-             for codes in code_sets]
-    if not code_sets:
+    found = [(np.empty(n, dtype=np.intp), np.empty_like(words), np.empty(n)) for _ in sizes]
+    if not sizes:
         return found
-    present = np.zeros(N_CONFIGS, dtype=bool)
-    for codes in code_sets:
-        present[codes] = True
-    union = np.flatnonzero(present)
-    union_row = np.cumsum(present) - 1  # where each code's deltas sit in the union's
     for part, mask_t, stuck_t, scored in _scored_chunks(words, mask, stuck, precision,
-                                                        scale, union):
+                                                        scale, max(sizes)):
         x = words[part]
         rows = np.arange(x.shape[0])
-        for codes, (chosen, readback, deltas) in zip(code_sets, found):
-            own = scored[union_row[codes]].T
-            best = best_indices(own, codes)
-            chosen[part] = codes[best]
-            deltas[part] = own[rows, best]
-            won = rows[:, None], codes[best][:, None] ^ _SLOTS
+        for size, (chosen, readback, deltas) in zip(sizes, found):
+            best = np.argmin(scored[:size], axis=0)
+            chosen[part] = best
+            deltas[part] = scored[best, rows]
+            won = rows[:, None], best[:, None] ^ _SLOTS
             readback[part] = (x & ~mask_t[won]) | stuck_t[won]
     return found
 
 
 def store_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
-                precision: Precision, scale=None, codes: np.ndarray = ALL_CODES):
-    """Store (n, 16) blocks, each with the best encoding for its stuck cells.
+                precision: Precision, scale=None):
+    """Store (n, 16) blocks, each with the best of all 64 encodings for its
+    stuck cells.
 
     Returns the chosen aux code of each block (see :func:`best_encodings`),
     the stored words as the memory holds them (encoded, stuck cells
     overriding) and each block's achieved net deviation.
     """
-    chosen, readback, deltas = best_encodings(words, mask, stuck, precision, scale, [codes])[0]
+    chosen, readback, deltas = best_encodings(words, mask, stuck, precision, scale,
+                                              [N_CONFIGS])[0]
     # Encoding inverts decoding, so this is the encoded block with the
     # stuck cells applied.
     stored = encode_words(readback, chosen, precision)
     return chosen, stored, deltas
-
-
-def config_codes(configs: Sequence[EncodingConfig] | None) -> np.ndarray:
-    """Aux codes of a config sequence, in its order; None means all 64."""
-    if configs is None:
-        return ALL_CODES
-    codes = np.array([c.aux_code for c in configs], dtype=np.intp)
-    if not codes.size:
-        raise ValueError("search needs at least one config")
-    return codes
 
 
 def _single_block(original: np.ndarray, fault_map: FaultMap, offset: int, view: WeightView):
@@ -352,15 +340,17 @@ def search_best_encoding(original: np.ndarray, fault_map: FaultMap, offset: int,
     """Exhaustively evaluate every config and pick the minimal-deviation one.
 
     `original` is one block as 512 0/1 values, bit w*32+k being bit k of
-    word w, at bit `offset` of the fault map's region.  For each config the
-    stored block is the encoded original; it reads back through the fault
-    map and is decoded, and the reported delta is the deviation of that
-    readback from the original.  Ties break toward the smallest aux code,
-    so identical inputs always produce identical reports.
+    word w, at bit `offset` of the fault map's region.  `configs` is a
+    non-empty prefix of :data:`craft.codecs.ALL_CONFIGS` (None means all
+    64); anything else raises ValueError.  For each config the stored
+    block is the encoded original; it reads back through the fault map and
+    is decoded, and the reported delta is the deviation of that readback
+    from the original.  Ties break toward the smallest aux code, so
+    identical inputs always produce identical reports.
     """
-    words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
     configs = ALL_CONFIGS if configs is None else tuple(configs)
-    codes = config_codes(configs)
-    deltas = search_words(words, mask, stuck, view.precision, scale, codes)
-    return DeviationReport(configs=configs, deltas=deltas[0],
-                           best_index=int(best_indices(deltas, codes)[0]))
+    if not configs or configs != ALL_CONFIGS[:len(configs)]:
+        raise ValueError("search configs must be a non-empty prefix of ALL_CONFIGS")
+    words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
+    deltas = search_words(words, mask, stuck, view.precision, scale, len(configs))[0]
+    return DeviationReport(configs=configs, deltas=deltas, best_index=int(np.argmin(deltas)))

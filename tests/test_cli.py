@@ -390,6 +390,28 @@ class TestEncodeDecode:
         assert "smaller than" in err
 
 
+    @pytest.mark.parametrize("fields", [
+        ("{size}", "nan", "0.5", "0"),
+        ("{size}", "-5", "0.5", "0"),
+        ("{size}", "0.0", "inf", "0"),
+        ("1_{size}", "0.0", "0.5", "0"),
+        ("{arabic}", "0.0", "0.5", "0"),
+    ], ids=["nan ber", "negative ber", "infinite sa1", "digit separator", "non-ASCII digits"])
+    def test_bad_fault_map_header_exits_2(self, capsys, tmp_path, fields):
+        model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
+        fmap_path, _, _ = self._fault_map_path(tmp_path, model, 1e-2)
+        header, *lines = fmap_path.read_text().splitlines()
+        size = header.split()[0]
+        arabic = "".join(chr(0x660 + int(d)) for d in size)
+        header = " ".join(f.format(size=size, arabic=arabic) for f in fields)
+        fmap_path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "encode-file", "--in", str(model),
+                           "--out", str(tmp_path / "m.blk"), "--fault-map", str(fmap_path))
+        assert code == 2
+        assert "cannot read fault map" in err and "Traceback" not in err
+        assert not (tmp_path / "m.blk").exists()
+
+
 class TestRunChecks:
     """sweep and criticality reject bad runs before any trial."""
 
@@ -469,6 +491,57 @@ class TestOutputChecks:
         self.check_exit(capsys, "decode-file", "--in", str(inputs / "m.blk"),
                         "--sidecar", str(inputs / "m.aux"),
                         "--out", str(inputs / out_dir / "o.w"))
+
+
+def u8_container(magic: bytes, scale: float) -> bytes:
+    """A file holding one 16 x 4 u8 layer with quantization `scale`: the
+    header, then 64 codes, which are also a block file's one block."""
+    return (magic + struct.pack("<BI", 1, 1) + struct.pack("<II", 16, 4)
+            + struct.pack("<di", scale, 128) + bytes(4 * 4) + bytes(64))
+
+
+NONFINITE_SCALES = pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                                     float("-inf")], ids=str)
+
+
+class TestNonFiniteScale:
+    """A u8 layer's scale must be a positive finite number in every file."""
+
+    @NONFINITE_SCALES
+    @pytest.mark.parametrize("command", ["encode-file", "sweep", "criticality"])
+    def test_weight_file_exits_2(self, capsys, tmp_path, scale, command):
+        (tmp_path / "m.w").write_bytes(u8_container(b"CRFTW1", scale))
+        (tmp_path / "faults.txt").write_text("512 0.0 0.5 0\n")
+        if command == "encode-file":
+            argv = ["--in", str(tmp_path / "m.w"), "--fault-map", str(tmp_path / "faults.txt"),
+                    "--out", str(tmp_path / "o.blk")]
+        else:
+            argv = ["--model", str(tmp_path / "m.w"), "--trials", "1",
+                    "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert "cannot read model file" in err and "Traceback" not in err
+        assert "nan" not in out
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["faults.txt", "m.w"]
+
+    @NONFINITE_SCALES
+    def test_block_file_exits_2(self, capsys, tmp_path, scale):
+        (tmp_path / "m.blk").write_bytes(u8_container(b"CRFTB1", scale))
+        (tmp_path / "m.aux").write_text("0 00\n")
+        code, _, err = run(capsys, "decode-file", "--in", str(tmp_path / "m.blk"),
+                           "--sidecar", str(tmp_path / "m.aux"), "--out", str(tmp_path / "o.w"))
+        assert code == 2
+        assert "does not describe a model" in err and "Traceback" not in err
+        assert not (tmp_path / "o.w").exists()
+
+    def test_finite_scale_is_read(self, capsys, tmp_path):
+        (tmp_path / "m.w").write_bytes(u8_container(b"CRFTW1", 0.5))
+        (tmp_path / "faults.txt").write_text("512 0.0 0.5 0\n")
+        code, _, err = run(capsys, "encode-file", "--in", str(tmp_path / "m.w"),
+                           "--fault-map", str(tmp_path / "faults.txt"),
+                           "--out", str(tmp_path / "o.blk"))
+        assert code == 0, err
+        assert load_model(tmp_path / "m.w").layers[0].scale == 0.5
 
 
 # A header that declares one 4 x 0xFFFFFFFF fp32 layer and ends there: the

@@ -41,8 +41,10 @@ class TestScheme:
             Scheme.parse("hamming")
 
     def test_config_spaces_nest(self):
-        assert Scheme("craft").config_space is None
-        assert len(Scheme("remap_invert").config_space) == 32
+        assert Scheme("craft").n_configs == 64
+        assert Scheme("remap_invert").n_configs == 32
+        assert Scheme("baseline").n_configs == 0
+        assert Scheme.parse("ecp3").n_configs == 0
 
 
 class TestRunTrial:
@@ -268,9 +270,9 @@ def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_datase
     searches = []
     search = harness.best_encodings
 
-    def counted(words, mask, stuck, precision, scale, code_sets):
-        searches.append([len(codes) for codes in code_sets])
-        return search(words, mask, stuck, precision, scale, code_sets)
+    def counted(words, mask, stuck, precision, scale, sizes):
+        searches.append(list(sizes))
+        return search(words, mask, stuck, precision, scale, sizes)
 
     monkeypatch.setattr(harness, "best_encodings", counted)
     ber_sweep(u8_model, default_dataset, SCHEMES, [0.0, 1e-3, 1e-2], 2, 7)

@@ -215,6 +215,14 @@ class TestFaultMapType:
         with pytest.raises(ValueError):
             make_map(64, [(64, 1)])
 
+    @pytest.mark.parametrize("ber, sa1_fraction", [
+        (float("nan"), 0.5), (-5.0, 0.5), (1.5, 0.5),
+        (0.0, float("inf")), (0.0, float("nan")), (0.0, -0.1),
+    ], ids=str)
+    def test_probabilities_outside_unit_interval_rejected(self, ber, sa1_fraction):
+        with pytest.raises(ValueError, match="must be in \\[0, 1\\]"):
+            FaultMap(64, np.array([1]), np.array([1], dtype=np.uint8), ber, sa1_fraction, 0)
+
     def test_immutable(self):
         fmap = make_map(64, [(1, 1)])
         with pytest.raises(ValueError):
@@ -242,6 +250,26 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0].split() == ["16", "0.0", "0.5", "0"]
         assert lines[1:] == ["2 1", "5 0"]
+
+    @pytest.mark.parametrize("ber", [0.0, 1e-5, 1.0])
+    def test_generated_maps_roundtrip(self, tmp_path, ber):
+        fmap = generate_fault_map(2048, ber, 0.5, 7)
+        path = tmp_path / "faults.txt"
+        save_fault_map(fmap, path)
+        loaded = load_fault_map(path)
+        assert loaded == fmap
+        assert (loaded.ber, loaded.sa1_fraction, loaded.seed) == (ber, 0.5, 7)
+
+    @pytest.mark.parametrize("header", [
+        "1_6 nan inf 0", "\u0663\u0662 -5 7 0", "16 nan 0.5 0", "16 -5 0.5 0", "16 1.5 0.5 0",
+        "16 0.0 inf 0", "16 0.0 -0.5 0", "16 0.0 nan 0", "1_6 0.0 0.5 0", "16 0.0 0.5 1_0",
+        "16 0_0.1 0.5 0", "16 0.0 0.5 \u0661", "16\u00a00.0 0.5 0", "16 0.0 0.5",
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "faults.txt"
+        path.write_text(f"{header}\n2 1\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_fault_map(path)
 
     @pytest.mark.parametrize("body", [
         *(pytest.param(f"2 1\n{entry}\n", id=entry)

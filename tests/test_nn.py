@@ -207,6 +207,13 @@ class TestModelTypes:
         with pytest.raises(ValueError):
             nn.QuantizedModel(layers=())
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")],
+                             ids=str)
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            nn.QuantizedLayer(codes=np.zeros((2, 3), dtype=np.uint8), scale=scale,
+                              zero_point=0, biases=np.zeros(3, dtype=np.float32))
+
     def test_default_model_size(self, fp32_model, u8_model):
         assert fp32_model.layer_dims == (16, 32, 32, 4)
         assert u8_model.layer_dims == (16, 32, 32, 4)

@@ -45,6 +45,12 @@ class TestWeightView:
         with pytest.raises(ValueError):
             WeightView(Precision.U8, scale=1.0, zero_point=300)
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf"), float("-inf")],
+                             ids=str)
+    def test_u8_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            WeightView(Precision.U8, scale=scale, zero_point=0)
+
     def test_fp32_forbids_quant_params(self):
         with pytest.raises(ValueError):
             WeightView(Precision.FP32, scale=1.0, zero_point=0)

@@ -3,7 +3,7 @@
 The search, fault application, ECP and deviation are re-derived on plain
 Python integers in ``codec_oracle``; the search's frame readbacks are
 compared with encode -> stuck cells -> decode, one shared search with a
-search of each code set alone, and the harness's batched scheme
+search of each prefix of aux-code order alone, and the harness's batched scheme
 application with a per-block loop over the integer references.
 The chunked search and its per-thread work arrays are checked against
 one-block searches, searches in fresh threads and concurrent threads.
@@ -17,17 +17,18 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from craft.codecs import (PAYLOAD_BITS, EncodingConfig, Precision, decode_words,
-                          encode_words, frame_stuck)
+from craft.codecs import (ALL_CONFIGS, PAYLOAD_BITS, Precision, decode_words, encode_words,
+                          frame_stuck)
 from craft.harness import Scheme, _apply_schemes
 from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
 from craft import objective
-from craft.objective import (ALL_CODES, NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, WeightView,
-                             best_encodings, best_indices, config_codes, deviation_words,
-                             search_best_encoding, search_words, store_words)
+from craft.objective import (NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, WeightView,
+                             best_encodings, deviation_words, search_best_encoding,
+                             search_words, store_words)
 from craft.weightfile import flatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -61,11 +62,8 @@ def stuck_cells(draw):
     return {p: draw(st.integers(0, 1)) for p in sorted(positions)}
 
 
-config_orders = st.one_of(
-    st.none(),
-    st.permutations(range(64)).flatmap(
-        lambda perm: st.integers(1, 64).map(lambda n: list(perm[:n]))),
-)
+#: How many configs a search covers: a prefix of aux-code order.
+prefix_sizes = st.integers(1, 64)
 
 
 def bits_of(words):
@@ -83,33 +81,58 @@ def fault_map_of(cells):
 
 
 @settings(max_examples=150, deadline=None)
-@given(words=blocks, cells=stuck_cells(), order=config_orders,
+@given(words=blocks, cells=stuck_cells(), size=st.one_of(st.none(), prefix_sizes),
        precision=st.sampled_from(["fp32", "u8"]),
        scale=st.floats(1e-3, 10.0, allow_nan=False))
 # all-SA1 cells read every weight of a non-inverting fp32 config back as NaN
 @example(words=[0x3F800000] * 16, cells={p: 1 for p in range(PAYLOAD_BITS)},
-         order=None, precision="fp32", scale=1.0)
-def test_search_matches_integer_reference(words, cells, order, precision, scale):
+         size=None, precision="fp32", scale=1.0)
+def test_search_matches_integer_reference(words, cells, size, precision, scale):
     view = (WeightView(Precision.FP32) if precision == "fp32"
             else WeightView(Precision.U8, scale=scale, zero_point=0))
     fmap = fault_map_of(cells)
-    configs = None if order is None else [EncodingConfig.from_aux_code(c) for c in order]
-    codes = list(range(64)) if order is None else order
+    configs = None if size is None else ALL_CONFIGS[:size]
+    codes = list(range(64 if size is None else size))
     report = search_best_encoding(bits_of(words), fmap, OFFSET, view, configs)
 
-    expected = search_ref(words, cells, precision, view.scale, codes)
+    every = search_ref(words, cells, precision, view.scale, range(64))
+    expected = every[:len(codes)]
     assert [c.aux_code for c in report.configs] == codes
     assert report.deltas.tolist() == expected
-    best = min(range(len(codes)), key=lambda i: (expected[i], codes[i]))
+    best = min(codes, key=lambda c: (expected[c], c))
     assert report.best_index == best
 
     mask, stuck = stuck_words(fmap, OFFSET)
     scales = None if view.scale is None else np.array([view.scale])
-    chosen, stored, delta = store_words(np.array([words], dtype=np.uint32), mask, stuck,
-                                        view.precision, scales, np.array(codes))
-    assert chosen[0] == codes[best]
+    block = np.array([words], dtype=np.uint32)
+    chosen, _, delta = best_encodings(block, mask, stuck, view.precision, scales,
+                                      [len(codes)])[0]
+    assert chosen[0] == best
     assert delta[0] == expected[best]
-    assert stored[0].tolist() == stuck_ref(encode_ref(words, codes[best], precision), cells)
+    best = min(range(64), key=lambda c: (every[c], c))
+    chosen, stored, delta = store_words(block, mask, stuck, view.precision, scales)
+    assert chosen[0] == best
+    assert delta[0] == every[best]
+    assert stored[0].tolist() == stuck_ref(encode_ref(words, best, precision), cells)
+
+
+def test_search_rejects_configs_that_are_not_a_prefix():
+    block, fmap = bits_of([0] * 16), fault_map_of({3: 1})
+    for configs in (ALL_CONFIGS[1:], ALL_CONFIGS[:8][::-1], (), ALL_CONFIGS + ALL_CONFIGS[:1]):
+        with pytest.raises(ValueError, match="prefix"):
+            search_best_encoding(block, fmap, OFFSET, WeightView(Precision.FP32), configs)
+
+
+@pytest.mark.parametrize("n_configs", [0, 65, -1])
+def test_search_sizes_outside_1_to_64_rejected(n_configs):
+    words, mask, stuck, precision, scale = random_stuck_blocks(2, 3, Precision.U8)
+    for n in (3, 0):
+        inputs = words[:n], mask[:n], stuck[:n], precision, scale[:n]
+        with pytest.raises(ValueError, match="1 to 64"):
+            search_words(*inputs, n_configs)
+        for sizes in ([n_configs], [64, n_configs]):
+            with pytest.raises(ValueError, match="1 to 64"):
+                best_encodings(*inputs, sizes)
 
 
 def test_all_sa1_fp32_block_loses_to_nan_unless_inverted():
@@ -154,11 +177,10 @@ def reference_apply_scheme(blocks, layout, scheme, fault_map):
                    else ecp_ref(words, cells, scheme.ecp_n))
             delta = deviation_ref(words, out, precision, scale)
         else:
-            codes = config_codes(scheme.config_space).tolist()
-            deltas = search_ref(words, cells, precision, scale, codes)
-            best = min(range(len(codes)), key=lambda i: (deltas[i], codes[i]))
-            stored = stuck_ref(encode_ref(words, codes[best], precision), cells)
-            out = decode_ref(stored, codes[best], precision)
+            deltas = search_ref(words, cells, precision, scale, range(scheme.n_configs))
+            best = min(range(scheme.n_configs), key=lambda c: (deltas[c], c))
+            stored = stuck_ref(encode_ref(words, best, precision), cells)
+            out = decode_ref(stored, best, precision)
             delta = deltas[best]
         read[b] = out
         total += delta
@@ -232,35 +254,42 @@ def test_frame_readback_matches_encode_stuck_decode(data, precision):
         assert np.array_equal(got, expected), code
 
 
-code_subsets = st.permutations(range(64)).flatmap(
-    lambda perm: st.integers(1, 64).map(lambda n: list(perm[:n])))
+def smallest_minimal_codes(scored):
+    """Per row of (n, k) deltas, the smallest aux code whose delta is minimal."""
+    return np.array([np.flatnonzero(row == row.min())[0] for row in scored])
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=stuck_blocks, precision=precisions,
-       code_sets=st.lists(code_subsets, min_size=1, max_size=4),
+       sizes=st.lists(prefix_sizes, min_size=1, max_size=4),
        scale=st.floats(1e-3, 10.0, allow_nan=False))
 @example(data=[(NONFINITE, ALL_SA1), (NONFINITE, ALL_SA0)], precision=Precision.FP32,
-         code_sets=[list(range(64)), list(range(32)), list(range(64))], scale=1.0)
-def test_shared_search_matches_each_code_set_alone(data, precision, code_sets, scale):
+         sizes=[64, 32, 64], scale=1.0)
+def test_shared_search_matches_each_code_set_alone(data, precision, sizes, scale):
     words, mask, stuck = as_arrays(data)
     scales = None if precision is Precision.FP32 else np.full(len(data), scale)
     rows = np.arange(len(data))
-    found = best_encodings(words, mask, stuck, precision, scales, code_sets)
-    assert len(found) == len(code_sets)
-    for codes, (chosen, readback, deltas) in zip(code_sets, found):
-        codes = np.array(codes)
-        scored = search_words(words, mask, stuck, precision, scales, codes)
-        best = best_indices(scored, codes)
-        assert chosen.tolist() == codes[best].tolist()
+    every = search_words(words, mask, stuck, precision, scales)
+    found = best_encodings(words, mask, stuck, precision, scales, sizes)
+    assert len(found) == len(sizes)
+    for size, (chosen, readback, deltas) in zip(sizes, found):
+        scored = search_words(words, mask, stuck, precision, scales, size)
+        assert scored.tolist() == every[:, :size].tolist()
+        best = smallest_minimal_codes(scored)
+        assert chosen.tolist() == best.tolist()
         assert deltas.tolist() == scored[rows, best].tolist()
         assert np.array_equal(readback, chain_readback(words, mask, stuck, chosen, precision))
         assert deltas.tolist() == deviation_words(words, readback, precision, scales).tolist()
-        alone, stored, alone_deltas = store_words(words, mask, stuck, precision, scales, codes)
+        alone, alone_readback, alone_deltas = best_encodings(words, mask, stuck, precision,
+                                                             scales, [size])[0]
         assert alone.tolist() == chosen.tolist()
         assert alone_deltas.tolist() == deltas.tolist()
-        assert np.array_equal(stored, apply_stuck(encode_words(words, chosen, precision),
-                                                  mask, stuck))
+        assert np.array_equal(alone_readback, readback)
+    chosen, stored, deltas = store_words(words, mask, stuck, precision, scales)
+    assert chosen.tolist() == smallest_minimal_codes(every).tolist()
+    assert deltas.tolist() == every[rows, chosen].tolist()
+    assert np.array_equal(stored, apply_stuck(encode_words(words, chosen, precision),
+                                              mask, stuck))
 
 
 SCHEME_NAMES = ["baseline", "ecp1", "ecp3", "remap_invert", "craft"]
@@ -330,12 +359,13 @@ def reference_deltas(words, mask, stuck, precision, scale, codes):
                      for code in codes], axis=-1)
 
 
-def searches(words, mask, stuck, precision, scale, codes):
+def searches(words, mask, stuck, precision, scale, n_configs):
     """Every public search result for one input, as plain arrays."""
-    found = best_encodings(words, mask, stuck, precision, scale, [codes, codes[::2]])
-    return ([search_words(words, mask, stuck, precision, scale, codes)]
+    found = best_encodings(words, mask, stuck, precision, scale,
+                           [n_configs, (n_configs + 1) // 2])
+    return ([search_words(words, mask, stuck, precision, scale, n_configs)]
             + [array for result in found for array in result]
-            + list(store_words(words, mask, stuck, precision, scale, codes)))
+            + list(store_words(words, mask, stuck, precision, scale)))
 
 
 def assert_same(got, expected):
@@ -359,50 +389,49 @@ CHUNKED = 2 * SEARCH_CHUNK_BLOCKS + 3
 
 
 def test_chunked_search_matches_one_block_at_a_time():
-    codes = np.array([5, 0, 63, 16, 32, 48, 17, 33])
     for precision in Precision:
         words, mask, stuck, _, scale = random_stuck_blocks(1, CHUNKED, precision, 0.05)
-        for code_set in (ALL_CODES, codes):
+        for n_configs in (64, 8):
             chosen, deltas = [], []
             for b in range(CHUNKED):
                 one = slice(b, b + 1)
                 scored = search_words(words[one], mask[one], stuck[one], precision,
-                                      None if scale is None else scale[one], code_set)
-                best = best_indices(scored, code_set)[0]
-                chosen.append(code_set[best])
+                                      None if scale is None else scale[one], n_configs)
+                best = smallest_minimal_codes(scored)[0]
+                chosen.append(best)
                 deltas.append(scored[0, best])
             found_chosen, readback, found_deltas = best_encodings(
-                words, mask, stuck, precision, scale, [code_set])[0]
+                words, mask, stuck, precision, scale, [n_configs])[0]
             assert found_chosen.tolist() == chosen
             assert found_deltas.tolist() == deltas
             assert np.array_equal(readback, chain_readback(words, mask, stuck, found_chosen,
                                                            precision))
-            stored_chosen, stored, stored_deltas = store_words(words, mask, stuck, precision,
-                                                               scale, code_set)
-            assert stored_chosen.tolist() == chosen
-            assert stored_deltas.tolist() == deltas
-            assert np.array_equal(stored, apply_stuck(encode_words(words, stored_chosen,
-                                                                   precision), mask, stuck))
+            if n_configs == 64:
+                stored_chosen, stored, stored_deltas = store_words(words, mask, stuck,
+                                                                   precision, scale)
+                assert stored_chosen.tolist() == chosen
+                assert stored_deltas.tolist() == deltas
+                assert np.array_equal(stored, apply_stuck(encode_words(words, stored_chosen,
+                                                                       precision), mask, stuck))
 
 
 def test_small_search_after_a_large_one_matches_a_fresh_thread():
     small = {p: random_stuck_blocks(3, 5, p, 0.2) for p in Precision}
-    codes = np.array([40, 1, 22, 63, 0])
-    fresh = {p: in_new_thread(searches, *small[p], codes) for p in Precision}
+    fresh = {p: in_new_thread(searches, *small[p], 8) for p in Precision}
     for p, inputs in small.items():
-        assert np.array_equal(fresh[p][0], reference_deltas(*inputs, codes))
+        assert np.array_equal(fresh[p][0], reference_deltas(*inputs, range(8)))
     for large in Precision:
-        searches(*random_stuck_blocks(4, CHUNKED, large, 0.5), ALL_CODES)
+        searches(*random_stuck_blocks(4, CHUNKED, large, 0.5), 64)
         for p in Precision:
-            assert_same(searches(*small[p], codes), fresh[p])
+            assert_same(searches(*small[p], 8), fresh[p])
 
 
 def test_results_do_not_alias_the_workspace():
     for precision in Precision:
         first_in = random_stuck_blocks(5, 40, precision, 0.1)
-        first = searches(*first_in, ALL_CODES)
+        first = searches(*first_in, 64)
         kept = [a.copy() for a in first]
-        searches(*random_stuck_blocks(6, 40, precision, 0.3), ALL_CODES)
+        searches(*random_stuck_blocks(6, 40, precision, 0.3), 64)
         assert_same(first, kept)
         for array in first:
             assert not any(np.shares_memory(array, buf) for buf in objective._WORK.flat.values())
@@ -411,7 +440,7 @@ def test_results_do_not_alias_the_workspace():
 def test_workspace_stays_within_one_chunk():
     def one_chunk():
         for precision in Precision:
-            searches(*random_stuck_blocks(7, SEARCH_CHUNK_BLOCKS, precision), ALL_CODES)
+            searches(*random_stuck_blocks(7, SEARCH_CHUNK_BLOCKS, precision), 64)
         return workspace_nbytes()
 
     def many_sizes():
@@ -419,8 +448,7 @@ def test_workspace_stays_within_one_chunk():
                  SEARCH_CHUNK_BLOCKS + 1, CHUNKED, 5 * SEARCH_CHUNK_BLOCKS + 7, 64, 9]
         for i, n in enumerate(sizes):
             for precision in Precision:
-                codes = ALL_CODES if i % 2 else ALL_CODES[i % 5::3]
-                searches(*random_stuck_blocks(i, n, precision), codes)
+                searches(*random_stuck_blocks(i, n, precision), 64 if i % 2 else 8 + i)
         return workspace_nbytes()
 
     chunk_bytes = in_new_thread(one_chunk)
@@ -431,14 +459,14 @@ def test_workspace_stays_within_one_chunk():
 def test_concurrent_searches_match_serial_ones():
     inputs = [random_stuck_blocks(10 + k, CHUNKED + 11 * k, precision, 0.05)
               for k in range(2) for precision in Precision]
-    serial = [in_new_thread(searches, *args, ALL_CODES) for args in inputs]
+    serial = [in_new_thread(searches, *args, 64) for args in inputs]
     barrier = threading.Barrier(len(inputs))
     mismatches = []
 
     def worker(k):
         barrier.wait(timeout=60)
         for _ in range(4):
-            got = searches(*inputs[k], ALL_CODES)
+            got = searches(*inputs[k], 64)
             if any(a.tobytes() != b.tobytes() for a, b in zip(got, serial[k])):
                 mismatches.append(k)
 
@@ -466,9 +494,9 @@ def test_fp32_deltas_add_in_numpys_order():
     words = np.zeros((n, 16), dtype=np.uint32)
     mask = np.full((n, 16), 0xFFFFFFFF, dtype=np.uint32)
     stuck = values.view("<u4")
-    deltas = search_words(words, mask, stuck, Precision.FP32, None, ALL_CODES)
+    deltas = search_words(words, mask, stuck, Precision.FP32, None, 64)
     assert deltas.tolist() == reference_deltas(words, mask, stuck, Precision.FP32, None,
-                                               ALL_CODES).tolist()
+                                               range(64)).tolist()
     terms = values.astype(np.float64)
     assert deltas[:, 0].tolist() == terms.sum(axis=-1).tolist()
     halved = terms[:, :8] + terms[:, 8:]
