@@ -17,10 +17,10 @@ import numpy as np
 
 from .codecs import N_CONFIGS, PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
 from .memory import FaultMap, apply_stuck, generate_fault_map
-from .nn import InferenceBuffers, MlpModel, QuantizedModel, accuracy
+from .nn import MlpModel, QuantizedModel, _forward
 from .objective import best_encodings, deviation_words
 from .prng import make_rng, trial_seed
-from .weightfile import BlockLayout, flatten_model, unflatten_model
+from .weightfile import BlockLayout, flatten_model
 
 DEFAULT_SA1_FRACTION = 0.5
 
@@ -61,7 +61,7 @@ class Scheme:
             return cls(kind=text)
         if text == "ecp":
             return cls(kind="ecp", ecp_n=1)
-        if text.startswith("ecp") and text[3:].isdigit():
+        if text.startswith("ecp") and text[3:].isascii() and text[3:].isdigit():
             return cls(kind="ecp", ecp_n=int(text[3:]))
         raise ValueError(f"unknown scheme {text!r}")
 
@@ -198,34 +198,86 @@ def _total_deviation(words, out, precision, scale) -> float:
     return _in_order_sum(deviation_words(words, out, precision, scale))
 
 
-def _test_error(blocks, layout, dataset, buffers: InferenceBuffers | None = None) -> float:
-    rebuilt = unflatten_model(blocks, layout)
-    return 1.0 - accuracy(rebuilt, dataset.test_inputs, dataset.test_labels, buffers)
-
-
 class _Readbacks:
     """Test errors of faulty readbacks of one fault-free block stream.
 
     A readback is the stream with the blocks at `touched` reading `out`.
-    One equal to the fault-free stream takes the fault-free error without
-    another inference; any other is written into a kept copy of the
-    stream, inferred with kept buffers and undone.
+    No readback rebuilds the model.  Kept from the fault-free stream: its
+    weights as float64, in one flat vector whose layer matrices are views
+    (each block's pad slots point at one spare slot past them), the float64
+    biases and every layer's activations on the test set.  A readback
+    equal to the fault-free stream, or whose words decode to the same
+    float64 weights bit for bit (faults only in pad slots, say), takes the
+    fault-free error.  Any other is written into the kept weights, the
+    layers from the first changed one rerun from its kept input activation
+    into kept work arrays, and the write undone.  The words decode with the
+    element-wise expressions of :func:`craft.weightfile.unflatten_model`
+    and :func:`craft.nn.infer`, so every matmul gets the operands a rebuilt
+    model would give it and the errors are the same bit for bit.
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
-        self.layout, self.dataset = layout, dataset
-        self.buffers = InferenceBuffers()
-        self.fault_free = _test_error(blocks, layout, dataset, self.buffers)
-        self.work = blocks.copy()
+        self.blocks = blocks
+        wpb = layout.precision.weights_per_block
+        sizes = [r * c for r, c in layout.shapes]
+        offsets = np.cumsum([0, *sizes])
+        spare = int(offsets[-1])
+        self.flat = np.empty(spare + 1)
+        self.weights = [self.flat[o:o + r * c].reshape(r, c)
+                        for o, (r, c) in zip(offsets.tolist(), layout.shapes)]
+        slots = []
+        for o, size, n_blocks in zip(offsets.tolist(), sizes, layout.layer_blocks):
+            i = np.arange(n_blocks * wpb)
+            slots.append(np.where(i < size, o + i, spare))
+        self.slots = np.concatenate(slots).reshape(-1, wpb)
+        self.real = self.slots != spare
+        self.block_layer = np.repeat(np.arange(len(sizes)), layout.layer_blocks)
+        self.scale = layout.block_scales()
+        if self.scale is not None:
+            self.scale = self.scale[:, None]
+            self.zero_point = np.repeat([zp for _, zp in layout.quant],
+                                        layout.layer_blocks)[:, None]
+        self.flat[self.slots] = self._decode(np.arange(layout.n_blocks), blocks)
+        self.biases = [b.astype(np.float64) for b in layout.biases]
+        inputs = np.asarray(dataset.test_inputs, dtype=np.float64)
+        self.labels = np.asarray(dataset.test_labels)
+        self.acts = [inputs] + [np.empty((inputs.shape[0], c)) for _, c in layout.shapes]
+        self.work = [np.empty_like(a) for a in self.acts[1:]]
+        self.fault_free = self._error(_forward(self.weights, self.biases, inputs, self.acts[1:]))
+
+    def _decode(self, touched: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The float64 weights that the blocks at `touched` reading `out`
+        hold, one per slot, pad slots included."""
+        raw = np.ascontiguousarray(out, dtype="<u4")
+        # words from faulty storage may decode to NaN, whose cast raises the
+        # invalid flag, or to u8 values past the float32 range
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self.scale is None:
+                return raw.view("<f4").astype(np.float64)
+            codes = raw.view(np.uint8).astype(np.float64)
+            values = self.scale[touched] * (codes - self.zero_point[touched])
+            return values.astype(np.float32).astype(np.float64)
+
+    def _error(self, logits: np.ndarray) -> float:
+        return 1.0 - float((np.argmax(logits, axis=1) == self.labels).mean())
 
     def error(self, touched: np.ndarray, out: np.ndarray) -> float:
-        words = self.work[touched]
-        if np.array_equal(out, words):
+        if np.array_equal(out, self.blocks[touched]):
             return self.fault_free
-        self.work[touched] = out
-        err = _test_error(self.work, self.layout, self.dataset, self.buffers)
-        self.work[touched] = words
-        return err
+        values = self._decode(touched, out)
+        slots = self.slots[touched]
+        kept = self.flat[slots]
+        changed = (values.view(np.uint64) != kept.view(np.uint64)) & self.real[touched]
+        rows = changed.any(axis=1)
+        if not rows.any():
+            return self.fault_free
+        first = int(self.block_layer[touched[rows]].min())
+        self.flat[slots] = values
+        try:
+            return self._error(_forward(self.weights, self.biases, self.acts[first],
+                                        self.work, first))
+        finally:
+            self.flat[slots] = kept
 
 
 def run_trial(model: MlpModel | QuantizedModel, dataset, scheme: Scheme, ber: float,
@@ -234,9 +286,7 @@ def run_trial(model: MlpModel | QuantizedModel, dataset, scheme: Scheme, ber: fl
     blocks, layout = flatten_model(model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1_fraction, seed)
     touched, [(out, total)] = _apply_schemes(blocks, layout, [scheme], fmap)
-    read = blocks.copy()
-    read[touched] = out
-    return _test_error(read, layout, dataset), total
+    return _Readbacks(blocks, layout, dataset).error(touched, out), total
 
 
 def ber_sweep(model: MlpModel | QuantizedModel, dataset,
@@ -247,8 +297,9 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
 
     Every trial runs in the calling thread, in (ber, trial) order, and its
     results are reduced in (scheme, ber, trial) order, so output is
-    order-deterministic.  `threads` must be 1.  A readback equal to the
-    fault-free stream takes the fault-free error without another inference.
+    order-deterministic.  `threads` must be 1.  A readback whose weights
+    equal the fault-free ones takes the fault-free error without another
+    inference (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -294,8 +345,9 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     Each trial's stuck words are drawn once and serve every position: the
     map of position 0 holds bit 0 of each stuck word, which is bit 0 (fp32)
     or bit 8*(i % 4) (u8) of its uint32 word, so position p's (mask, stuck)
-    words are position 0's shifted left by p.  A readback equal to the
-    fault-free stream takes the fault-free error without another inference.
+    words are position 0's shifted left by p.  A readback whose weights
+    equal the fault-free ones takes the fault-free error without another
+    inference (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")

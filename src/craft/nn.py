@@ -281,61 +281,43 @@ def _as_mlp(model: MlpModel | QuantizedModel) -> MlpModel:
     return dequantize(model) if isinstance(model, QuantizedModel) else model
 
 
-class InferenceBuffers:
-    """Activation arrays reused by every :func:`infer` call given them.
+def _forward(weights, biases, h: np.ndarray, outs, start: int = 0) -> np.ndarray:
+    """Run the layers from `start` on, given that layer's input `h`; layer i
+    writes its output into ``outs[i]``.  Returns the last layer's logits.
 
-    A fault-injection run infers hundreds of models a second on one test
-    set.  Fresh activation arrays there are a few hundred KB each, and
-    whether the C allocator serves them from memory it kept or from new,
-    zero-filled pages depends on the process's allocation history, so the
-    same run could take twice as long in one process as in the next.
-    Writing into arrays kept here makes every call allocation-free.  Not
-    safe to share between threads: give each thread its own.
+    `weights` and `biases` are float64.  The same operations as
+    :func:`_forward_acts`, into the caller's arrays.
     """
+    # Models rebuilt from faulty storage may hold NaN/Inf weights; inference
+    # must still run (argmax picks the first maximal element either way).
+    with np.errstate(invalid="ignore", over="ignore"):
+        last = len(weights) - 1
+        for i in range(start, len(weights)):
+            z = outs[i]
+            np.matmul(h, weights[i], out=z)
+            np.add(z, biases[i], out=z)
+            if i < last:
+                np.maximum(z, 0.0, out=z)
+            h = z
+    return h
 
-    def __init__(self):
-        self._arrays: dict[tuple[int, int, int], np.ndarray] = {}
 
-    def get(self, layer: int, rows: int, width: int) -> np.ndarray:
-        key = (layer, rows, width)
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = np.empty((rows, width))
-        return arr
-
-
-def infer(model: MlpModel | QuantizedModel, inputs: np.ndarray,
-          buffers: InferenceBuffers | None = None) -> np.ndarray:
-    """Predicted class ids; argmax ties resolve to the lowest id.
-
-    With `buffers`, the activations are written into arrays kept there
-    instead of fresh ones; the result is the same bit for bit.
-    """
+def infer(model: MlpModel | QuantizedModel, inputs: np.ndarray) -> np.ndarray:
+    """Predicted class ids; argmax ties resolve to the lowest id."""
     m = _as_mlp(model)
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != m.weights[0].shape[0]:
         raise ValueError(f"inputs of shape {inputs.shape} do not match model input dim")
-    if buffers is None:
-        buffers = InferenceBuffers()
-    # Models rebuilt from faulty storage may hold NaN/Inf weights; inference
-    # must still run (argmax picks the first maximal element either way).
-    # The same operations as _forward_acts, into kept arrays.
-    with np.errstate(invalid="ignore", over="ignore"):
-        h = inputs
-        last = len(m.weights) - 1
-        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-            z = buffers.get(i, h.shape[0], w.shape[1])
-            np.matmul(h, w.astype(np.float64), out=z)
-            np.add(z, b.astype(np.float64), out=z)
-            if i < last:
-                np.maximum(z, 0.0, out=z)
-            h = z
-    return np.argmax(h, axis=1)
+    # casting a signalling NaN raises the invalid flag
+    with np.errstate(invalid="ignore"):
+        weights = [w.astype(np.float64) for w in m.weights]
+        biases = [b.astype(np.float64) for b in m.biases]
+    outs = [np.empty((inputs.shape[0], w.shape[1])) for w in weights]
+    return np.argmax(_forward(weights, biases, inputs, outs), axis=1)
 
 
-def accuracy(model: MlpModel | QuantizedModel, inputs: np.ndarray, labels: np.ndarray,
-             buffers: InferenceBuffers | None = None) -> float:
+def accuracy(model: MlpModel | QuantizedModel, inputs: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if labels.shape[0] != np.asarray(inputs).shape[0]:
         raise ValueError("inputs and labels disagree on sample count")
-    return float((infer(model, inputs, buffers) == labels).mean())
+    return float((infer(model, inputs) == labels).mean())

@@ -205,22 +205,27 @@ def save_sidecar(aux_codes, path) -> None:
 
 def load_sidecar(path, n_blocks: int) -> list[int]:
     """Aux codes by block index.  Every block needs exactly one line, and
-    every code must name one of the 64 configs."""
+    every code must name one of the 64 configs.  The text must be ASCII
+    without ``_``, so that ``int`` reads no digit separators and no
+    non-ASCII digits."""
     codes = [None] * n_blocks
     with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            idx_text, code_text = line.split()
-            idx = int(idx_text)
-            code = int(code_text, 16)
-            if not 0 <= idx < n_blocks:
-                raise ValueError(f"sidecar block index {idx} out of range")
-            if codes[idx] is not None:
-                raise ValueError(f"sidecar lists block {idx} twice")
-            if not 0 <= code < N_CONFIGS:
-                raise ValueError(f"sidecar aux code {code_text} of block {idx} is not in [00, 3f]")
-            codes[idx] = code
+        text = fh.read()
+    if not text.isascii() or "_" in text:
+        raise ValueError("sidecar text must be ASCII, without '_' digit separators")
+    for line in text.split("\n"):
+        if not line.strip():
+            continue
+        idx_text, code_text = line.split()
+        idx = int(idx_text)
+        code = int(code_text, 16)
+        if not 0 <= idx < n_blocks:
+            raise ValueError(f"sidecar block index {idx} out of range")
+        if codes[idx] is not None:
+            raise ValueError(f"sidecar lists block {idx} twice")
+        if not 0 <= code < N_CONFIGS:
+            raise ValueError(f"sidecar aux code {code_text} of block {idx} is not in [00, 3f]")
+        codes[idx] = code
     if any(c is None for c in codes):
         raise ValueError("sidecar is missing block entries")
     return codes

@@ -121,6 +121,7 @@ class TestUsageErrors:
         (["sweep", "--trials", "0"], "must be at least 1, got 0"),
         (["train", "--hidden", "32,0"], "hidden dims must be positive integers, got '32,0'"),
         (["sweep", "--schemes", "baseline,parity"], "unknown scheme 'parity'"),
+        (["sweep", "--schemes", "ecp\u0663"], "unknown scheme 'ecp\u0663'"),
     ])
     def test_rejected_flag_names_the_broken_rule(self, capsys, tmp_path, argv, reason):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
@@ -324,15 +325,20 @@ class TestEncodeDecode:
         assert code == 0, err
         return encoded, tmp_path / "m.blk.aux", layout
 
-    @pytest.mark.parametrize("edit", ["bad_code", "duplicate"])
+    @pytest.mark.parametrize("edit", ["bad_code", "duplicate", "digit_separator",
+                                      "non_ascii_digit"])
     def test_malformed_sidecar_exits_2(self, capsys, tmp_path, edit):
         encoded, sidecar, layout = self._encoded(capsys, tmp_path)
         lines = sidecar.read_text().splitlines()
         if edit == "bad_code":
             lines[1] = "1 4a"  # a code past the 64 configs
-        else:
+        elif edit == "duplicate":
             lines.append("1 00")  # block 1 listed twice
-        sidecar.write_text("\n".join(lines) + "\n")
+        elif edit == "digit_separator":
+            lines[0] = "0 0_0"  # int() would read code 0
+        else:
+            lines[1] = "\u0661 3f"  # an Arabic-Indic one: int() would read block 1
+        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, _, err = run(capsys, "decode-file", "--in", str(encoded), "--sidecar",
                            str(sidecar), "--out", str(tmp_path / "m2.w"))
         assert code == 2

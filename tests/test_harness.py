@@ -9,17 +9,17 @@ from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
                            CriticalityPoint, CriticalityResult, Scheme, SweepResult, TrialRecord,
-                           _test_error, ber_sweep, bit_criticality,
+                           _Readbacks, ber_sweep, bit_criticality,
                            default_ber_grid, robustness_improvement, run_trial,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
 from craft.memory import FaultMap, generate_fault_map
-from craft.nn import InferenceBuffers, accuracy
+from craft.nn import accuracy
 from craft.prng import make_rng, trial_seed
 from craft.weightfile import flatten_model, unflatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from readbacks import scheme_readbacks
+from readbacks import float64_weights, reference_error, scheme_readbacks, weights_differ
 
 SCHEMES = [Scheme.parse(s) for s in ("baseline", "ecp1", "remap_invert", "craft")]
 
@@ -39,6 +39,8 @@ class TestScheme:
         assert Scheme.parse("craft").name == "craft"
         with pytest.raises(ValueError):
             Scheme.parse("hamming")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            Scheme.parse("ecp\u0663")  # an Arabic-Indic three
 
     def test_config_spaces_nest(self):
         assert Scheme("craft").n_configs == 64
@@ -166,14 +168,14 @@ class TestBerSweep:
 
 def reference_criticality(model, dataset, ber, trials, base_seed):
     """bit_criticality as one fresh draw and fault map per (position, trial),
-    with an inference on every readback.  Also returns how many readbacks
-    differ from the fault-free stream."""
+    with a rebuilt model and an inference on every readback.  Also returns
+    how many readbacks hold float64 weights that differ from the fault-free
+    ones."""
     blocks, layout = flatten_model(model)
     word_bits = layout.precision.word_bits
     region = layout.n_blocks * PAYLOAD_BITS
     n_words = region // word_bits
-    buffers = InferenceBuffers()
-    fault_free = _test_error(blocks, layout, dataset, buffers)
+    fault_free = reference_error(blocks, layout, dataset)
     points, differing = [], 0
     for position in range(word_bits):
         errs = np.empty(trials)
@@ -186,8 +188,8 @@ def reference_criticality(model, dataset, ber, trials, base_seed):
             fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION,
                             trial_seed(base_seed, t))
             read, total = scheme_readbacks(blocks, layout, [Scheme("baseline")], fmap)[0]
-            differing += not np.array_equal(read, blocks)
-            errs[t] = _test_error(read, layout, dataset, buffers)
+            differing += weights_differ(read, blocks, layout)
+            errs[t] = reference_error(read, layout, dataset)
             deltas[t] = total
         points.append(CriticalityPoint(position, float(errs.mean()),
                                        float(errs.std(ddof=0)), float(deltas.mean())))
@@ -197,8 +199,8 @@ def reference_criticality(model, dataset, ber, trials, base_seed):
 
 
 def differing_sweep_readbacks(model, schemes, bers, trials, base_seed):
-    """Sweep readbacks, over every (ber, trial, scheme), that differ from the
-    fault-free stream."""
+    """Sweep readbacks, over every (ber, trial, scheme), whose float64
+    weights differ from the fault-free ones."""
     blocks, layout = flatten_model(model)
     region = layout.n_blocks * PAYLOAD_BITS
     differing = 0
@@ -208,22 +210,24 @@ def differing_sweep_readbacks(model, schemes, bers, trials, base_seed):
                                       trial_seed(base_seed, t))
             for scheme in schemes:
                 read, _ = scheme_readbacks(blocks, layout, [scheme], fmap)[0]
-                differing += not np.array_equal(read, blocks)
+                differing += weights_differ(read, blocks, layout)
     return differing
 
 
 @pytest.fixture
-def error_calls(monkeypatch):
-    """Calls of harness._test_error, counted from the test's start.  The
-    reference loops above call the unwrapped function."""
-    calls = []
+def forward_passes(monkeypatch):
+    """The first layer of every forward pass the harness's readback path
+    runs, from the test's start.  The reference loops above infer through
+    craft.nn, which the patch does not reach."""
+    starts = []
+    forward = harness._forward
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return _test_error(*args, **kwargs)
+    def counted(weights, biases, h, outs, start=0):
+        starts.append(start)
+        return forward(weights, biases, h, outs, start)
 
-    monkeypatch.setattr(harness, "_test_error", counted)
-    return calls
+    monkeypatch.setattr(harness, "_forward", counted)
+    return starts
 
 
 @pytest.fixture(params=["fp32", "u8"])
@@ -233,13 +237,13 @@ def model(request, fp32_model, u8_model):
 
 class TestUnchangedReadbacks:
     """Criticality draws each trial once for all positions, and both runs
-    skip inference on readbacks equal to the fault-free stream; neither may
-    change a result."""
+    skip inference on readbacks whose weights equal the fault-free ones;
+    neither may change a result."""
 
     @pytest.mark.parametrize("ber", [0.0, 1e-3, 1e-1, 1.0])
     @pytest.mark.parametrize("base_seed", [0, 7])
     def test_criticality_matches_per_position_reference(self, model, default_dataset,
-                                                        ber, base_seed, error_calls):
+                                                        ber, base_seed, forward_passes):
         expected, differing = reference_criticality(model, default_dataset, ber, 4,
                                                     base_seed)
         result = bit_criticality(model, default_dataset, ber=ber, trials=4,
@@ -247,13 +251,13 @@ class TestUnchangedReadbacks:
         assert result == expected
         for got, want in zip(result.points, expected.points, strict=True):
             assert got == want
-        assert len(error_calls) == 1 + differing
+        assert len(forward_passes) == 1 + differing
 
-    def test_sweep_infers_only_changed_readbacks(self, model, default_dataset, error_calls):
+    def test_sweep_infers_only_changed_readbacks(self, model, default_dataset, forward_passes):
         bers = [0.0, 1e-3, 1e-2]
         differing = differing_sweep_readbacks(model, SCHEMES, bers, 3, 7)
         ber_sweep(model, default_dataset, SCHEMES, bers, 3, 7)
-        assert len(error_calls) == 1 + differing
+        assert len(forward_passes) == 1 + differing
 
     def test_sweep_records_match_single_trials(self, u8_model, default_dataset):
         bers = [1e-3, 1e-2]
@@ -277,6 +281,118 @@ def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_datase
     monkeypatch.setattr(harness, "best_encodings", counted)
     ber_sweep(u8_model, default_dataset, SCHEMES, [0.0, 1e-3, 1e-2], 2, 7)
     assert searches == [[32, 64]] * 4
+
+
+def odd_model(precision, huge_scale=False):
+    """A 16-13-7-4 model with random weights.  Its last two layers end in
+    partial blocks, so they hold pad slots at both precisions.  With
+    `huge_scale` (u8), layer 1's codes sit near the zero point under a scale
+    that sends codes far from it past the float32 range."""
+    gen = np.random.default_rng(2024)
+    dims = (16, 13, 7, 4)
+    model = nn.MlpModel(
+        weights=tuple(gen.normal(0.0, 1.0 / np.sqrt(a), size=(a, b)).astype(np.float32)
+                      for a, b in zip(dims, dims[1:])),
+        biases=tuple(gen.normal(0.0, 0.1, size=b).astype(np.float32) for b in dims[1:]))
+    if precision == "fp32":
+        return model
+    q = nn.quantize(model)
+    if not huge_scale:
+        return q
+    layers = list(q.layers)
+    zp = 128
+    codes = gen.integers(zp - 20, zp + 21, size=layers[1].codes.shape).astype(np.uint8)
+    layers[1] = nn.QuantizedLayer(codes=codes, scale=1e37, zero_point=zp,
+                                  biases=layers[1].biases)
+    return nn.QuantizedModel(layers=tuple(layers))
+
+
+def slot_bits(layout):
+    """Per block, the (16,) uint32 masks of the bits in weight slots and of
+    those in pad slots."""
+    wpb = layout.precision.weights_per_block
+    real = np.concatenate([np.arange(n * wpb) < r * c
+                           for (r, c), n in zip(layout.shapes, layout.layer_blocks)])
+    per_byte = np.repeat(real.reshape(-1, wpb), 64 // wpb, axis=1)
+    weight = np.where(per_byte, 0xFF, 0).astype(np.uint8).view("<u4")
+    return weight, ~weight
+
+
+def readback(case, blocks, layout, gen):
+    """Seeded (touched, out) of one kind of readback."""
+    weight, pad = slot_bits(layout)
+    layer = np.repeat(np.arange(len(layout.shapes)), layout.layer_blocks)
+    last = len(layout.shapes) - 1
+    if case == "pad":
+        touched = np.flatnonzero(pad.any(axis=1))
+    else:
+        layers = {"layer0": [0], "last": [last], "several": range(last + 1),
+                  "nonfinite": range(last + 1)}[case]
+        touched = np.sort(np.concatenate(
+            [gen.choice(np.flatnonzero(layer == i), min(2, layout.layer_blocks[i]),
+                        replace=False) for i in layers]))
+    words = blocks[touched]
+    if case == "nonfinite" and layout.precision.word_bits == 32:
+        # +-Inf, a quiet NaN and a signalling NaN at random weight slots
+        out = words.copy()
+        specials = np.array([0x7F800000, 0xFF800000, 0x7FC00000, 0x7F800001], dtype=np.uint32)
+        rows, cols = np.nonzero(weight[touched])
+        pick = gen.choice(rows.size, 8, replace=False)
+        out[rows[pick], cols[pick]] = gen.choice(specials, 8)
+        return touched, out
+    # under u8 "nonfinite"'s huge scale, codes flipped far from the zero
+    # point decode past the float32 range
+    mask = (pad if case == "pad" else weight)[touched]
+    flips = np.zeros_like(words)
+    for k in range(32):
+        flips |= (gen.random(words.shape) < 0.05).astype(np.uint32) << np.uint32(k)
+    flips &= mask
+    flips[:, 0] |= mask[:, 0] & -mask[:, 0]  # at least one flip per block where a slot allows
+    return touched, words ^ flips
+
+
+class TestReadbacksMatchRebuild:
+    """_Readbacks.error against the full rebuild and accuracy of the oracle,
+    on seeded readbacks of every kind; each call must leave the kept weights
+    and activations as they were."""
+
+    # the layers whose float64 weights each kind of readback changes
+    CHANGED = {"layer0": lambda c: c == [0], "last": lambda c: c == [2],
+               "several": lambda c: len(c) > 1, "pad": lambda c: c == [],
+               "nonfinite": lambda c: len(c) > 0}
+
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    @pytest.mark.parametrize("case", list(CHANGED))
+    def test_error_matches_oracle(self, default_dataset, forward_passes, precision, case):
+        model = odd_model(precision, huge_scale=case == "nonfinite")
+        blocks, layout = flatten_model(model)
+        rb = _Readbacks(blocks, layout, default_dataset)
+        clean = [w.tobytes() for w in rb.weights]
+        assert clean == [w.tobytes() for w in float64_weights(blocks, layout)]
+        acts = [a.tobytes() for a in rb.acts]
+        assert rb.fault_free == reference_error(blocks, layout, default_dataset)
+        gen = np.random.default_rng(list(self.CHANGED).index(case))
+        errors = set()
+        for _ in range(10):
+            touched, out = readback(case, blocks, layout, gen)
+            read = blocks.copy()
+            read[touched] = out
+            assert not np.array_equal(read, blocks)
+            decoded = float64_weights(read, layout)
+            changed = [i for i, (a, b) in enumerate(zip(decoded, clean)) if a.tobytes() != b]
+            assert self.CHANGED[case](changed), changed
+            if case == "nonfinite":
+                assert not all(np.isfinite(w).all() for w in decoded)
+            forward_passes.clear()
+            got = rb.error(touched, out)
+            assert got == reference_error(read, layout, default_dataset)
+            # one rerun, from the first changed layer, or none
+            assert forward_passes == changed[:1]
+            assert [w.tobytes() for w in rb.weights] == clean
+            assert [a.tobytes() for a in rb.acts] == acts
+            errors.add(got)
+        if case != "pad":
+            assert errors != {rb.fault_free}
 
 
 class TestBitCriticality:

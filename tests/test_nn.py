@@ -158,7 +158,7 @@ class TestInfer:
         via_dequant = nn.infer(nn.dequantize(u8_model), inputs)
         assert np.array_equal(direct, via_dequant)
 
-    def test_kept_buffers_match_fresh_forward_bit_for_bit(self, fp32_model, u8_model):
+    def test_forward_matches_training_forward_bit_for_bit(self, fp32_model, u8_model):
         gen = np.random.default_rng(5)
         raw = np.concatenate([w.reshape(-1).view("<u4") for w in fp32_model.weights])
         # exponent bit 30 stuck at 1 gives huge weights whose products
@@ -171,19 +171,18 @@ class TestInfer:
                           for part, w in zip(np.split(raw, sizes), fp32_model.weights)),
             biases=fp32_model.biases)
         assert not all(np.isfinite(w).all() for w in blown.weights)
-        buffers = nn.InferenceBuffers()
         for model, rows in [(fp32_model, 50), (blown, 50), (u8_model, 50), (fp32_model, 7)]:
             inputs = gen.normal(size=(rows, 16))
             m = nn.dequantize(model) if isinstance(model, nn.QuantizedModel) else model
             with np.errstate(invalid="ignore", over="ignore"):
-                expected = nn._forward_acts([w.astype(np.float64) for w in m.weights],
-                                            [b.astype(np.float64) for b in m.biases],
-                                            inputs)[-1]
-            got = nn.infer(model, inputs, buffers)
-            logits = buffers.get(len(m.weights) - 1, rows, expected.shape[1])
+                weights = [w.astype(np.float64) for w in m.weights]
+                biases = [b.astype(np.float64) for b in m.biases]
+                expected = nn._forward_acts(weights, biases, inputs)[-1]
+            outs = [np.empty((rows, w.shape[1])) for w in weights]
+            logits = nn._forward(weights, biases, inputs, outs)
+            assert logits is outs[-1]
             assert logits.tobytes() == expected.tobytes()
-            assert np.array_equal(got, np.argmax(expected, axis=1))
-            assert np.array_equal(got, nn.infer(model, inputs))
+            assert np.array_equal(nn.infer(model, inputs), np.argmax(expected, axis=1))
 
     def test_dimension_mismatch_rejected(self, fp32_model):
         with pytest.raises(ValueError):

@@ -235,6 +235,15 @@ class TestSidecar:
             load_sidecar(path, 2)
 
 
+    @pytest.mark.parametrize("text", ["0 0_0\n1 00\n", "0 00\n\u0661 3f\n",
+                                      "0 00\n1 \u0663f\n", "0 00\n1 00\u00a0\n"])
+    def test_separators_and_non_ascii_rejected(self, tmp_path, text):
+        path = tmp_path / "m.aux"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="ASCII"):
+            load_sidecar(path, 2)
+
+
 class TestBlockLayoutType:
     def test_u8_requires_quant(self):
         with pytest.raises(ValueError):
