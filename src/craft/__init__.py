@@ -22,8 +22,7 @@ from .objective import (DeviationReport, WeightView, best_encodings,
                         store_words)
 from .harness import (CriticalityResult, RobustnessRatio, Scheme, SweepResult,
                       ber_sweep, bit_criticality, default_ber_grid,
-                      robustness_improvement, run_trial,
-                      second_zero_exponent_bit)
+                      robustness_improvement, second_zero_exponent_bit)
 from .weightfile import (BlockLayout, flatten_model, load_blocks, load_model,
                          load_sidecar, save_blocks, save_model, save_sidecar,
                          unflatten_model)

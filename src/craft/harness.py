@@ -23,6 +23,9 @@ from .prng import make_rng, trial_seed
 from .weightfile import BlockLayout, flatten_model
 
 DEFAULT_SA1_FRACTION = 0.5
+#: How far above its fault-free error a sweep's mean error may rise before
+#: :func:`robustness_improvement` counts the sweep as collapsed.
+ERROR_BUDGET = 0.05
 
 
 @dataclass(frozen=True)
@@ -280,26 +283,17 @@ class _Readbacks:
             self.flat[slots] = kept
 
 
-def run_trial(model: MlpModel | QuantizedModel, dataset, scheme: Scheme, ber: float,
-              seed: int, sa1_fraction: float = DEFAULT_SA1_FRACTION) -> tuple[float, float]:
-    """One fault-injection trial: (classification error, total deviation)."""
-    blocks, layout = flatten_model(model)
-    fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1_fraction, seed)
-    touched, [(out, total)] = _apply_schemes(blocks, layout, [scheme], fmap)
-    return _Readbacks(blocks, layout, dataset).error(touched, out), total
-
-
 def ber_sweep(model: MlpModel | QuantizedModel, dataset,
               schemes: Sequence[Scheme], ber_list: Sequence[float], trials: int,
-              base_seed: int, threads: int = 1,
-              sa1_fraction: float = DEFAULT_SA1_FRACTION) -> list[SweepResult]:
+              base_seed: int, threads: int = 1) -> list[SweepResult]:
     """Run trials for every scheme x BER with paired fault maps.
 
     Every trial runs in the calling thread, in (ber, trial) order, and its
     results are reduced in (scheme, ber, trial) order, so output is
-    order-deterministic.  `threads` must be 1.  A readback whose weights
-    equal the fault-free ones takes the fault-free error without another
-    inference (see :class:`_Readbacks`).
+    order-deterministic.  A stuck cell is SA1 with probability
+    :data:`DEFAULT_SA1_FRACTION`.  `threads` must be 1.  A readback whose
+    weights equal the fault-free ones takes the fault-free error without
+    another inference (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -313,7 +307,7 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     deltas = np.empty_like(errs)
     for bi, ber in enumerate(ber_list):
         for t in range(trials):
-            fmap = generate_fault_map(region, ber, sa1_fraction, trial_seed(base_seed, t))
+            fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION, trial_seed(base_seed, t))
             touched, found = _apply_schemes(blocks, layout, schemes, fmap)
             for si, (out, total) in enumerate(found):
                 errs[si, bi, t] = readbacks.error(touched, out)
@@ -400,15 +394,15 @@ def second_zero_exponent_bit(model: MlpModel) -> int:
     return int(positions[best])
 
 
-def _threshold_crossing(sweep: SweepResult, threshold_points: float) -> tuple[float, bool]:
-    """Largest BER at which the curve stays within fault-free + threshold.
+def _threshold_crossing(sweep: SweepResult) -> tuple[float, bool]:
+    """Largest BER at which the curve stays within fault-free + ERROR_BUDGET.
 
     Interpolates linearly in log10(BER) between the last within-budget grid
     point and the first exceeding one.  Returns (ber, censored): censored
     means the curve never exceeds the budget on the grid, so the value is a
     lower bound.
     """
-    limit = sweep.fault_free_error + threshold_points
+    limit = sweep.fault_free_error + ERROR_BUDGET
     bers = [p.ber for p in sweep.ber_points]
     errors = [p.mean_error for p in sweep.ber_points]
     within = [i for i, e in enumerate(errors) if e <= limit]
@@ -422,17 +416,16 @@ def _threshold_crossing(sweep: SweepResult, threshold_points: float) -> tuple[fl
     return float(10.0 ** (lo + t * (hi - lo))), False
 
 
-def robustness_improvement(sweep_a: SweepResult, sweep_b: SweepResult,
-                           threshold_points: float = 0.05) -> RobustnessRatio:
+def robustness_improvement(sweep_a: SweepResult, sweep_b: SweepResult) -> RobustnessRatio:
     """How much later (in BER) sweep_a's error collapses compared to sweep_b.
 
     The collapse point is where mean error first exceeds the scheme's
-    fault-free error by threshold_points.
+    fault-free error by :data:`ERROR_BUDGET`.
     """
     if [p.ber for p in sweep_a.ber_points] != [p.ber for p in sweep_b.ber_points]:
         raise ValueError("sweeps must share the same BER grid")
-    ber_a, cens_a = _threshold_crossing(sweep_a, threshold_points)
-    ber_b, cens_b = _threshold_crossing(sweep_b, threshold_points)
+    ber_a, cens_a = _threshold_crossing(sweep_a)
+    ber_b, cens_b = _threshold_crossing(sweep_b)
     return RobustnessRatio(ratio=ber_a / ber_b, ber_a=ber_a, ber_b=ber_b,
                            censored_a=cens_a, censored_b=cens_b)
 

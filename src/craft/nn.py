@@ -24,6 +24,9 @@ DEFAULT_SAMPLES = 4000
 DEFAULT_HIDDEN = (32, 32)
 DEFAULT_EPOCHS = 30
 DEFAULT_LR = 0.05
+MOMENTUM = 0.9
+BATCH_SIZE = 64
+TRAIN_FRACTION = 0.75
 
 QMAX = 255
 SCALE_FLOOR = 1e-8
@@ -89,10 +92,6 @@ class MlpModel:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
-    @property
-    def n_weights(self) -> int:
-        return sum(w.size for w in self.weights)
-
 
 @dataclass(frozen=True)
 class QuantizedLayer:
@@ -123,10 +122,6 @@ class QuantizedModel:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.layers[0].codes.shape[0],) + tuple(l.codes.shape[1] for l in self.layers)
 
-    @property
-    def n_weights(self) -> int:
-        return sum(l.codes.size for l in self.layers)
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -135,8 +130,8 @@ class TrainResult:
 
 
 def make_dataset(seed: int = DEFAULT_SEED, n_classes: int = DEFAULT_CLASSES,
-                 n_features: int = DEFAULT_FEATURES, n_samples: int = DEFAULT_SAMPLES,
-                 train_fraction: float = 0.75) -> SyntheticDataset:
+                 n_features: int = DEFAULT_FEATURES,
+                 n_samples: int = DEFAULT_SAMPLES) -> SyntheticDataset:
     """Gaussian clusters, one per class, means drawn once from the seed."""
     if n_classes < 2:
         raise ValueError(f"n_classes must be at least 2, got {n_classes}")
@@ -153,9 +148,10 @@ def make_dataset(seed: int = DEFAULT_SEED, n_classes: int = DEFAULT_CLASSES,
     )
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     order = rng.permutation(n_samples)
-    n_train = int(round(train_fraction * n_samples))
+    n_train = int(round(TRAIN_FRACTION * n_samples))
     if not 0 < n_train < n_samples:
-        raise ValueError("train fraction leaves an empty split")
+        raise ValueError(f"a {TRAIN_FRACTION} train split of {n_samples} samples "
+                         f"leaves an empty split")
     return SyntheticDataset(inputs[order], labels[order], int(seed), n_train)
 
 
@@ -165,15 +161,6 @@ def _init_params(dims: Sequence[int], rng: np.random.Generator):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return weights, biases
-
-
-def _forward_acts(weights, biases, x):
-    """Activations per layer; ReLU between layers, raw logits at the end."""
-    acts = [x]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if i == len(weights) - 1 else np.maximum(z, 0.0))
-    return acts
 
 
 def _softmax_loss_grad(logits, labels):
@@ -189,7 +176,8 @@ def _softmax_loss_grad(logits, labels):
 
 def gradients(weights, biases, x, labels):
     """Cross-entropy loss and analytic gradients for one batch (float64)."""
-    acts = _forward_acts(weights, biases, x)
+    acts = [x] + [np.empty((x.shape[0], w.shape[1])) for w in weights]
+    _forward(weights, biases, x, acts[1:])
     loss, delta = _softmax_loss_grad(acts[-1], labels)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
@@ -201,21 +189,14 @@ def gradients(weights, biases, x, labels):
     return loss, grads_w, grads_b
 
 
-def batch_loss(weights, biases, x, labels) -> float:
-    logits = _forward_acts(weights, biases, x)[-1]
-    return _softmax_loss_grad(logits, labels)[0]
-
-
 def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN,
-          epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR, seed: int = DEFAULT_SEED,
-          momentum: float = 0.9, batch_size: int = 64) -> TrainResult:
+          epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
+          seed: int = DEFAULT_SEED) -> TrainResult:
     """Momentum SGD on the train split; bit-deterministic for fixed inputs."""
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not 0 <= lr < math.inf:
         raise ValueError(f"lr must be finite and non-negative, got {lr!r}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     dims = [dataset.inputs.shape[1], *hidden_dims, int(dataset.labels.max()) + 1]
     if any(d < 1 for d in dims):
         raise ValueError("invalid layer dimensions")
@@ -229,16 +210,16 @@ def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN
         order = rng.permutation(x.shape[0])
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, x.shape[0], batch_size):
-            batch = order[start:start + batch_size]
+        for start in range(0, x.shape[0], BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
             # divergence surfaces through the finite-loss check, not FP traps
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, gw, gb = gradients(weights, biases, x[batch], y[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss {loss} at epoch {len(losses)}")
             for i in range(len(weights)):
-                vel_w[i] = momentum * vel_w[i] + gw[i]
-                vel_b[i] = momentum * vel_b[i] + gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] + gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] + gb[i]
                 weights[i] = weights[i] - lr * vel_w[i]
                 biases[i] = biases[i] - lr * vel_b[i]
             epoch_loss += loss
@@ -285,8 +266,8 @@ def _forward(weights, biases, h: np.ndarray, outs, start: int = 0) -> np.ndarray
     """Run the layers from `start` on, given that layer's input `h`; layer i
     writes its output into ``outs[i]``.  Returns the last layer's logits.
 
-    `weights` and `biases` are float64.  The same operations as
-    :func:`_forward_acts`, into the caller's arrays.
+    `weights` and `biases` are float64.  Training, :func:`infer` and the
+    harness's readbacks all run this one loop.
     """
     # Models rebuilt from faulty storage may hold NaN/Inf weights; inference
     # must still run (argmax picks the first maximal element either way).

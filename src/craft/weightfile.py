@@ -39,6 +39,7 @@ _PRECISION_TAG = {Precision.FP32: 0, Precision.U8: 1}
 _TAG_PRECISION = {v: k for k, v in _PRECISION_TAG.items()}
 _WEIGHT_DTYPE = {Precision.FP32: np.dtype("<f4"), Precision.U8: np.dtype(np.uint8)}
 _BLOCK_BYTES = PAYLOAD_BITS // 8
+_SIDECAR_BYTES = b"0123456789abcdefABCDEF \t\n\r\v\f"
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,14 @@ def _read_header(fh, magic: bytes) -> BlockLayout:
     tag, n_layers = struct.unpack("<BI", _read_exact(fh, 5))
     if tag not in _TAG_PRECISION:
         raise ValueError(f"unknown precision tag {tag}")
+    if not n_layers:
+        raise ValueError("a model needs at least one layer")
     precision = _TAG_PRECISION[tag]
     shapes, biases, quant = [], [], []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         rows, cols = struct.unpack("<II", _read_exact(fh, 8))
+        if not rows or not cols:
+            raise ValueError(f"layer {i} is {rows} x {cols}; dims must be positive")
         if precision is Precision.U8:
             quant.append(struct.unpack("<di", _read_exact(fh, 12)))
         biases.append(np.frombuffer(_read_exact(fh, 4 * cols), dtype="<f4").copy())
@@ -205,15 +210,15 @@ def save_sidecar(aux_codes, path) -> None:
 
 def load_sidecar(path, n_blocks: int) -> list[int]:
     """Aux codes by block index.  Every block needs exactly one line, and
-    every code must name one of the 64 configs.  The text must be ASCII
-    without ``_``, so that ``int`` reads no digit separators and no
-    non-ASCII digits."""
+    every code must name one of the 64 configs.  The file may hold only
+    ASCII hex digits and ASCII whitespace, so that ``int`` reads no sign,
+    ``0x`` prefix, ``_`` digit separator or non-ASCII digit."""
     codes = [None] * n_blocks
-    with open(path) as fh:
-        text = fh.read()
-    if not text.isascii() or "_" in text:
-        raise ValueError("sidecar text must be ASCII, without '_' digit separators")
-    for line in text.split("\n"):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _SIDECAR_BYTES):
+        raise ValueError("sidecar may hold only ASCII hex digits and whitespace")
+    for line in data.splitlines():
         if not line.strip():
             continue
         idx_text, code_text = line.split()
@@ -224,7 +229,8 @@ def load_sidecar(path, n_blocks: int) -> list[int]:
         if codes[idx] is not None:
             raise ValueError(f"sidecar lists block {idx} twice")
         if not 0 <= code < N_CONFIGS:
-            raise ValueError(f"sidecar aux code {code_text} of block {idx} is not in [00, 3f]")
+            raise ValueError(f"sidecar aux code {code_text.decode()} of block {idx} "
+                             f"is not in [00, 3f]")
         codes[idx] = code
     if any(c is None for c in codes):
         raise ValueError("sidecar is missing block entries")

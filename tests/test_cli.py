@@ -70,6 +70,8 @@ class TestTrain:
         (["--epochs", "-1"], "bad training flags: epochs must be non-negative, got -1"),
         (["--lr", "-1"], "bad training flags: lr must be finite and non-negative, got -1.0"),
         (["--lr", "nan"], "bad training flags: lr must be finite and non-negative, got nan"),
+        (["--samples", "2", "--classes", "2"],
+         "bad dataset flags: a 0.75 train split of 2 samples leaves an empty split"),
     ])
     def test_bad_dataset_or_training_flags_exit_1(self, capsys, tmp_path, argv, rule):
         out = tmp_path / "m.w"
@@ -326,7 +328,8 @@ class TestEncodeDecode:
         return encoded, tmp_path / "m.blk.aux", layout
 
     @pytest.mark.parametrize("edit", ["bad_code", "duplicate", "digit_separator",
-                                      "non_ascii_digit"])
+                                      "non_ascii_digit", "signed_index", "hex_prefix",
+                                      "signed_code"])
     def test_malformed_sidecar_exits_2(self, capsys, tmp_path, edit):
         encoded, sidecar, layout = self._encoded(capsys, tmp_path)
         lines = sidecar.read_text().splitlines()
@@ -336,6 +339,12 @@ class TestEncodeDecode:
             lines.append("1 00")  # block 1 listed twice
         elif edit == "digit_separator":
             lines[0] = "0 0_0"  # int() would read code 0
+        elif edit == "signed_index":
+            lines[0] = "+0 3f"  # int() would read block 0
+        elif edit == "hex_prefix":
+            lines[0] = "0 0x3f"  # int(_, 16) would read code 63
+        elif edit == "signed_code":
+            lines[0] = "0 +3f"
         else:
             lines[1] = "\u0661 3f"  # an Arabic-Indic one: int() would read block 1
         sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -506,6 +515,16 @@ def u8_container(magic: bytes, scale: float) -> bytes:
             + struct.pack("<di", scale, 128) + bytes(4 * 4) + bytes(64))
 
 
+def model_reader_argv(tmp_path, command):
+    """Arguments that make `command` read the weight file m.w in `tmp_path`,
+    beside an empty fault map faults.txt over one block."""
+    (tmp_path / "faults.txt").write_text("512 0.0 0.5 0\n")
+    if command == "encode-file":
+        return ["--in", str(tmp_path / "m.w"), "--fault-map", str(tmp_path / "faults.txt"),
+                "--out", str(tmp_path / "o.blk")]
+    return ["--model", str(tmp_path / "m.w"), "--trials", "1", "--out", str(tmp_path / "o")]
+
+
 NONFINITE_SCALES = pytest.mark.parametrize("scale", [float("nan"), float("inf"),
                                                      float("-inf")], ids=str)
 
@@ -517,14 +536,7 @@ class TestNonFiniteScale:
     @pytest.mark.parametrize("command", ["encode-file", "sweep", "criticality"])
     def test_weight_file_exits_2(self, capsys, tmp_path, scale, command):
         (tmp_path / "m.w").write_bytes(u8_container(b"CRFTW1", scale))
-        (tmp_path / "faults.txt").write_text("512 0.0 0.5 0\n")
-        if command == "encode-file":
-            argv = ["--in", str(tmp_path / "m.w"), "--fault-map", str(tmp_path / "faults.txt"),
-                    "--out", str(tmp_path / "o.blk")]
-        else:
-            argv = ["--model", str(tmp_path / "m.w"), "--trials", "1",
-                    "--out", str(tmp_path / "o")]
-        code, out, err = run(capsys, command, *argv)
+        code, out, err = run(capsys, command, *model_reader_argv(tmp_path, command))
         assert code == 2
         assert "cannot read model file" in err and "Traceback" not in err
         assert "nan" not in out
@@ -548,6 +560,40 @@ class TestNonFiniteScale:
                            "--out", str(tmp_path / "o.blk"))
         assert code == 0, err
         assert load_model(tmp_path / "m.w").layers[0].scale == 0.5
+
+
+# Headers of models without weights: two fp32 layers, 16 x 0 and 0 x 4 (then
+# the second layer's four biases), or no layers at all.
+EMPTY_MODELS = pytest.mark.parametrize("header, reason", [
+    (struct.pack("<BI", 0, 2) + struct.pack("<II", 16, 0) + struct.pack("<II", 0, 4)
+     + bytes(4 * 4), "dims must be positive"),
+    (struct.pack("<BI", 0, 0), "at least one layer"),
+], ids=["zero_size_layer", "no_layers"])
+
+
+class TestEmptyModel:
+    """A model without weights is rejected when its header is read."""
+
+    @EMPTY_MODELS
+    @pytest.mark.parametrize("command", ["encode-file", "sweep", "criticality"])
+    def test_weight_file_exits_2(self, capsys, tmp_path, command, header, reason):
+        (tmp_path / "m.w").write_bytes(b"CRFTW1" + header)
+        code, out, err = run(capsys, command, *model_reader_argv(tmp_path, command))
+        assert code == 2
+        assert "cannot read model file" in err and reason in err
+        assert "Traceback" not in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["faults.txt", "m.w"]
+
+    @EMPTY_MODELS
+    def test_block_file_exits_2(self, capsys, tmp_path, header, reason):
+        (tmp_path / "m.blk").write_bytes(b"CRFTB1" + header)
+        (tmp_path / "m.aux").write_text("")
+        code, _, err = run(capsys, "decode-file", "--in", str(tmp_path / "m.blk"),
+                           "--sidecar", str(tmp_path / "m.aux"), "--out", str(tmp_path / "o.w"))
+        assert code == 2
+        assert "cannot read block file" in err and reason in err
+        assert "Traceback" not in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.aux", "m.blk"]
 
 
 # A header that declares one 4 x 0xFFFFFFFF fp32 layer and ends there: the

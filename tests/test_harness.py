@@ -8,15 +8,15 @@ import pytest
 from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
-                           CriticalityPoint, CriticalityResult, Scheme, SweepResult, TrialRecord,
-                           _Readbacks, ber_sweep, bit_criticality,
-                           default_ber_grid, robustness_improvement, run_trial,
+                           CriticalityPoint, CriticalityResult, Scheme, SweepResult,
+                           _apply_schemes, _Readbacks, ber_sweep, bit_criticality,
+                           default_ber_grid, robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
 from craft.memory import FaultMap, generate_fault_map
 from craft.nn import accuracy
 from craft.prng import make_rng, trial_seed
-from craft.weightfile import flatten_model, unflatten_model
+from craft.weightfile import flatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from readbacks import float64_weights, reference_error, scheme_readbacks, weights_differ
@@ -50,17 +50,23 @@ class TestScheme:
 
 
 class TestRunTrial:
+    """Trial results of one scheme and fault map at a time, through ber_sweep
+    or straight through the scheme and readback steps it runs."""
+
     def test_zero_ber_matches_fault_free(self, u8_model, default_dataset):
         clean_err = 1.0 - accuracy(u8_model, default_dataset.test_inputs,
                                    default_dataset.test_labels)
-        for scheme in ("baseline", "ecp1", "craft"):
-            err, delta = run_trial(u8_model, default_dataset, Scheme.parse(scheme), 0.0, 3)
-            assert err == clean_err
-            assert delta == 0.0
+        schemes = [Scheme.parse(s) for s in ("baseline", "ecp1", "craft")]
+        for res in ber_sweep(u8_model, default_dataset, schemes, [0.0], 1, 3):
+            [record] = res.records
+            assert record.classification_error == clean_err
+            assert record.total_delta == 0.0
 
     def test_full_ber_all_sa1_reads_all_ones(self, u8_model, default_dataset):
-        err, _ = run_trial(u8_model, default_dataset, Scheme.parse("baseline"),
-                           1.0, 3, sa1_fraction=1.0)
+        blocks, layout = flatten_model(u8_model)
+        fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1.0, 1.0, 3)
+        touched, [(out, _)] = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)
+        err = _Readbacks(blocks, layout, default_dataset).error(touched, out)
         saturated = nn.QuantizedModel(layers=tuple(
             nn.QuantizedLayer(codes=np.full_like(l.codes, 255), scale=l.scale,
                               zero_point=l.zero_point, biases=l.biases)
@@ -71,17 +77,17 @@ class TestRunTrial:
         assert err == expected
 
     def test_craft_delta_never_above_baseline(self, u8_model, default_dataset):
-        for seed in range(50):
-            _, base = run_trial(u8_model, default_dataset, Scheme.parse("baseline"), 1e-3, seed)
-            _, best = run_trial(u8_model, default_dataset, Scheme.parse("craft"), 1e-3, seed)
-            assert best <= base
+        # trial t of a sweep from seed 0 has seed t: seeds 0 to 49
+        schemes = [Scheme.parse("baseline"), Scheme.parse("craft")]
+        base, best = ber_sweep(u8_model, default_dataset, schemes, [1e-3], 50, 0)
+        for rb, rc in zip(base.records, best.records, strict=True):
+            assert rc.total_delta <= rb.total_delta
 
     def test_scheme_delta_nesting_is_exact(self, u8_model, default_dataset):
-        for seed in range(10):
-            _, base = run_trial(u8_model, default_dataset, Scheme.parse("baseline"), 3e-3, seed)
-            _, ri = run_trial(u8_model, default_dataset, Scheme.parse("remap_invert"), 3e-3, seed)
-            _, full = run_trial(u8_model, default_dataset, Scheme.parse("craft"), 3e-3, seed)
-            assert full <= ri <= base
+        schemes = [Scheme.parse(s) for s in ("baseline", "remap_invert", "craft")]
+        base, ri, full = ber_sweep(u8_model, default_dataset, schemes, [3e-3], 10, 0)
+        for rb, rr, rf in zip(base.records, ri.records, full.records, strict=True):
+            assert rf.total_delta <= rr.total_delta <= rb.total_delta
 
     def test_ecp1_with_single_mismatch_per_block_is_exact(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
@@ -264,9 +270,12 @@ class TestUnchangedReadbacks:
         results = ber_sweep(u8_model, default_dataset, SCHEMES, bers, 3, 7)
         for scheme, res in zip(SCHEMES, results, strict=True):
             for r in res.records:
-                err, delta = run_trial(u8_model, default_dataset, scheme, r.ber,
-                                       trial_seed(7, r.trial))
-                assert (r.classification_error, r.total_delta) == (err, delta)
+                # a one-trial sweep's trial 0 has the sweep's seed
+                [single] = ber_sweep(u8_model, default_dataset, [scheme], [r.ber], 1,
+                                     trial_seed(7, r.trial))
+                [one] = single.records
+                assert (r.classification_error, r.total_delta) == \
+                    (one.classification_error, one.total_delta)
 
 
 def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_dataset):
@@ -462,7 +471,7 @@ class TestRobustnessImprovement:
         errors = np.linspace(0.0, 0.5, len(self.BERS)).tolist()
         a = sweep_from_errors(self.BERS, errors)
         b = sweep_from_errors(self.BERS, errors)
-        ratio = robustness_improvement(a, b, 0.05)
+        ratio = robustness_improvement(a, b)
         assert ratio.ratio == 1.0
         assert not ratio.censored
 
@@ -472,7 +481,7 @@ class TestRobustnessImprovement:
         shifted = [0.0] * 5 + base[:-5]
         a = sweep_from_errors(self.BERS, shifted)
         b = sweep_from_errors(self.BERS, base)
-        ratio = robustness_improvement(a, b, 0.05)
+        ratio = robustness_improvement(a, b)
         assert not ratio.censored
         assert ratio.ratio == pytest.approx(10.0, rel=1e-9)
 
@@ -481,7 +490,7 @@ class TestRobustnessImprovement:
         rising = [0.0] * 10 + [0.2] * 6
         a = sweep_from_errors(self.BERS, flat)
         b = sweep_from_errors(self.BERS, rising)
-        ratio = robustness_improvement(a, b, 0.05)
+        ratio = robustness_improvement(a, b)
         assert ratio.censored_a and not ratio.censored_b
         assert ratio.ber_a == self.BERS[-1]
 
@@ -497,7 +506,7 @@ class TestRobustnessImprovement:
         bers = [1e-3, 1e-2]
         a = sweep_from_errors(bers, [0.0, 0.1])
         b = sweep_from_errors(bers, [0.0, 0.2])
-        ra = robustness_improvement(a, b, 0.05)
+        ra = robustness_improvement(a, b)
         # a crosses at t=0.5, b at t=0.25 -> ratio 10**0.25
         assert ra.ratio == pytest.approx(10 ** 0.25, rel=1e-9)
 

@@ -33,6 +33,9 @@ class TestDataset:
             nn.make_dataset(n_classes=3, n_samples=100)  # not divisible
         with pytest.raises(ValueError):
             nn.make_dataset(n_features=0)
+        # 0.75 of 2 samples rounds to 2 train samples, leaving no test sample
+        with pytest.raises(ValueError, match="empty split"):
+            nn.make_dataset(n_classes=2, n_samples=2)
 
 
 class TestTrain:
@@ -85,9 +88,9 @@ class TestGradients:
                 for i in range(flat.size):
                     keep = flat[i]
                     flat[i] = keep + h
-                    up = nn.batch_loss(weights, biases, x, y)
+                    up = nn.gradients(weights, biases, x, y)[0]
                     flat[i] = keep - h
-                    down = nn.batch_loss(weights, biases, x, y)
+                    down = nn.gradients(weights, biases, x, y)[0]
                     flat[i] = keep
                     numeric.append((up - down) / (2 * h))
             numeric = np.array(numeric)
@@ -159,6 +162,8 @@ class TestInfer:
         assert np.array_equal(direct, via_dequant)
 
     def test_forward_matches_training_forward_bit_for_bit(self, fp32_model, u8_model):
+        """_forward against a plain matmul, add and ReLU loop that allocates
+        every layer's output afresh."""
         gen = np.random.default_rng(5)
         raw = np.concatenate([w.reshape(-1).view("<u4") for w in fp32_model.weights])
         # exponent bit 30 stuck at 1 gives huge weights whose products
@@ -177,7 +182,11 @@ class TestInfer:
             with np.errstate(invalid="ignore", over="ignore"):
                 weights = [w.astype(np.float64) for w in m.weights]
                 biases = [b.astype(np.float64) for b in m.biases]
-                expected = nn._forward_acts(weights, biases, inputs)[-1]
+                h = inputs
+                for i, (w, b) in enumerate(zip(weights, biases)):
+                    z = h @ w + b
+                    h = z if i == len(weights) - 1 else np.maximum(z, 0.0)
+                expected = h
             outs = [np.empty((rows, w.shape[1])) for w in weights]
             logits = nn._forward(weights, biases, inputs, outs)
             assert logits is outs[-1]
@@ -216,4 +225,4 @@ class TestModelTypes:
     def test_default_model_size(self, fp32_model, u8_model):
         assert fp32_model.layer_dims == (16, 32, 32, 4)
         assert u8_model.layer_dims == (16, 32, 32, 4)
-        assert fp32_model.n_weights == 1664
+        assert sum(w.size for w in fp32_model.weights) == 1664

@@ -236,7 +236,8 @@ class TestSidecar:
 
 
     @pytest.mark.parametrize("text", ["0 0_0\n1 00\n", "0 00\n\u0661 3f\n",
-                                      "0 00\n1 \u0663f\n", "0 00\n1 00\u00a0\n"])
+                                      "0 00\n1 \u0663f\n", "0 00\n1 00\u00a0\n",
+                                      "+0 3f\n1 00\n", "0 0x3f\n1 00\n", "0 +3f\n1 00\n"])
     def test_separators_and_non_ascii_rejected(self, tmp_path, text):
         path = tmp_path / "m.aux"
         path.write_text(text, encoding="utf-8")
