@@ -134,10 +134,13 @@ def _open_model(path):
 
 
 def _check_out_dir(path) -> None:
-    """Fail before any work unless the directory of output `path` takes files."""
+    """Fail before any work unless the directory of output `path` takes files
+    and `path` itself is not a directory."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
         raise IOFailure(f"output directory {directory} is missing or not writable")
+    if os.path.isdir(path):
+        raise IOFailure(f"output {path} is a directory, not a file")
 
 
 def _dataset(seed: int, args):
@@ -148,10 +151,12 @@ def _dataset(seed: int, args):
         raise UsageFailure(f"bad dataset flags: {exc}") from exc
 
 
-def _run_inputs(args):
+def _run_inputs(args, *out_paths):
     """Model and dataset of a sweep or criticality run, checked before any work:
-    the output directory must take files and the dataset must fit the model."""
-    _check_out_dir(args.out)
+    each of `out_paths` must be writable as a file and the dataset must fit
+    the model."""
+    for path in out_paths:
+        _check_out_dir(path)
     model = _open_model(args.model)
     dims = model.layer_dims
     if (dims[0], dims[-1]) != (args.features, args.classes):
@@ -290,10 +295,10 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     bers = args.ber if args.ber is not None else (args.ber_grid or default_ber_grid())
     _echo(args, {"ber_points": bers, "trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
-    model, dataset = _run_inputs(args)
-    results = ber_sweep(model, dataset, args.schemes, bers, args.trials, args.seed)
     raw_path = f"{args.out}_raw.csv"
     summary_path = f"{args.out}_summary.csv"
+    model, dataset = _run_inputs(args, raw_path, summary_path)
+    results = ber_sweep(model, dataset, args.schemes, bers, args.trials, args.seed)
     try:
         write_raw_csv(results, raw_path)
         write_summary_csv(results, summary_path)
@@ -307,7 +312,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_criticality(args) -> int:
     _echo(args, {"trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
-    model, dataset = _run_inputs(args)
+    model, dataset = _run_inputs(args, args.out)
     result = bit_criticality(model, dataset, ber=args.ber, trials=args.trials,
                              base_seed=args.seed)
     try:

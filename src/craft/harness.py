@@ -181,31 +181,31 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
             total = _total_deviation(words, out, precision, scale)
         else:
             _, out, deltas = next(found)
-            total = _in_order_sum(deltas)
+            total = float(_in_order_sum(deltas))
         results.append((out, total))
     return touched, results
 
 
-def _in_order_sum(deltas: np.ndarray) -> float:
-    """Sum of per-block deviations added left to right in block order, so
-    that the total does not depend on the interpreter's float summation
-    algorithm."""
-    total = 0.0
-    for delta in deltas.tolist():
-        total += delta
-    return total
+def _in_order_sum(deltas: np.ndarray) -> np.ndarray:
+    """Sums of per-block deviations along the last axis, each added left to
+    right in block order (a sequential ``cumsum``), so that a total does not
+    depend on the interpreter's or numpy's float summation algorithm."""
+    if deltas.shape[-1] == 0:
+        return np.zeros(deltas.shape[:-1])
+    return np.cumsum(deltas, axis=-1)[..., -1]
 
 
 def _total_deviation(words, out, precision, scale) -> float:
     """:func:`_in_order_sum` of the per-block deviations of `out` from `words`."""
-    return _in_order_sum(deviation_words(words, out, precision, scale))
+    return float(_in_order_sum(deviation_words(words, out, precision, scale)))
 
 
 class _Readbacks:
     """Test errors of faulty readbacks of one fault-free block stream.
 
-    A readback is the stream with the blocks at `touched` reading `out`.
-    No readback rebuilds the model.  Kept from the fault-free stream: its
+    A readback is the stream with the blocks at `touched` reading `out`;
+    :meth:`errors` scores a batch of them over the same blocks.  No
+    readback rebuilds the model.  Kept from the fault-free stream: its
     weights as float64, in one flat vector whose layer matrices are views
     (each block's pad slots point at one spare slot past them), the float64
     biases and every layer's activations on the test set.  A readback
@@ -220,7 +220,6 @@ class _Readbacks:
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
-        self.blocks = blocks
         wpb = layout.precision.weights_per_block
         sizes = [r * c for r, c in layout.shapes]
         offsets = np.cumsum([0, *sizes])
@@ -250,7 +249,9 @@ class _Readbacks:
 
     def _decode(self, touched: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The float64 weights that the blocks at `touched` reading `out`
-        hold, one per slot, pad slots included."""
+        hold, one per slot, pad slots included.  `out` is (..., len(touched),
+        16): the per-block u8 scale and zero point broadcast over any
+        leading readback axes."""
         raw = np.ascontiguousarray(out, dtype="<u4")
         # words from faulty storage may decode to NaN, whose cast raises the
         # invalid flag, or to u8 values past the float32 range
@@ -262,25 +263,32 @@ class _Readbacks:
             return values.astype(np.float32).astype(np.float64)
 
     def _error(self, logits: np.ndarray) -> float:
-        return 1.0 - float((np.argmax(logits, axis=1) == self.labels).mean())
+        hits = int(np.count_nonzero(np.argmax(logits, axis=1) == self.labels))
+        return 1.0 - hits / self.labels.size
 
-    def error(self, touched: np.ndarray, out: np.ndarray) -> float:
-        if np.array_equal(out, self.blocks[touched]):
-            return self.fault_free
-        values = self._decode(touched, out)
+    def errors(self, touched: np.ndarray, outs: np.ndarray) -> list[float]:
+        """Test errors of K readbacks, the blocks at `touched` reading each of
+        `outs`, of shape (K, len(touched), 16), in order.
+
+        All K decode and compare with the kept weights in one pass; only
+        those that change a weight run inference, each from its own first
+        changed layer.
+        """
+        values = self._decode(touched, outs)
         slots = self.slots[touched]
         kept = self.flat[slots]
         changed = (values.view(np.uint64) != kept.view(np.uint64)) & self.real[touched]
-        rows = changed.any(axis=1)
-        if not rows.any():
-            return self.fault_free
-        first = int(self.block_layer[touched[rows]].min())
-        self.flat[slots] = values
-        try:
-            return self._error(_forward(self.weights, self.biases, self.acts[first],
-                                        self.work, first))
-        finally:
-            self.flat[slots] = kept
+        rows = changed.any(axis=2)
+        errs = [self.fault_free] * len(outs)
+        for k in np.flatnonzero(rows.any(axis=1)).tolist():
+            first = int(self.block_layer[touched[rows[k]]].min())
+            self.flat[slots] = values[k]
+            try:
+                errs[k] = self._error(_forward(self.weights, self.biases, self.acts[first],
+                                               self.work, first))
+            finally:
+                self.flat[slots] = kept
+        return errs
 
 
 def ber_sweep(model: MlpModel | QuantizedModel, dataset,
@@ -291,7 +299,8 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     Every trial runs in the calling thread, in (ber, trial) order, and its
     results are reduced in (scheme, ber, trial) order, so output is
     order-deterministic.  A stuck cell is SA1 with probability
-    :data:`DEFAULT_SA1_FRACTION`.  `threads` must be 1.  A readback whose
+    :data:`DEFAULT_SA1_FRACTION`.  `threads` must be 1.  Each fault map's
+    scheme readbacks are scored in one batched call; a readback whose
     weights equal the fault-free ones takes the fault-free error without
     another inference (see :class:`_Readbacks`).
     """
@@ -309,9 +318,11 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
         for t in range(trials):
             fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION, trial_seed(base_seed, t))
             touched, found = _apply_schemes(blocks, layout, schemes, fmap)
+            outs = np.empty((len(schemes), len(touched), 16), dtype=np.uint32)
             for si, (out, total) in enumerate(found):
-                errs[si, bi, t] = readbacks.error(touched, out)
+                outs[si] = out
                 deltas[si, bi, t] = total
+            errs[:, bi, t] = readbacks.errors(touched, outs)
 
     results = []
     for si, scheme in enumerate(schemes):
@@ -339,9 +350,10 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     Each trial's stuck words are drawn once and serve every position: the
     map of position 0 holds bit 0 of each stuck word, which is bit 0 (fp32)
     or bit 8*(i % 4) (u8) of its uint32 word, so position p's (mask, stuck)
-    words are position 0's shifted left by p.  A readback whose weights
-    equal the fault-free ones takes the fault-free error without another
-    inference (see :class:`_Readbacks`).
+    words are position 0's shifted left by p.  A trial builds every
+    position's readback at once and scores them in one batched call; a
+    readback whose weights equal the fault-free ones takes the fault-free
+    error without another inference (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -354,6 +366,7 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     n_words = region // word_bits
     scales = layout.block_scales()
     readbacks = _Readbacks(blocks, layout, dataset)
+    shifts = np.arange(word_bits, dtype=np.uint32)[:, None, None]
     errs = np.empty((word_bits, trials))
     deltas = np.empty((word_bits, trials))
     for t in range(trials):
@@ -366,11 +379,9 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
         touched, mask0, stuck0 = fmap.touched_blocks
         words = blocks[touched]
         scale = None if scales is None else scales[touched]
-        for position in range(word_bits):
-            shift = np.uint32(position)
-            out = apply_stuck(words, mask0 << shift, stuck0 << shift)
-            deltas[position, t] = _total_deviation(words, out, precision, scale)
-            errs[position, t] = readbacks.error(touched, out)
+        outs = apply_stuck(words, mask0 << shifts, stuck0 << shifts)
+        deltas[:, t] = _in_order_sum(deviation_words(words, outs, precision, scale))
+        errs[:, t] = readbacks.errors(touched, outs)
     points = tuple(CriticalityPoint(p, float(errs[p].mean()), float(errs[p].std(ddof=0)),
                                     float(deltas[p].mean()))
                    for p in range(word_bits))

@@ -22,6 +22,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def printed_fault_free_error(out):
+    """The value of the one `fault_free_error=` line, which must be a plain
+    float literal (a numpy scalar's repr is not)."""
+    [line] = [l for l in out.splitlines() if l.startswith("fault_free_error=")]
+    value = float(line.split("=", 1)[1])
+    assert 0.0 <= value <= 1.0
+    return value
+
+
 def train_default(capsys, tmp_path, name="model.w", *extra):
     path = tmp_path / name
     code, out, err = run(capsys, "train", "--out", str(path), "--epochs", "8", *extra)
@@ -148,10 +157,11 @@ class TestSweep:
 
     def test_two_schemes_double_rows(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
-        code, _, _ = run(capsys, "sweep", "--model", str(model),
-                         "--schemes", "baseline,craft", "--ber", "1e-3,1e-2",
-                         "--trials", "1", "--out", str(tmp_path / "s"))
+        code, out, _ = run(capsys, "sweep", "--model", str(model),
+                           "--schemes", "baseline,craft", "--ber", "1e-3,1e-2",
+                           "--trials", "1", "--out", str(tmp_path / "s"))
         assert code == 0
+        printed_fault_free_error(out)
         lines = (tmp_path / "s_summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
 
@@ -167,18 +177,20 @@ class TestCriticality:
     def test_u8_has_8_rows(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
         out_csv = tmp_path / "crit.csv"
-        code, _, _ = run(capsys, "criticality", "--model", str(model),
-                         "--trials", "2", "--out", str(out_csv))
+        code, out, _ = run(capsys, "criticality", "--model", str(model),
+                           "--trials", "2", "--out", str(out_csv))
         assert code == 0
         assert len(out_csv.read_text().splitlines()) == 9
+        printed_fault_free_error(out)
 
     def test_fp32_has_32_rows(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w")
         out_csv = tmp_path / "crit.csv"
-        code, _, _ = run(capsys, "criticality", "--model", str(model),
-                         "--trials", "2", "--out", str(out_csv))
+        code, out, _ = run(capsys, "criticality", "--model", str(model),
+                           "--trials", "2", "--out", str(out_csv))
         assert code == 0
         assert len(out_csv.read_text().splitlines()) == 33
+        printed_fault_free_error(out)
 
     def test_msb_row_has_max_mean_delta(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")
@@ -458,14 +470,15 @@ class TestRunChecks:
 
 
 class TestOutputChecks:
-    """train, encode-file and decode-file reject an unusable --out (or
-    sidecar) directory before any work."""
+    """Every command rejects an unusable --out (or sidecar) directory, and an
+    output path that is itself a directory, before any work."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the work started")
-        for name in ("train", "store_words", "load_blocks", "decode_words"):
+        for name in ("train", "store_words", "load_blocks", "decode_words",
+                     "ber_sweep", "bit_criticality"):
             monkeypatch.setattr(cli, name, fail)
 
     @pytest.fixture
@@ -479,10 +492,10 @@ class TestOutputChecks:
         save_sidecar(np.zeros(layout.n_blocks, dtype=np.int64), tmp_path / "m.aux")
         return tmp_path
 
-    def check_exit(self, capsys, *argv):
+    def check_exit(self, capsys, *argv, reason="output directory"):
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert "output directory" in err and "Traceback" not in err
+        assert reason in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("out_dir", ["missing", "m.w"])  # absent; a file, not a directory
     def test_train(self, capsys, inputs, out_dir):
@@ -506,6 +519,34 @@ class TestOutputChecks:
         self.check_exit(capsys, "decode-file", "--in", str(inputs / "m.blk"),
                         "--sidecar", str(inputs / "m.aux"),
                         "--out", str(inputs / out_dir / "o.w"))
+
+    @pytest.mark.parametrize("command, outs", [
+        (["train"], ["--out", "{d}"]),
+        (["train"], ["--out", "{d}/"]),
+        (["criticality", "--model", "{m}", "--trials", "1"], ["--out", "{d}"]),
+        (["sweep", "--model", "{m}", "--trials", "1", "--ber", "1e-3"],
+         ["--out", "{d}/s"]),   # {d}/s_raw.csv is a directory
+        (["sweep", "--model", "{m}", "--trials", "1", "--ber", "1e-3"],
+         ["--out", "{d}/t"]),   # {d}/t_summary.csv is a directory
+        (["encode-file", "--in", "{m}", "--fault-map", "{f}"], ["--out", "{d}"]),
+        (["encode-file", "--in", "{m}", "--fault-map", "{f}"],
+         ["--out", "{d}/o.blk", "--sidecar", "{d}"]),
+        (["encode-file", "--in", "{m}", "--fault-map", "{f}"],
+         ["--out", "{d}/p.blk"]),   # the default sidecar {d}/p.blk.aux is a directory
+        (["decode-file", "--in", "{b}", "--sidecar", "{a}"], ["--out", "{d}"]),
+    ], ids=["train", "train_slash", "criticality", "sweep_raw", "sweep_summary",
+            "encode_file", "encode_file_sidecar", "encode_file_default_sidecar",
+            "decode_file"])
+    def test_output_that_is_a_directory(self, capsys, inputs, command, outs):
+        d = inputs / "d"
+        for name in ("s_raw.csv", "t_summary.csv", "p.blk.aux"):
+            (d / name).mkdir(parents=True)
+        paths = {"d": d, "m": inputs / "m.w", "f": inputs / "faults.txt",
+                 "b": inputs / "m.blk", "a": inputs / "m.aux"}
+        argv = [arg.format(**paths) for arg in command + outs]
+        self.check_exit(capsys, *argv, reason="is a directory, not a file")
+        assert sorted(p.name for p in d.iterdir()) == ["p.blk.aux", "s_raw.csv",
+                                                         "t_summary.csv"]
 
 
 def u8_container(magic: bytes, scale: float) -> bytes:

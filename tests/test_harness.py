@@ -9,12 +9,13 @@ from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
                            CriticalityPoint, CriticalityResult, Scheme, SweepResult,
-                           _apply_schemes, _Readbacks, ber_sweep, bit_criticality,
-                           default_ber_grid, robustness_improvement,
+                           _apply_schemes, _in_order_sum, _Readbacks, ber_sweep,
+                           bit_criticality, default_ber_grid, robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
 from craft.memory import FaultMap, generate_fault_map
 from craft.nn import accuracy
+from craft.objective import NONFINITE_SENTINEL
 from craft.prng import make_rng, trial_seed
 from craft.weightfile import flatten_model
 
@@ -66,7 +67,7 @@ class TestRunTrial:
         blocks, layout = flatten_model(u8_model)
         fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1.0, 1.0, 3)
         touched, [(out, _)] = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)
-        err = _Readbacks(blocks, layout, default_dataset).error(touched, out)
+        [err] = _Readbacks(blocks, layout, default_dataset).errors(touched, out[None])
         saturated = nn.QuantizedModel(layers=tuple(
             nn.QuantizedLayer(codes=np.full_like(l.codes, 255), scale=l.scale,
                               zero_point=l.zero_point, biases=l.biases)
@@ -172,6 +173,44 @@ class TestBerSweep:
             assert float(mean_delta) == deltas.mean()
 
 
+def test_results_hold_python_floats(fp32_model, u8_model, default_dataset):
+    """Every error and delta in a result is a float, not a numpy scalar,
+    whose repr would reach the CSVs and the CLI's output."""
+    for model in (fp32_model, u8_model):
+        crit = bit_criticality(model, default_dataset, ber=1e-2, trials=2, base_seed=3)
+        assert type(crit.fault_free_error) is float
+        for p in crit.points:
+            assert [type(v) for v in (p.position, p.mean_error, p.std_error, p.mean_delta)] \
+                == [int, float, float, float]
+        for res in ber_sweep(model, default_dataset, SCHEMES, [0.0, 1e-2], 2, 3):
+            assert type(res.fault_free_error) is float
+            for p in res.ber_points:
+                assert {type(v) for v in (p.ber, p.mean_error, p.std_error, p.mean_delta)} \
+                    == {float}
+            for r in res.records:
+                assert {type(r.classification_error), type(r.total_delta)} == {float}
+
+
+def test_in_order_sum_adds_left_to_right():
+    """Each row's total equals a plain left-to-right loop, bit for bit, at
+    lengths where numpy's pairwise sum would round differently."""
+    gen = np.random.default_rng(5)
+    reordered = False
+    for n in (0, 1, 2, 7, 100, 1000):
+        d = gen.random((3, n)) * 10.0 ** gen.integers(-8, 9, size=(3, n))
+        d[2, ::7] = NONFINITE_SENTINEL
+        got = _in_order_sum(d)
+        assert got.shape == (3,)
+        for row, total in zip(d, got.tolist()):
+            want = 0.0
+            for x in row.tolist():
+                want += x
+            assert total == want
+            reordered |= total != math.fsum(row)
+        assert _in_order_sum(d[0]) == got[0]
+    assert reordered
+
+
 def reference_criticality(model, dataset, ber, trials, base_seed):
     """bit_criticality as one fresh draw and fault map per (position, trial),
     with a rebuilt model and an inference on every readback.  Also returns
@@ -241,6 +280,16 @@ def model(request, fp32_model, u8_model):
     return fp32_model if request.param == "fp32" else u8_model
 
 
+@pytest.fixture(params=["fp32", "u8", "odd_fp32", "odd_u8"])
+def criticality_model(request, fp32_model, u8_model):
+    """The trained models, and the 16-13-7-4 ones of :func:`odd_model`, whose
+    partial last blocks hold pad slots and whose u8 layers have their own
+    scales."""
+    if request.param.startswith("odd_"):
+        return odd_model(request.param[len("odd_"):])
+    return fp32_model if request.param == "fp32" else u8_model
+
+
 class TestUnchangedReadbacks:
     """Criticality draws each trial once for all positions, and both runs
     skip inference on readbacks whose weights equal the fault-free ones;
@@ -248,8 +297,10 @@ class TestUnchangedReadbacks:
 
     @pytest.mark.parametrize("ber", [0.0, 1e-3, 1e-1, 1.0])
     @pytest.mark.parametrize("base_seed", [0, 7])
-    def test_criticality_matches_per_position_reference(self, model, default_dataset,
-                                                        ber, base_seed, forward_passes):
+    def test_criticality_matches_per_position_reference(self, criticality_model,
+                                                        default_dataset, ber, base_seed,
+                                                        forward_passes):
+        model = criticality_model
         expected, differing = reference_criticality(model, default_dataset, ber, 4,
                                                     base_seed)
         result = bit_criticality(model, default_dataset, ber=ber, trials=4,
@@ -361,9 +412,9 @@ def readback(case, blocks, layout, gen):
 
 
 class TestReadbacksMatchRebuild:
-    """_Readbacks.error against the full rebuild and accuracy of the oracle,
-    on seeded readbacks of every kind; each call must leave the kept weights
-    and activations as they were."""
+    """_Readbacks.errors against the full rebuild and accuracy of the oracle,
+    on seeded readbacks of every kind, one at a time and mixed in one batch;
+    each call must leave the kept weights and activations as they were."""
 
     # the layers whose float64 weights each kind of readback changes
     CHANGED = {"layer0": lambda c: c == [0], "last": lambda c: c == [2],
@@ -393,7 +444,8 @@ class TestReadbacksMatchRebuild:
             if case == "nonfinite":
                 assert not all(np.isfinite(w).all() for w in decoded)
             forward_passes.clear()
-            got = rb.error(touched, out)
+            [got] = rb.errors(touched, out[None])
+            assert type(got) is float
             assert got == reference_error(read, layout, default_dataset)
             # one rerun, from the first changed layer, or none
             assert forward_passes == changed[:1]
@@ -402,6 +454,49 @@ class TestReadbacksMatchRebuild:
             errors.add(got)
         if case != "pad":
             assert errors != {rb.fault_free}
+
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    def test_mixed_batch_matches_oracle(self, default_dataset, forward_passes, precision):
+        """Readbacks of all six kinds in one call over the union of their
+        touched blocks: each gets its oracle error, and each changed one
+        reruns once, from its own first changed layer, in batch order."""
+        model = odd_model(precision, huge_scale=True)
+        blocks, layout = flatten_model(model)
+        rb = _Readbacks(blocks, layout, default_dataset)
+        clean = [w.tobytes() for w in rb.weights]
+        acts = [a.tobytes() for a in rb.acts]
+        kinds = ["pad", "layer0", "unchanged", "last", "several", "nonfinite"]
+        gen = np.random.default_rng(99)
+        parts = {k: readback(k, blocks, layout, gen) for k in kinds if k != "unchanged"}
+        touched = np.unique(np.concatenate([t for t, _ in parts.values()]))
+        outs = np.repeat(blocks[touched][None], len(kinds), axis=0)
+        for k, (t, out) in parts.items():
+            outs[kinds.index(k), np.searchsorted(touched, t)] = out
+        expected, starts = [], []
+        for out in outs:
+            read = blocks.copy()
+            read[touched] = out
+            expected.append(reference_error(read, layout, default_dataset))
+            decoded = float64_weights(read, layout)
+            starts += [i for i, (a, b) in enumerate(zip(decoded, clean)) if a.tobytes() != b][:1]
+        assert starts == [0, 2, 0, 0]  # layer0, last, several, nonfinite
+        forward_passes.clear()
+        got = rb.errors(touched, outs)
+        assert got == expected
+        assert all(type(e) is float for e in got)
+        assert forward_passes == starts
+        assert [w.tobytes() for w in rb.weights] == clean
+        assert [a.tobytes() for a in rb.acts] == acts
+
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    def test_batch_over_no_blocks_is_fault_free(self, default_dataset, forward_passes,
+                                                precision):
+        blocks, layout = flatten_model(odd_model(precision))
+        rb = _Readbacks(blocks, layout, default_dataset)
+        forward_passes.clear()
+        got = rb.errors(np.empty(0, dtype=np.intp), np.empty((3, 0, 16), dtype=np.uint32))
+        assert got == [rb.fault_free] * 3
+        assert forward_passes == []
 
 
 class TestBitCriticality:
