@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--quantize", action="store_true", help="write u8 quantized weights")
-    p.add_argument("--precision", choices=["fp32", "u8"], default=None,
-                   help="alias for --quantize when set to u8")
     p.add_argument("--config", help="key=value file overlaying the flags")
     p.set_defaults(func=cmd_train)
 
@@ -266,8 +264,6 @@ def _overlay_config(argv: list[str]) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    if args.precision == "u8":
-        args.quantize = True
     dataset_seed = args.seed
     train_seed = args.seed + 1
     _echo(args, {"dataset_seed": dataset_seed, "train_seed": train_seed,

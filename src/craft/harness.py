@@ -151,39 +151,33 @@ def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) ->
 
 
 def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
-                   fault_map: FaultMap) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+                   fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
     """Protect the blocks that hold stuck cells under each scheme.
 
     `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`.
-    Returns the indices of the blocks holding stuck cells and, per scheme in
-    order, their readout words and the total deviation; every other block
-    reads back unchanged with zero deviation.  The encoding schemes search
-    nested prefixes of aux-code order, so they share one search of the
-    longest (see :func:`craft.objective.best_encodings`), and each one's
-    total adds its winners' search deltas.
+    Returns the indices of the blocks holding stuck cells and their readout
+    words under each scheme in order, one (len(schemes), len(touched), 16)
+    array; every other block reads back unchanged.  The encoding schemes
+    search nested prefixes of aux-code order, so they share one search of
+    the longest (see :func:`craft.objective.best_encodings`).
     """
     if len(fault_map) == 0:
-        return np.empty(0, dtype=np.intp), [(blocks[:0].copy(), 0.0) for _ in schemes]
+        return np.empty(0, dtype=np.intp), np.empty((len(schemes), 0, 16), dtype=np.uint32)
     touched, mask, stuck = fault_map.touched_blocks
     words = blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
-    precision = layout.precision
     sizes = [s.n_configs for s in schemes if s.n_configs]
-    found = iter(best_encodings(words, mask, stuck, precision, scale, sizes))
-    results = []
-    for scheme in schemes:
+    found = iter(best_encodings(words, mask, stuck, layout.precision, scale, sizes))
+    outs = np.empty((len(schemes), len(touched), 16), dtype=np.uint32)
+    for out, scheme in zip(outs, schemes):
         if scheme.kind == "baseline":
-            out = apply_stuck(words, mask, stuck)
-            total = _total_deviation(words, out, precision, scale)
+            out[...] = apply_stuck(words, mask, stuck)
         elif scheme.kind == "ecp":
-            out = ecp_words(words, mask, stuck, scheme.ecp_n)
-            total = _total_deviation(words, out, precision, scale)
+            out[...] = ecp_words(words, mask, stuck, scheme.ecp_n)
         else:
-            _, out, deltas = next(found)
-            total = float(_in_order_sum(deltas))
-        results.append((out, total))
-    return touched, results
+            out[...] = next(found)[1]
+    return touched, outs
 
 
 def _in_order_sum(deltas: np.ndarray) -> np.ndarray:
@@ -195,16 +189,12 @@ def _in_order_sum(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas, axis=-1)[..., -1]
 
 
-def _total_deviation(words, out, precision, scale) -> float:
-    """:func:`_in_order_sum` of the per-block deviations of `out` from `words`."""
-    return float(_in_order_sum(deviation_words(words, out, precision, scale)))
-
-
 class _Readbacks:
-    """Test errors of faulty readbacks of one fault-free block stream.
+    """Total deviations and test errors of faulty readbacks of one
+    fault-free block stream.
 
     A readback is the stream with the blocks at `touched` reading `out`;
-    :meth:`errors` scores a batch of them over the same blocks.  No
+    :meth:`score` scores a batch of them over the same blocks.  No
     readback rebuilds the model.  Kept from the fault-free stream: its
     weights as float64, in one flat vector whose layer matrices are views
     (each block's pad slots point at one spare slot past them), the float64
@@ -220,7 +210,9 @@ class _Readbacks:
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
-        wpb = layout.precision.weights_per_block
+        self.blocks = blocks
+        self.precision = layout.precision
+        wpb = self.precision.weights_per_block
         sizes = [r * c for r, c in layout.shapes]
         offsets = np.cumsum([0, *sizes])
         spare = int(offsets[-1])
@@ -266,14 +258,20 @@ class _Readbacks:
         hits = int(np.count_nonzero(np.argmax(logits, axis=1) == self.labels))
         return 1.0 - hits / self.labels.size
 
-    def errors(self, touched: np.ndarray, outs: np.ndarray) -> list[float]:
-        """Test errors of K readbacks, the blocks at `touched` reading each of
-        `outs`, of shape (K, len(touched), 16), in order.
+    def score(self, touched: np.ndarray, outs: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Total deviations and test errors of K readbacks, the blocks at
+        `touched` reading each of `outs`, of shape (K, len(touched), 16), in
+        order.
 
-        All K decode and compare with the kept weights in one pass; only
-        those that change a weight run inference, each from its own first
-        changed layer.
+        A readback's total deviation adds its blocks' deviations from the
+        fault-free ones left to right (see :func:`_in_order_sum`).  All K
+        decode and compare with the kept weights in one pass; only those
+        that change a weight run inference, each from its own first changed
+        layer.
         """
+        scale = None if self.scale is None else self.scale[touched, 0]
+        totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.precision,
+                                               scale))
         values = self._decode(touched, outs)
         slots = self.slots[touched]
         kept = self.flat[slots]
@@ -288,7 +286,7 @@ class _Readbacks:
                                                self.work, first))
             finally:
                 self.flat[slots] = kept
-        return errs
+        return totals, errs
 
 
 def ber_sweep(model: MlpModel | QuantizedModel, dataset,
@@ -300,9 +298,10 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     results are reduced in (scheme, ber, trial) order, so output is
     order-deterministic.  A stuck cell is SA1 with probability
     :data:`DEFAULT_SA1_FRACTION`.  `threads` must be 1.  Each fault map's
-    scheme readbacks are scored in one batched call; a readback whose
-    weights equal the fault-free ones takes the fault-free error without
-    another inference (see :class:`_Readbacks`).
+    scheme readbacks are scored, total deviation and test error, in one
+    batched call; a readback whose weights equal the fault-free ones takes
+    the fault-free error without another inference (see
+    :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -317,12 +316,8 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     for bi, ber in enumerate(ber_list):
         for t in range(trials):
             fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION, trial_seed(base_seed, t))
-            touched, found = _apply_schemes(blocks, layout, schemes, fmap)
-            outs = np.empty((len(schemes), len(touched), 16), dtype=np.uint32)
-            for si, (out, total) in enumerate(found):
-                outs[si] = out
-                deltas[si, bi, t] = total
-            errs[:, bi, t] = readbacks.errors(touched, outs)
+            touched, outs = _apply_schemes(blocks, layout, schemes, fmap)
+            deltas[:, bi, t], errs[:, bi, t] = readbacks.score(touched, outs)
 
     results = []
     for si, scheme in enumerate(schemes):
@@ -351,20 +346,19 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     map of position 0 holds bit 0 of each stuck word, which is bit 0 (fp32)
     or bit 8*(i % 4) (u8) of its uint32 word, so position p's (mask, stuck)
     words are position 0's shifted left by p.  A trial builds every
-    position's readback at once and scores them in one batched call; a
-    readback whose weights equal the fault-free ones takes the fault-free
-    error without another inference (see :class:`_Readbacks`).
+    position's readback at once and scores them, total deviation and test
+    error, in one batched call; a readback whose weights equal the
+    fault-free ones takes the fault-free error without another inference
+    (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
     blocks, layout = flatten_model(model)
-    precision = layout.precision
-    word_bits = precision.word_bits
+    word_bits = layout.precision.word_bits
     region = layout.n_blocks * PAYLOAD_BITS
     n_words = region // word_bits
-    scales = layout.block_scales()
     readbacks = _Readbacks(blocks, layout, dataset)
     shifts = np.arange(word_bits, dtype=np.uint32)[:, None, None]
     errs = np.empty((word_bits, trials))
@@ -377,11 +371,8 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
         indices = np.flatnonzero(stuck_word).astype(np.int64) * word_bits
         fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION, seed)
         touched, mask0, stuck0 = fmap.touched_blocks
-        words = blocks[touched]
-        scale = None if scales is None else scales[touched]
-        outs = apply_stuck(words, mask0 << shifts, stuck0 << shifts)
-        deltas[:, t] = _in_order_sum(deviation_words(words, outs, precision, scale))
-        errs[:, t] = readbacks.errors(touched, outs)
+        outs = apply_stuck(blocks[touched], mask0 << shifts, stuck0 << shifts)
+        deltas[:, t], errs[:, t] = readbacks.score(touched, outs)
     points = tuple(CriticalityPoint(p, float(errs[p].mean()), float(errs[p].std(ddof=0)),
                                     float(deltas[p].mean()))
                    for p in range(word_bits))

@@ -92,11 +92,6 @@ class FaultMap:
             arr.setflags(write=False)
         return out
 
-    def slice_range(self, offset: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stuck cells within [offset, offset+length), as (local positions, values)."""
-        lo, hi = np.searchsorted(self.bit_indices, [offset, offset + length])
-        return self.bit_indices[lo:hi] - offset, self.stuck_values[lo:hi]
-
 
 def generate_fault_map(region_size_bits: int, ber: float, sa1_fraction: float = 0.5,
                        seed: int = 0) -> FaultMap:
@@ -108,14 +103,6 @@ def generate_fault_map(region_size_bits: int, ber: float, sa1_fraction: float = 
     indices = np.flatnonzero(stuck).astype(np.int64)
     values = (rng.random(indices.size) < sa1_fraction).astype(np.uint8)
     return FaultMap(region_size_bits, indices, values, float(ber), float(sa1_fraction), int(seed))
-
-
-def _check_bounds(fault_map: FaultMap, offset: int, length: int) -> None:
-    if offset < 0 or offset + length > fault_map.region_size_bits:
-        raise IndexError(
-            f"bit range [{offset}, {offset + length}) outside region of "
-            f"{fault_map.region_size_bits} bits"
-        )
 
 
 #: 2**k as float64, the weight of bit k of a word.
@@ -143,9 +130,13 @@ def stuck_words(fault_map: FaultMap, offset: int = 0, n_blocks: int = 1):
     block is stuck, and the same bit of `stuck` holds its stuck value.
     Cells of the map outside the blocks are ignored.
     """
-    _check_bounds(fault_map, offset, n_blocks * PAYLOAD_BITS)
-    positions, values = fault_map.slice_range(offset, n_blocks * PAYLOAD_BITS)
-    return _pack_words(positions, values, n_blocks)
+    end = offset + n_blocks * PAYLOAD_BITS
+    if offset < 0 or end > fault_map.region_size_bits:
+        raise IndexError(f"bit range [{offset}, {end}) outside region of "
+                         f"{fault_map.region_size_bits} bits")
+    lo, hi = np.searchsorted(fault_map.bit_indices, [offset, end])
+    return _pack_words(fault_map.bit_indices[lo:hi] - offset, fault_map.stuck_values[lo:hi],
+                       n_blocks)
 
 
 def apply_stuck(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray) -> np.ndarray:

@@ -209,20 +209,26 @@ def save_sidecar(aux_codes, path) -> None:
 
 
 def load_sidecar(path, n_blocks: int) -> list[int]:
-    """Aux codes by block index.  Every block needs exactly one line, and
-    every code must name one of the 64 configs.  The file may hold only
-    ASCII hex digits and ASCII whitespace, so that ``int`` reads no sign,
-    ``0x`` prefix, ``_`` digit separator or non-ASCII digit."""
+    """Aux codes by block index.  Every block needs exactly one line of two
+    fields, a decimal block index and a hex aux code, and every code must
+    name one of the 64 configs; a non-blank line of any other shape raises
+    ValueError naming its line number.  The file may hold only ASCII hex digits and
+    ASCII whitespace, so that ``int`` reads no sign, ``0x`` prefix, ``_``
+    digit separator or non-ASCII digit."""
     codes = [None] * n_blocks
     with open(path, "rb") as fh:
         data = fh.read()
     if data.translate(None, _SIDECAR_BYTES):
         raise ValueError("sidecar may hold only ASCII hex digits and whitespace")
-    for line in data.splitlines():
-        if not line.strip():
-            continue
-        idx_text, code_text = line.split()
-        idx = int(idx_text)
+    for n, line in enumerate(data.splitlines(), 1):
+        try:
+            idx_text, code_text = line.split()
+            idx = int(idx_text)
+        except ValueError:
+            if not line.strip():  # blank lines fail the unpack too
+                continue
+            raise ValueError(f"sidecar line {n}: expected 'block_index aux_hex', "
+                             f"got {line.decode()!r}") from None
         code = int(code_text, 16)
         if not 0 <= idx < n_blocks:
             raise ValueError(f"sidecar block index {idx} out of range")

@@ -1,7 +1,9 @@
 """Reference readbacks for tests: whole streams, rebuilt models.
 
 ``harness._apply_schemes`` returns only the touched blocks' words; tests
-that compare whole streams scatter them into a copy of the fault-free one.
+that compare whole streams scatter them into a copy of the fault-free one,
+and add each readback's block deviations themselves, apart from
+``harness._Readbacks.score``.
 :func:`reference_error` rebuilds the model from a whole stream and runs
 :func:`craft.nn.accuracy` on it, the oracle for ``harness._Readbacks``.
 """
@@ -10,16 +12,23 @@ import numpy as np
 
 from craft.harness import _apply_schemes
 from craft.nn import QuantizedModel, accuracy, dequantize
+from craft.objective import deviation_words
 from craft.weightfile import unflatten_model
 
 
 def scheme_readbacks(blocks, layout, schemes, fault_map):
-    """Each scheme's (readback stream, total deviation), in order."""
-    touched, found = _apply_schemes(blocks, layout, schemes, fault_map)
+    """Each scheme's (readback stream, total deviation), in order.  A total
+    adds the readback's block deviations left to right in plain Python."""
+    touched, outs = _apply_schemes(blocks, layout, schemes, fault_map)
+    scales = layout.block_scales()
+    scale = None if scales is None else scales[touched]
     results = []
-    for out, total in found:
+    for out in outs:
         read = blocks.copy()
         read[touched] = out
+        total = 0.0
+        for delta in deviation_words(blocks[touched], out, layout.precision, scale).tolist():
+            total += delta
         results.append((read, total))
     return results
 

@@ -46,14 +46,19 @@ class TestTrain:
         assert out1.replace("a.w", "X") == out2.replace("b.w", "X")
 
     def test_quantize_writes_u8_tag(self, capsys, tmp_path):
-        path, _ = train_default(capsys, tmp_path, "q.w", "--quantize")
+        path, out = train_default(capsys, tmp_path, "q.w", "--quantize")
         assert path.read_bytes()[6] == 1
         assert isinstance(load_model(path), nn.QuantizedModel)
-
-    def test_precision_flag_aliases_quantize(self, capsys, tmp_path):
-        path, out = train_default(capsys, tmp_path, "q.w", "--precision", "u8")
-        assert path.read_bytes()[6] == 1
         assert "config precision=u8" in out
+
+    def test_precision_flag_is_not_an_option(self, capsys, tmp_path):
+        # --quantize alone picks u8; there is no second flag to disagree with it
+        path = tmp_path / "q.w"
+        code, _, err = run(capsys, "train", "--out", str(path), "--epochs", "1",
+                           "--precision", "u8")
+        assert code == 1
+        assert "--precision" in err
+        assert not path.exists()
 
     def test_reports_fault_free_accuracy(self, capsys, tmp_path):
         _, out = train_default(capsys, tmp_path)
@@ -341,7 +346,8 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("edit", ["bad_code", "duplicate", "digit_separator",
                                       "non_ascii_digit", "signed_index", "hex_prefix",
-                                      "signed_code"])
+                                      "signed_code", "one_field", "three_fields",
+                                      "hex_index"])
     def test_malformed_sidecar_exits_2(self, capsys, tmp_path, edit):
         encoded, sidecar, layout = self._encoded(capsys, tmp_path)
         lines = sidecar.read_text().splitlines()
@@ -357,6 +363,12 @@ class TestEncodeDecode:
             lines[0] = "0 0x3f"  # int(_, 16) would read code 63
         elif edit == "signed_code":
             lines[0] = "0 +3f"
+        elif edit == "one_field":
+            lines[1] = "1"
+        elif edit == "three_fields":
+            lines[0] = "0 00 7"
+        elif edit == "hex_index":
+            lines[0] = "a 00"  # passes the hex-digit whitelist
         else:
             lines[1] = "\u0661 3f"  # an Arabic-Indic one: int() would read block 1
         sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")

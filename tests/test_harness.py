@@ -15,7 +15,7 @@ from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
                            write_raw_csv, write_summary_csv)
 from craft.memory import FaultMap, generate_fault_map
 from craft.nn import accuracy
-from craft.objective import NONFINITE_SENTINEL
+from craft.objective import NONFINITE_SENTINEL, best_encodings, deviation_words
 from craft.prng import make_rng, trial_seed
 from craft.weightfile import flatten_model
 
@@ -66,8 +66,8 @@ class TestRunTrial:
     def test_full_ber_all_sa1_reads_all_ones(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
         fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1.0, 1.0, 3)
-        touched, [(out, _)] = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)
-        [err] = _Readbacks(blocks, layout, default_dataset).errors(touched, out[None])
+        touched, outs = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)
+        _, [err] = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
         saturated = nn.QuantizedModel(layers=tuple(
             nn.QuantizedLayer(codes=np.full_like(l.codes, 255), scale=l.scale,
                               zero_point=l.zero_point, biases=l.biases)
@@ -329,6 +329,32 @@ class TestUnchangedReadbacks:
                     (one.classification_error, one.total_delta)
 
 
+@pytest.mark.parametrize("ber", [1e-3, 1e-1, 1.0])
+def test_score_totals_match_scheme_totals(criticality_model, default_dataset, ber):
+    """score's total deviations equal, bit for bit, the in-order sums each
+    scheme gives on its own: of the search's winning deltas for remap_invert
+    and craft, and of the readouts' block deviations for baseline and ECP."""
+    blocks, layout = flatten_model(criticality_model)
+    fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, DEFAULT_SA1_FRACTION, 7)
+    schemes = [Scheme.parse(s) for s in ("baseline", "ecp1", "ecp3", "remap_invert", "craft")]
+    touched, outs = _apply_schemes(blocks, layout, schemes, fmap)
+    totals, _ = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
+    _, mask, stuck = fmap.touched_blocks
+    words = blocks[touched]
+    scales = layout.block_scales()
+    scale = None if scales is None else scales[touched]
+    searched = [s for s in schemes if s.n_configs]
+    found = best_encodings(words, mask, stuck, layout.precision, scale,
+                           [s.n_configs for s in searched])
+    search_deltas = {s.name: deltas for s, (_, _, deltas) in zip(searched, found)}
+    for scheme, out, total in zip(schemes, outs, totals.tolist(), strict=True):
+        if scheme.n_configs:
+            want = _in_order_sum(search_deltas[scheme.name])
+        else:
+            want = _in_order_sum(deviation_words(words, out, layout.precision, scale))
+        assert total == float(want), scheme.name
+
+
 def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_dataset):
     """remap_invert and craft share one search of each non-empty fault map."""
     searches = []
@@ -412,9 +438,10 @@ def readback(case, blocks, layout, gen):
 
 
 class TestReadbacksMatchRebuild:
-    """_Readbacks.errors against the full rebuild and accuracy of the oracle,
-    on seeded readbacks of every kind, one at a time and mixed in one batch;
-    each call must leave the kept weights and activations as they were."""
+    """_Readbacks.score's errors against the full rebuild and accuracy of the
+    oracle, on seeded readbacks of every kind, one at a time and mixed in one
+    batch; each call must leave the kept weights and activations as they
+    were."""
 
     # the layers whose float64 weights each kind of readback changes
     CHANGED = {"layer0": lambda c: c == [0], "last": lambda c: c == [2],
@@ -444,7 +471,7 @@ class TestReadbacksMatchRebuild:
             if case == "nonfinite":
                 assert not all(np.isfinite(w).all() for w in decoded)
             forward_passes.clear()
-            [got] = rb.errors(touched, out[None])
+            _, [got] = rb.score(touched, out[None])
             assert type(got) is float
             assert got == reference_error(read, layout, default_dataset)
             # one rerun, from the first changed layer, or none
@@ -481,7 +508,7 @@ class TestReadbacksMatchRebuild:
             starts += [i for i, (a, b) in enumerate(zip(decoded, clean)) if a.tobytes() != b][:1]
         assert starts == [0, 2, 0, 0]  # layer0, last, several, nonfinite
         forward_passes.clear()
-        got = rb.errors(touched, outs)
+        _, got = rb.score(touched, outs)
         assert got == expected
         assert all(type(e) is float for e in got)
         assert forward_passes == starts
@@ -494,8 +521,10 @@ class TestReadbacksMatchRebuild:
         blocks, layout = flatten_model(odd_model(precision))
         rb = _Readbacks(blocks, layout, default_dataset)
         forward_passes.clear()
-        got = rb.errors(np.empty(0, dtype=np.intp), np.empty((3, 0, 16), dtype=np.uint32))
+        totals, got = rb.score(np.empty(0, dtype=np.intp),
+                               np.empty((3, 0, 16), dtype=np.uint32))
         assert got == [rb.fault_free] * 3
+        assert totals.tolist() == [0.0] * 3
         assert forward_passes == []
 
 

@@ -234,6 +234,15 @@ class TestSidecar:
         with pytest.raises(ValueError):
             load_sidecar(path, 2)
 
+    @pytest.mark.parametrize("text, line", [("0 00\n1\n", 2), ("0 00 7\n1 00\n", 1),
+                                            ("0 00\n\na 00\n", 3)])
+    def test_wrong_shaped_line_named(self, tmp_path, text, line):
+        path = tmp_path / "m.aux"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"sidecar line {line}: expected "
+                                             f"'block_index aux_hex', got '"):
+            load_sidecar(path, 2)
+
 
     @pytest.mark.parametrize("text", ["0 0_0\n1 00\n", "0 00\n\u0661 3f\n",
                                       "0 00\n1 \u0663f\n", "0 00\n1 00\u00a0\n",

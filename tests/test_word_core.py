@@ -315,10 +315,10 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
     schemes = [Scheme.parse(name) for name in names]
     results = scheme_readbacks(blocks, layout, schemes, fmap)
     assert len(results) == len(schemes)
-    _, found = _apply_schemes(blocks, layout, schemes, fmap)
+    _, outs = _apply_schemes(blocks, layout, schemes, fmap)
     reference = {}
-    for i, (scheme, (read, total), (out, _)) in enumerate(zip(schemes, results, found,
-                                                              strict=True)):
+    for i, (scheme, (read, total), out) in enumerate(zip(schemes, results, outs,
+                                                         strict=True)):
         alone_read, alone_total = scheme_readbacks(blocks, layout, [scheme], fmap)[0]
         assert np.array_equal(read, alone_read)
         assert total == alone_total
@@ -328,7 +328,7 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
         assert np.array_equal(read, ref_read)
         assert total == ref_total
         assert not np.shares_memory(out, blocks)
-        assert not any(np.shares_memory(out, other) for other, _ in found[:i])
+        assert not any(np.shares_memory(out, other) for other in outs[:i])
 
 
 def random_stuck_blocks(seed, n, precision, density=0.02):
