@@ -322,6 +322,8 @@ def cmd_criticality(args) -> int:
 
 def cmd_encode_file(args) -> int:
     sidecar = args.sidecar or f"{args.out}.aux"
+    if os.path.realpath(sidecar) == os.path.realpath(args.out):
+        raise UsageFailure(f"--out and --sidecar name the same file: {args.out}, {sidecar}")
     _echo(args, {"sidecar_path": sidecar})
     _check_out_dir(args.out)
     _check_out_dir(sidecar)

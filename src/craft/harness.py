@@ -19,7 +19,7 @@ from .codecs import N_CONFIGS, PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
 from .memory import FaultMap, apply_stuck, generate_fault_map
 from .nn import MlpModel, QuantizedModel, _forward
 from .objective import best_encodings, deviation_words
-from .prng import make_rng, trial_seed
+from .prng import trial_seed
 from .weightfile import BlockLayout, flatten_model
 
 DEFAULT_SA1_FRACTION = 0.5
@@ -342,14 +342,15 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     flattened stream (no protection scheme is applied).  The same per-trial
     seed is reused across positions, so the stuck word pattern is paired.
 
-    Each trial's stuck words are drawn once and serve every position: the
-    map of position 0 holds bit 0 of each stuck word, which is bit 0 (fp32)
-    or bit 8*(i % 4) (u8) of its uint32 word, so position p's (mask, stuck)
-    words are position 0's shifted left by p.  A trial builds every
-    position's readback at once and scores them, total deviation and test
-    error, in one batched call; a readback whose weights equal the
-    fault-free ones takes the fault-free error without another inference
-    (see :class:`_Readbacks`).
+    Each trial's stuck words are drawn once, as a fault map over the words
+    (see :func:`craft.memory.generate_fault_map`), and serve every
+    position: the map of position 0 holds bit 0 of each stuck word, which
+    is bit 0 (fp32) or bit 8*(i % 4) (u8) of its uint32 word, so position
+    p's (mask, stuck) words are position 0's shifted left by p.  A trial
+    builds every position's readback at once and scores them, total
+    deviation and test error, in one batched call; a readback whose weights
+    equal the fault-free ones takes the fault-free error without another
+    inference (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -365,11 +366,9 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     deltas = np.empty((word_bits, trials))
     for t in range(trials):
         seed = trial_seed(base_seed, t)
-        rng = make_rng(seed)
-        stuck_word = rng.random(n_words) < ber
-        values = (rng.random(int(stuck_word.sum())) < DEFAULT_SA1_FRACTION).astype(np.uint8)
-        indices = np.flatnonzero(stuck_word).astype(np.int64) * word_bits
-        fmap = FaultMap(region, indices, values, ber, DEFAULT_SA1_FRACTION, seed)
+        g = generate_fault_map(n_words, ber, DEFAULT_SA1_FRACTION, seed)
+        fmap = FaultMap(region, g.bit_indices * word_bits, g.stuck_values, ber,
+                        DEFAULT_SA1_FRACTION, seed)
         touched, mask0, stuck0 = fmap.touched_blocks
         outs = apply_stuck(blocks[touched], mask0 << shifts, stuck0 << shifts)
         deltas[:, t], errs[:, t] = readbacks.score(touched, outs)

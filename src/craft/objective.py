@@ -13,8 +13,9 @@ in the data's frame: it never encodes.  :func:`craft.codecs.frame_stuck`
 gathers each block's stuck cells into the position where every logical
 word sits under every config, so a config's readback is the original words
 with those cells applied.  :func:`search_words` scores the first k configs
-of a chunk of blocks in one word-major (16, k, blocks) pass, in work
-arrays each thread keeps between calls.  :func:`best_encodings` scores the
+of a chunk of blocks in one word-major (16, k, blocks) pass, in arrays
+made for that pass, so a search keeps no state between calls and its
+temporaries stay within one chunk's.  :func:`best_encodings` scores the
 longest of several prefixes once, a chunk at a time, and gives each prefix
 its winners, their readbacks and their deltas from that one pass;
 :func:`store_words` builds on it, searches all 64 configs and encodes the
@@ -26,7 +27,6 @@ bits: a single-block search that reports every config's delta.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +42,7 @@ from .memory import FaultMap, stuck_words
 NONFINITE_SENTINEL = 2.0 ** 128
 
 #: Blocks scored per pass of the search.  A pass works in a few
-#: (16, configs, chunk) arrays kept per thread (about 0.4 MB for all 64
+#: (16, configs, chunk) arrays of its own (about 0.6 MB for all 64 fp32
 #: configs), so memory stays flat in the model size.
 SEARCH_CHUNK_BLOCKS = 32
 
@@ -136,48 +136,25 @@ class DeviationReport:
         return "\n".join(lines) + "\n"
 
 
-class _Workspace(threading.local):
-    """The search's work arrays, kept per thread.
-
-    Each role has one flat byte buffer, grown to the largest chunk the
-    thread has searched (never past :data:`SEARCH_CHUNK_BLOCKS` blocks of
-    all 64 configs) and viewed at each call's dtype and shape.  Nothing
-    handed back to a caller points into it.
-    """
-
-    def __init__(self):
-        self.flat = {}
-
-    def array(self, role: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = dtype.itemsize * math.prod(shape)
-        buf = self.flat.get(role)
-        if buf is None or buf.size < nbytes:
-            buf = self.flat[role] = np.empty(nbytes, dtype=np.uint8)
-        return np.ndarray(shape, dtype, buf)
-
-
-_WORK = _Workspace()
-
-
-def _sum_halves(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, of power-of-two length, into `out`: each
-    step adds the second half to the first, so every add reads and writes
-    whole contiguous slabs; `terms` is overwritten.  On 16 words in
-    :data:`_WORD_ORDER` this is numpy's sum of 16 contiguous float64: eight
-    lanes r_k = a_k + a_(k+8), then ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))."""
+def _sum_halves(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, of power-of-two length: each step adds
+    the second half to the first, so every add reads and writes whole
+    contiguous slabs; `terms` is overwritten and the sum is a new array.
+    On 16 words in :data:`_WORD_ORDER` this is numpy's sum of 16 contiguous
+    float64: eight lanes r_k = a_k + a_(k+8), then
+    ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))."""
     while len(terms) > 2:
         half = len(terms) // 2
         np.add(terms[:half], terms[half:], out=terms[:half])
         terms = terms[:half]
-    return np.add(terms[0], terms[1], out=out)
+    return np.add(terms[0], terms[1])
 
 
-def _score(words, mask_t, stuck_t, precision, scale, columns, out: np.ndarray) -> np.ndarray:
+def _score(words, mask_t, stuck_t, precision, scale, columns) -> np.ndarray:
     """Deltas of (m, 16) blocks under the configs whose frame-table
     columns (see :func:`craft.codecs.frame_stuck`) are `columns`, shape
-    (16, configs) with words in :data:`_WORD_ORDER`, written into `out`,
-    shape (configs, m).
+    (16, configs) with words in :data:`_WORD_ORDER`, as a new (configs, m)
+    array.
 
     Works word-major, (16, configs, m), so each table gather copies whole
     rows and the 16-word sum is four slab adds.  The fp32 adds follow
@@ -185,51 +162,33 @@ def _score(words, mask_t, stuck_t, precision, scale, columns, out: np.ndarray) -
     :func:`deviation_words` bit for bit; u8 code differences add exactly
     in 16-bit integers.
     """
-    work = _WORK
-    m = words.shape[0]
-    shape = columns.shape + (m,)
-    x = work.array("words", np.uint32, (REMAP_SLOTS, m))
-    np.take(words.T, _WORD_ORDER, axis=0, out=x, mode="clip")
-    keep = work.array("keep", np.uint32, (N_CONFIGS, m))
-    np.invert(mask_t.T, out=keep)
-    stuck = work.array("stuck", np.uint32, (N_CONFIGS, m))
-    np.copyto(stuck, stuck_t.T)
-    readback = work.array("readback", np.uint32, shape)
-    np.take(keep, columns, axis=0, out=readback, mode="clip")
-    np.bitwise_and(readback, x[:, None, :], out=readback)
-    # The gathered stuck values live in the terms' buffer until the terms
-    # are written, and the fp32 non-finite mask in the readback's after.
-    gathered = work.array("terms", np.uint32, shape)
-    np.take(stuck, columns, axis=0, out=gathered, mode="clip")
-    np.bitwise_or(readback, gathered, out=readback)
+    x = np.take(words.T, _WORD_ORDER, axis=0)
+    keep = np.invert(mask_t.T, order="C")
+    readback = np.take(keep, columns, axis=0)
+    readback &= x[:, None, :]
+    readback |= np.take(np.ascontiguousarray(stuck_t.T), columns, axis=0)
     if precision is Precision.U8:
         # |qr - qo| as max - min in uint8, widened to uint16 by the first add.
         qr = readback.view(np.uint8)
         qo = x.view(np.uint8)[:, None, :]
-        low = np.minimum(qr, qo, out=gathered.view(np.uint8))
+        low = np.minimum(qr, qo)
         np.subtract(np.maximum(qr, qo, out=qr), low, out=qr)
-        lanes = work.array("terms", np.uint16, (8,) + qr.shape[1:])
-        np.add(qr[:8], qr[8:], out=lanes, dtype=np.uint16)
+        lanes = np.add(qr[:8], qr[8:], dtype=np.uint16)
         # Each uint64 holds a block's four byte sums (at most 16 * 255 each);
         # the top 16 bits of its product with 0x0001000100010001 are their
         # sum, which stays below 2 ** 16, so no carry spills between fields.
-        sums = _sum_halves(lanes, lanes[0]).view(np.uint64)
-        np.multiply(sums, 0x0001000100010001, out=sums)
-        return np.multiply(np.right_shift(sums, 48, out=sums), scale, out=out)
-    terms = work.array("terms", np.float64, shape)
-    original = work.array("original", np.float64, x.shape)
+        sums = _sum_halves(lanes).view(np.uint64)
+        sums *= 0x0001000100010001
+        sums >>= 48
+        return sums * scale
     # Blocks are arbitrary bit patterns; signaling NaNs and inf-inf are
     # expected here and resolved through the sentinel.
     with np.errstate(invalid="ignore"):
-        np.copyto(original, x.view("<f4"))
-        np.copyto(terms, readback.view("<f4"))
-        np.subtract(terms, original[:, None, :], out=terms)
+        terms = np.subtract(readback.view("<f4"), x.view("<f4")[:, None, :],
+                            dtype=np.float64)
     np.abs(terms, out=terms)
-    nonfinite = work.array("readback", np.bool_, shape)
-    np.isfinite(terms, out=nonfinite)
-    np.logical_not(nonfinite, out=nonfinite)
-    np.copyto(terms, NONFINITE_SENTINEL, where=nonfinite)
-    return _sum_halves(terms, out)
+    np.copyto(terms, NONFINITE_SENTINEL, where=~np.isfinite(terms))
+    return _sum_halves(terms)
 
 
 def _check_size(n_configs: int) -> None:
@@ -240,17 +199,14 @@ def _check_size(n_configs: int) -> None:
 def _scored_chunks(words, mask, stuck, precision, scale, n_configs):
     """Per chunk of at most :data:`SEARCH_CHUNK_BLOCKS` blocks: its slice,
     its frame tables and the (n_configs, m) deltas of aux codes 0 to
-    n_configs - 1.  The deltas live in the calling thread's workspace until
-    the next chunk."""
+    n_configs - 1, each a new array."""
     columns = _COLUMNS[:, :n_configs]
     for lo in range(0, words.shape[0], SEARCH_CHUNK_BLOCKS):
         part = slice(lo, lo + SEARCH_CHUNK_BLOCKS)
         x = words[part]
         mask_t, stuck_t = frame_stuck(mask[part], stuck[part], precision)
-        scores = _WORK.array("scores", np.float64, (n_configs, x.shape[0]))
-        _score(x, mask_t, stuck_t, precision, None if scale is None else scale[part],
-               columns, scores)
-        yield part, mask_t, stuck_t, scores
+        yield part, mask_t, stuck_t, _score(x, mask_t, stuck_t, precision,
+                                            None if scale is None else scale[part], columns)
 
 
 def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
@@ -263,8 +219,8 @@ def search_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     the blocks' stuck cells (see :func:`craft.memory.stuck_words`) and
     `scale` is None for fp32 or the per-block u8 scales, shape (n,).
     Returns (n, n_configs) deltas, column c holding aux code c.  Raises
-    ValueError unless 1 <= n_configs <= 64.  Work memory is kept per
-    thread and bounded by one chunk, whatever n is.
+    ValueError unless 1 <= n_configs <= 64.  Beyond the result, work
+    memory is bounded by one chunk's, whatever n is.
     """
     _check_size(n_configs)
     deltas = np.empty((n_configs, words.shape[0]))

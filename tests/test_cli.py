@@ -526,6 +526,16 @@ class TestOutputChecks:
                         "--sidecar", str(inputs / "missing" / "o.aux"))
         assert not (inputs / "o.blk").exists()
 
+    @pytest.mark.parametrize("sidecar", ["o.blk", "./o.blk"])
+    def test_encode_file_sidecar_is_the_output(self, capsys, inputs, monkeypatch, sidecar):
+        monkeypatch.chdir(inputs)
+        before = sorted(p.name for p in inputs.iterdir())
+        code, _, err = run(capsys, "encode-file", "--in", "m.w", "--fault-map", "faults.txt",
+                           "--out", "o.blk", "--sidecar", sidecar)
+        assert code == 1
+        assert "--out" in err and "--sidecar" in err and "Traceback" not in err, err
+        assert sorted(p.name for p in inputs.iterdir()) == before
+
     @pytest.mark.parametrize("out_dir", ["missing", "m.w"])
     def test_decode_file(self, capsys, inputs, out_dir):
         self.check_exit(capsys, "decode-file", "--in", str(inputs / "m.blk"),

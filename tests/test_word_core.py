@@ -5,8 +5,9 @@ Python integers in ``codec_oracle``; the search's frame readbacks are
 compared with encode -> stuck cells -> decode, one shared search with a
 search of each prefix of aux-code order alone, and the harness's batched scheme
 application with a per-block loop over the integer references.
-The chunked search and its per-thread work arrays are checked against
-one-block searches, searches in fresh threads and concurrent threads.
+The chunked search is checked against one-block searches, searches in
+fresh threads and concurrent threads, and its traced memory against one
+chunk's.
 Per-config deltas must agree bit for bit.
 """
 
@@ -14,6 +15,7 @@ import pathlib
 import struct
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +27,6 @@ from craft.codecs import (ALL_CONFIGS, PAYLOAD_BITS, Precision, decode_words, en
                           frame_stuck)
 from craft.harness import Scheme, _apply_schemes
 from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
-from craft import objective
 from craft.objective import (NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, WeightView,
                              best_encodings, deviation_words, search_best_encoding,
                              search_words, store_words)
@@ -376,13 +377,9 @@ def assert_same(got, expected):
 
 
 def in_new_thread(fn, *args):
-    """fn(*args) in a thread of its own, so with a workspace of its own."""
+    """fn(*args) in a thread of its own, where no earlier search has run."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(fn, *args).result()
-
-
-def workspace_nbytes():
-    return sum(buf.nbytes for buf in objective._WORK.flat.values())
 
 
 CHUNKED = 2 * SEARCH_CHUNK_BLOCKS + 3
@@ -426,34 +423,35 @@ def test_small_search_after_a_large_one_matches_a_fresh_thread():
             assert_same(searches(*small[p], 8), fresh[p])
 
 
-def test_results_do_not_alias_the_workspace():
+def test_results_are_unchanged_by_a_later_search():
     for precision in Precision:
-        first_in = random_stuck_blocks(5, 40, precision, 0.1)
-        first = searches(*first_in, 64)
+        first = searches(*random_stuck_blocks(5, 40, precision, 0.1), 64)
         kept = [a.copy() for a in first]
         searches(*random_stuck_blocks(6, 40, precision, 0.3), 64)
         assert_same(first, kept)
-        for array in first:
-            assert not any(np.shares_memory(array, buf) for buf in objective._WORK.flat.values())
 
 
-def test_workspace_stays_within_one_chunk():
-    def one_chunk():
-        for precision in Precision:
-            searches(*random_stuck_blocks(7, SEARCH_CHUNK_BLOCKS, precision), 64)
-        return workspace_nbytes()
+def search_work_bytes(n, precision):
+    """Traced peak of a search of n blocks, less the bytes it returns."""
+    inputs = random_stuck_blocks(7, n, precision)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        found = best_encodings(*inputs, [64, 8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base - sum(a.nbytes for result in found for a in result)
 
-    def many_sizes():
-        sizes = [1, 2, 3, 17, SEARCH_CHUNK_BLOCKS - 1, SEARCH_CHUNK_BLOCKS,
-                 SEARCH_CHUNK_BLOCKS + 1, CHUNKED, 5 * SEARCH_CHUNK_BLOCKS + 7, 64, 9]
-        for i, n in enumerate(sizes):
-            for precision in Precision:
-                searches(*random_stuck_blocks(i, n, precision), 64 if i % 2 else 8 + i)
-        return workspace_nbytes()
 
-    chunk_bytes = in_new_thread(one_chunk)
-    assert chunk_bytes > 0
-    assert in_new_thread(many_sizes) <= chunk_bytes
+def test_search_memory_stays_within_one_chunk():
+    # Past the first chunk, the previous chunk's tables and scores are
+    # still held while the next is scored: a few percent of one chunk's
+    # work, where a search of all 40 chunks at once would take 40 times it.
+    for precision in Precision:
+        one = search_work_bytes(SEARCH_CHUNK_BLOCKS, precision)
+        assert one > 0
+        assert search_work_bytes(40 * SEARCH_CHUNK_BLOCKS, precision) <= 1.25 * one
 
 
 def test_concurrent_searches_match_serial_ones():
