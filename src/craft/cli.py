@@ -20,9 +20,9 @@ from .codecs import PAYLOAD_BITS, decode_words
 from .harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
 from .memory import load_fault_map, stuck_words
-from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_LR,
-                 DEFAULT_SAMPLES, DEFAULT_SEED, TrainingDivergedError, accuracy,
-                 make_dataset, quantize, train)
+from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_HIDDEN,
+                 DEFAULT_LR, DEFAULT_SAMPLES, DEFAULT_SEED, TrainingDivergedError,
+                 accuracy, make_dataset, quantize, train)
 from .objective import deviation_words, store_words
 from .weightfile import (flatten_model, load_blocks, load_model, load_sidecar,
                          save_blocks, save_model, save_sidecar, unflatten_model)
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output weight file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_dataset_flags(p, seed_flag=False)
-    p.add_argument("--hidden", type=_hidden_dims, default=(32, 32))
+    p.add_argument("--hidden", type=_hidden_dims, default=DEFAULT_HIDDEN)
     p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--quantize", action="store_true", help="write u8 quantized weights")
@@ -294,7 +294,10 @@ def cmd_sweep(args) -> int:
     raw_path = f"{args.out}_raw.csv"
     summary_path = f"{args.out}_summary.csv"
     model, dataset = _run_inputs(args, raw_path, summary_path)
-    results = ber_sweep(model, dataset, args.schemes, bers, args.trials, args.seed)
+    try:
+        results = ber_sweep(model, dataset, args.schemes, bers, args.trials, args.seed)
+    except ValueError as exc:
+        raise UsageFailure(f"bad sweep flags: {exc}") from exc
     try:
         write_raw_csv(results, raw_path)
         write_summary_csv(results, summary_path)
@@ -309,8 +312,11 @@ def cmd_sweep(args) -> int:
 def cmd_criticality(args) -> int:
     _echo(args, {"trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
     model, dataset = _run_inputs(args, args.out)
-    result = bit_criticality(model, dataset, ber=args.ber, trials=args.trials,
-                             base_seed=args.seed)
+    try:
+        result = bit_criticality(model, dataset, ber=args.ber, trials=args.trials,
+                                 base_seed=args.seed)
+    except ValueError as exc:
+        raise UsageFailure(f"bad criticality flags: {exc}") from exc
     try:
         write_criticality_csv(result, args.out)
     except OSError as exc:

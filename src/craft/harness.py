@@ -16,13 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .codecs import N_CONFIGS, PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
-from .memory import FaultMap, apply_stuck, generate_fault_map
-from .nn import MlpModel, QuantizedModel, _forward
+from .memory import DEFAULT_SA1_FRACTION, FaultMap, apply_stuck, generate_fault_map
+from .nn import MlpModel, QuantizedModel, _forward, dequantized
 from .objective import best_encodings, deviation_words
 from .prng import trial_seed
-from .weightfile import BlockLayout, flatten_model
+from .weightfile import BlockLayout, flatten_model, layer_views
 
-DEFAULT_SA1_FRACTION = 0.5
 #: How far above its fault-free error a sweep's mean error may rise before
 #: :func:`robustness_improvement` counts the sweep as collapsed.
 ERROR_BUDGET = 0.05
@@ -129,6 +128,10 @@ class RobustnessRatio:
 
 #: Most points a BER grid may hold.
 MAX_BER_GRID_POINTS = 10_000
+#: Most trial results one run may hold: schemes x BER points x trials for
+#: :func:`ber_sweep`, word bits x trials for :func:`bit_criticality`.  The
+#: count is checked before the run allocates its results or scores a trial.
+MAX_TRIAL_RESULTS = 10_000_000
 
 
 def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) -> list[float]:
@@ -148,6 +151,11 @@ def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) ->
     if n > MAX_BER_GRID_POINTS:
         raise ValueError(f"BER grid of {n} points exceeds {MAX_BER_GRID_POINTS}")
     return [float(10.0 ** (lo_exp + i / per_decade)) for i in range(n)]
+
+
+def _check_trial_results(n: int, what: str) -> None:
+    if n > MAX_TRIAL_RESULTS:
+        raise ValueError(f"{what} make {n} trial results, more than {MAX_TRIAL_RESULTS}")
 
 
 def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
@@ -196,42 +204,33 @@ class _Readbacks:
     A readback is the stream with the blocks at `touched` reading `out`;
     :meth:`score` scores a batch of them over the same blocks.  No
     readback rebuilds the model.  Kept from the fault-free stream: its
-    weights as float64, in one flat vector whose layer matrices are views
-    (each block's pad slots point at one spare slot past them), the float64
-    biases and every layer's activations on the test set.  A readback
-    equal to the fault-free stream, or whose words decode to the same
-    float64 weights bit for bit (faults only in pad slots, say), takes the
-    fault-free error.  Any other is written into the kept weights, the
-    layers from the first changed one rerun from its kept input activation
-    into kept work arrays, and the write undone.  The words decode with the
-    element-wise expressions of :func:`craft.weightfile.unflatten_model`
-    and :func:`craft.nn.infer`, so every matmul gets the operands a rebuilt
-    model would give it and the errors are the same bit for bit.
+    weights as float64 in (n_blocks, weights_per_block) slots, whose
+    :func:`craft.weightfile.layer_views` are the layer matrices, the float64
+    biases and every layer's activations on the test set.  A readback equal
+    to the fault-free stream, or whose words decode to the same float64
+    weights bit for bit (faults only in pad slots, say), takes the
+    fault-free error.  Any other is written into the touched rows of slots,
+    the layers from the first changed one rerun from its kept input
+    activation into kept work arrays, and the rows restored.  The words
+    decode as :func:`craft.weightfile.unflatten_model`,
+    :func:`craft.nn.dequantized` and :func:`craft.nn.infer` do, so every
+    matmul gets a rebuilt model's operands and the errors match bit for bit.
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
         self.blocks = blocks
         self.precision = layout.precision
-        wpb = self.precision.weights_per_block
-        sizes = [r * c for r, c in layout.shapes]
-        offsets = np.cumsum([0, *sizes])
-        spare = int(offsets[-1])
-        self.flat = np.empty(spare + 1)
-        self.weights = [self.flat[o:o + r * c].reshape(r, c)
-                        for o, (r, c) in zip(offsets.tolist(), layout.shapes)]
-        slots = []
-        for o, size, n_blocks in zip(offsets.tolist(), sizes, layout.layer_blocks):
-            i = np.arange(n_blocks * wpb)
-            slots.append(np.where(i < size, o + i, spare))
-        self.slots = np.concatenate(slots).reshape(-1, wpb)
-        self.real = self.slots != spare
-        self.block_layer = np.repeat(np.arange(len(sizes)), layout.layer_blocks)
         self.scale = layout.block_scales()
         if self.scale is not None:
             self.scale = self.scale[:, None]
             self.zero_point = np.repeat([zp for _, zp in layout.quant],
                                         layout.layer_blocks)[:, None]
-        self.flat[self.slots] = self._decode(np.arange(layout.n_blocks), blocks)
+        self.flat = self._decode(np.arange(layout.n_blocks), blocks)
+        self.weights = layer_views(self.flat, layout)
+        self.real = np.zeros(self.flat.shape, dtype=bool)
+        for view in layer_views(self.real, layout):
+            view[...] = True
+        self.block_layer = np.repeat(np.arange(len(layout.shapes)), layout.layer_blocks)
         self.biases = [b.astype(np.float64) for b in layout.biases]
         inputs = np.asarray(dataset.test_inputs, dtype=np.float64)
         self.labels = np.asarray(dataset.test_labels)
@@ -250,9 +249,8 @@ class _Readbacks:
         with np.errstate(invalid="ignore", over="ignore"):
             if self.scale is None:
                 return raw.view("<f4").astype(np.float64)
-            codes = raw.view(np.uint8).astype(np.float64)
-            values = self.scale[touched] * (codes - self.zero_point[touched])
-            return values.astype(np.float32).astype(np.float64)
+            return dequantized(raw.view(np.uint8), self.scale[touched],
+                               self.zero_point[touched]).astype(np.float64)
 
     def _error(self, logits: np.ndarray) -> float:
         hits = int(np.count_nonzero(np.argmax(logits, axis=1) == self.labels))
@@ -273,19 +271,18 @@ class _Readbacks:
         totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.precision,
                                                scale))
         values = self._decode(touched, outs)
-        slots = self.slots[touched]
-        kept = self.flat[slots]
+        kept = self.flat[touched]
         changed = (values.view(np.uint64) != kept.view(np.uint64)) & self.real[touched]
         rows = changed.any(axis=2)
         errs = [self.fault_free] * len(outs)
         for k in np.flatnonzero(rows.any(axis=1)).tolist():
             first = int(self.block_layer[touched[rows[k]]].min())
-            self.flat[slots] = values[k]
+            self.flat[touched] = values[k]
             try:
                 errs[k] = self._error(_forward(self.weights, self.biases, self.acts[first],
                                                self.work, first))
             finally:
-                self.flat[slots] = kept
+                self.flat[touched] = kept
         return totals, errs
 
 
@@ -297,10 +294,11 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     Every trial runs in the calling thread, in (ber, trial) order, and its
     results are reduced in (scheme, ber, trial) order, so output is
     order-deterministic.  A stuck cell is SA1 with probability
-    :data:`DEFAULT_SA1_FRACTION`.  `threads` must be 1.  Each fault map's
-    scheme readbacks are scored, total deviation and test error, in one
-    batched call; a readback whose weights equal the fault-free ones takes
-    the fault-free error without another inference (see
+    :data:`craft.memory.DEFAULT_SA1_FRACTION`.  `threads` must be 1, and
+    the run may hold at most :data:`MAX_TRIAL_RESULTS` results.  Each fault
+    map's scheme readbacks are scored, total deviation and test error, in
+    one batched call; a readback whose weights equal the fault-free ones
+    takes the fault-free error without another inference (see
     :class:`_Readbacks`).
     """
     if trials < 1:
@@ -308,6 +306,8 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     if threads != 1:
         raise ValueError(f"ber_sweep runs every trial in the calling thread; "
                          f"threads must be 1, got {threads}")
+    _check_trial_results(len(schemes) * len(ber_list) * trials,
+                         f"{len(schemes)} schemes x {len(ber_list)} BER points x {trials} trials")
     blocks, layout = flatten_model(model)
     region = layout.n_blocks * PAYLOAD_BITS
     readbacks = _Readbacks(blocks, layout, dataset)
@@ -350,7 +350,8 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     builds every position's readback at once and scores them, total
     deviation and test error, in one batched call; a readback whose weights
     equal the fault-free ones takes the fault-free error without another
-    inference (see :class:`_Readbacks`).
+    inference (see :class:`_Readbacks`).  The run may hold at most
+    :data:`MAX_TRIAL_RESULTS` results.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -358,6 +359,7 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
         raise ValueError(f"ber must be in [0, 1], got {ber}")
     blocks, layout = flatten_model(model)
     word_bits = layout.precision.word_bits
+    _check_trial_results(word_bits * trials, f"{word_bits} bit positions x {trials} trials")
     region = layout.n_blocks * PAYLOAD_BITS
     n_words = region // word_bits
     readbacks = _Readbacks(blocks, layout, dataset)

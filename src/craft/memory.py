@@ -19,6 +19,8 @@ from .prng import make_rng
 PAYLOAD_BITS = 512
 AUX_BITS = 6
 WORDS_PER_BLOCK = PAYLOAD_BITS // 32
+#: Share of stuck cells that hold 1 unless a caller says otherwise.
+DEFAULT_SA1_FRACTION = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +95,8 @@ class FaultMap:
         return out
 
 
-def generate_fault_map(region_size_bits: int, ber: float, sa1_fraction: float = 0.5,
-                       seed: int = 0) -> FaultMap:
+def generate_fault_map(region_size_bits: int, ber: float,
+                       sa1_fraction: float = DEFAULT_SA1_FRACTION, seed: int = 0) -> FaultMap:
     """Draw an i.i.d. stuck-at fault map; deterministic for fixed arguments."""
     if region_size_bits <= 0:
         raise ValueError("fault map region must be non-empty")

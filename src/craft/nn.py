@@ -250,11 +250,13 @@ def quantize(model: MlpModel) -> QuantizedModel:
     return QuantizedModel(layers=tuple(layers))
 
 
+def dequantized(codes: np.ndarray, scale, zero_point) -> np.ndarray:
+    """u8 `codes` as float32 weights: ``scale * (code - zero_point)`` in float64."""
+    return (scale * (codes.astype(np.float64) - zero_point)).astype(np.float32)
+
+
 def dequantize(qmodel: QuantizedModel) -> MlpModel:
-    weights = tuple(
-        (l.scale * (l.codes.astype(np.float64) - l.zero_point)).astype(np.float32)
-        for l in qmodel.layers
-    )
+    weights = tuple(dequantized(l.codes, l.scale, l.zero_point) for l in qmodel.layers)
     return MlpModel(weights=weights, biases=tuple(l.biases for l in qmodel.layers))
 
 

@@ -93,6 +93,11 @@ def deviation_words(original: np.ndarray, readout: np.ndarray, precision: Precis
     a contiguous last axis, and any non-finite weight, in the readout or
     the original, contributes :data:`NONFINITE_SENTINEL`, so comparisons
     stay total and deterministic.
+
+    A delta sums every slot of a block, pad slots included: a pad holds
+    zero in the original, so a stuck cell there adds to the delta (and,
+    through the search, can steer the choice of encoding).  Models whose
+    layers fill whole blocks have no pads.
     """
     if precision is Precision.U8:
         qo = np.ascontiguousarray(original).view(np.uint8).astype(np.int16)

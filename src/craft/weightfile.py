@@ -3,8 +3,9 @@
 Weights are serialized layer-major, row-major into 512-bit blocks (16
 float32 or 64 uint8 codes per block).  Each layer starts on a block
 boundary and its last partial block is zero-padded, so a single block is
-always covered by one layer's quantization view.  Biases and quantization
-parameters travel beside the blocks in fault-free storage.
+always covered by one layer's quantization view (:func:`layer_views` is the
+one statement of this layout).  Biases and quantization parameters travel
+beside the blocks in fault-free storage.
 
 A block stream is an ``(n_blocks, 16)`` array of little-endian uint32
 words, the form the codecs compute on: bit ``w*32+k`` of a block is bit
@@ -100,12 +101,21 @@ def _model_from(layout: BlockLayout, weights) -> MlpModel | QuantizedModel:
     ))
 
 
+def layer_views(slots: np.ndarray, layout: BlockLayout) -> list[np.ndarray]:
+    """Each layer's (rows, cols) matrix, row-major from its first block's first
+    slot, as a view of contiguous (n_blocks, weights_per_block) `slots`."""
+    layers = np.split(slots, np.cumsum(layout.layer_blocks)[:-1])
+    return [w.reshape(-1)[:r * c].reshape(r, c) for w, (r, c) in zip(layers, layout.shapes)]
+
+
 def flatten_model(model: MlpModel | QuantizedModel) -> tuple[np.ndarray, BlockLayout]:
     """Serialize a model's weights into (n_blocks, 16) little-endian uint32
-    words: each layer's weight bytes, zero-padded to whole 64-byte blocks."""
+    words: each layer's weights in its :func:`layer_views` view, pads zero."""
     layout, weights = _layout_and_weights(model)
-    raw = [np.pad(w.reshape(-1).view(np.uint8), (0, -w.nbytes % _BLOCK_BYTES)) for w in weights]
-    return np.concatenate(raw).view("<u4").reshape(-1, WORDS_PER_BLOCK), layout
+    slots = np.zeros((layout.n_blocks, layout.precision.weights_per_block), weights[0].dtype)
+    for view, w in zip(layer_views(slots, layout), weights):
+        view[...] = w
+    return slots.view("<u4"), layout
 
 
 def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | QuantizedModel:
@@ -116,9 +126,7 @@ def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | Quant
         raise ValueError(f"block stream of shape {words.shape} does not match layout "
                          f"({layout.n_blocks} x {WORDS_PER_BLOCK} words)")
     raw = np.ascontiguousarray(words, dtype="<u4").view(_WEIGHT_DTYPE[layout.precision])
-    layers = np.split(raw, np.cumsum(layout.layer_blocks)[:-1])
-    return _model_from(layout, [w.reshape(-1)[:r * c].reshape(r, c).copy()
-                                for w, (r, c) in zip(layers, layout.shapes)])
+    return _model_from(layout, [w.copy() for w in layer_views(raw, layout)])
 
 
 def _write_header(fh, magic: bytes, layout: BlockLayout) -> None:

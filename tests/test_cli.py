@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import craft
-from craft import cli, nn
+from craft import cli, harness, nn
 from craft.cli import main
 from craft.codecs import PAYLOAD_BITS
+from craft.harness import MAX_TRIAL_RESULTS
 from craft.memory import generate_fault_map, save_fault_map, FaultMap
 from craft.weightfile import flatten_model, load_model, save_blocks, save_model, save_sidecar
 
@@ -479,6 +480,27 @@ class TestRunChecks:
                            "--out", str(tmp_path / out_dir / "o"))
         assert code == 2
         assert "output directory" in err and "Traceback" not in err
+
+
+class TestImpossibleTrials:
+    """A --trials whose results no host could hold exits 1 with one error
+    line, before any trial and before any CSV is written."""
+
+    @pytest.mark.parametrize("command", ["sweep", "criticality"])
+    @pytest.mark.parametrize("trials", ["1000000000000000", "1000000000000000000"])
+    def test_exits_1(self, capsys, tmp_path, monkeypatch, command, trials):
+        model, _ = train_default(capsys, tmp_path, "m.w")
+
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(harness, "_Readbacks", started)
+        code, _, err = run(capsys, command, "--model", str(model), "--trials", trials,
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        [line] = err.splitlines()
+        assert line.startswith(f"craft: error: bad {command} flags: ")
+        assert line.endswith(f"trial results, more than {MAX_TRIAL_RESULTS}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.w"]
 
 
 class TestOutputChecks:

@@ -7,8 +7,8 @@ import pytest
 
 from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
-from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, BerPoint,
-                           CriticalityPoint, CriticalityResult, Scheme, SweepResult,
+from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, MAX_TRIAL_RESULTS,
+                           BerPoint, CriticalityPoint, CriticalityResult, Scheme, SweepResult,
                            _apply_schemes, _in_order_sum, _Readbacks, ber_sweep,
                            bit_criticality, default_ber_grid, robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
@@ -526,6 +526,40 @@ class TestReadbacksMatchRebuild:
         assert got == [rb.fault_free] * 3
         assert totals.tolist() == [0.0] * 3
         assert forward_passes == []
+
+
+class TestTrialResultLimit:
+    """A run may hold MAX_TRIAL_RESULTS results; one more is rejected before
+    the run builds its readbacks, the first of its allocations."""
+
+    class Started(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_readbacks(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise self.Started
+        monkeypatch.setattr(harness, "_Readbacks", started)
+
+    def test_sweep(self, u8_model, default_dataset):
+        schemes, bers = SCHEMES[:2], [1e-3] * 5  # 10 results per trial
+        trials = MAX_TRIAL_RESULTS // 10
+        with pytest.raises(self.Started):
+            ber_sweep(u8_model, default_dataset, schemes, bers, trials, 0)
+        with pytest.raises(ValueError, match=f"2 schemes x 5 BER points x {trials + 1} trials "
+                                             f"make {10 * trials + 10} trial results, "
+                                             f"more than {MAX_TRIAL_RESULTS}"):
+            ber_sweep(u8_model, default_dataset, schemes, bers, trials + 1, 0)
+
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    def test_criticality(self, fp32_model, u8_model, default_dataset, precision):
+        model, bits = (fp32_model, 32) if precision == "fp32" else (u8_model, 8)
+        trials = MAX_TRIAL_RESULTS // bits
+        with pytest.raises(self.Started):
+            bit_criticality(model, default_dataset, trials=trials)
+        with pytest.raises(ValueError, match=f"{bits} bit positions x {trials + 1} trials "
+                                             f"make {bits * trials + bits} trial results"):
+            bit_criticality(model, default_dataset, trials=trials + 1)
 
 
 class TestBitCriticality:

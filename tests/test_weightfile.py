@@ -5,6 +5,7 @@ import pytest
 
 from craft import nn
 from craft.codecs import Precision
+from craft.harness import _Readbacks
 from craft.weightfile import (BlockLayout, flatten_model, load_blocks, load_model,
                               load_sidecar, save_blocks, save_model, save_sidecar,
                               unflatten_model)
@@ -205,12 +206,43 @@ class TestFormatPin:
         save_model(model, path)
         assert path.read_bytes() == expected_header(b"CRFTW1", model) + b"".join(layer_bytes(model))
 
-    def test_block_file_payload_is_zero_padded_weight_bytes(self, tmp_path, model):
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    @pytest.mark.parametrize("dims", [
+        (5, 7, 3),         # 35 and 21 weights: partial last blocks
+        (1, 1, 1),         # 1x1 layers: one weight, then a block of pads
+        (13, 5, 8, 8, 1),  # 65 weights leave weights_per_block - 1 pads; 8x8 fills its blocks
+        (16, 32, 32, 4),   # the default model's shapes: no pads at all
+    ])
+    def test_block_file_payload_is_zero_padded_weight_bytes(self, tmp_path, precision, dims):
+        model = random_fp32_model(np.random.default_rng(21), dims)
+        if precision == "u8":
+            model = nn.quantize(model)
         path = tmp_path / "m.blk"
         save_blocks(*flatten_model(model), path)
         padded = [raw + bytes(-len(raw) % 64) for raw in layer_bytes(model)]
-        assert all(len(raw) % 64 for raw in layer_bytes(model))  # padding is exercised
         assert path.read_bytes() == expected_header(b"CRFTB1", model) + b"".join(padded)
+
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    def test_readbacks_keep_the_pinned_weights(self, default_dataset, precision):
+        """The readback path's float64 weights, built from `layer_bytes`, and
+        its pad mask, False on the zero padding of the block file test."""
+        # 208 weights fill 13 fp32 blocks; 65 leave weights_per_block - 1 pads
+        model = random_fp32_model(np.random.default_rng(22), (16, 13, 5, 4))
+        if precision == "u8":
+            model = nn.quantize(model)
+        rb = _Readbacks(*flatten_model(model), default_dataset)
+        wpb = 16 if precision == "fp32" else 64
+        real = []
+        for i, (raw, w) in enumerate(zip(layer_bytes(model), rb.weights)):
+            if precision == "fp32":
+                values = np.frombuffer(raw, "<f4")
+            else:
+                layer = model.layers[i]
+                codes = np.frombuffer(raw, np.uint8).astype(np.float64)
+                values = (layer.scale * (codes - layer.zero_point)).astype(np.float32)
+            assert w.tobytes() == values.astype(np.float64).reshape(w.shape).tobytes()
+            real.append(np.arange(values.size + -values.size % wpb) < values.size)
+        assert np.array_equal(rb.real.reshape(-1), np.concatenate(real))
 
 
 class TestSidecar:
