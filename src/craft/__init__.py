@@ -7,19 +7,15 @@ error-correcting-pointers baseline, and a Monte Carlo harness that sweeps
 bit error rates against a small quantized MLP.
 """
 
-from .codecs import (ALL_CONFIGS, IDENTITY_CONFIG, REMAP_CONFIGS,
-                     REMAP_INVERT_CONFIGS, EncodingConfig, Precision,
-                     craft_overhead, decode_words, ecp_overhead, ecp_words,
-                     encode_words, frame_stuck)
+from .codecs import (Precision, craft_overhead, decode_words, ecp_overhead,
+                     ecp_words, encode_words, frame_stuck)
 from .memory import (AUX_BITS, PAYLOAD_BITS, FaultMap, apply_stuck,
                      generate_fault_map, load_fault_map, save_fault_map,
                      stuck_words)
 from .nn import (MlpModel, QuantizedLayer, QuantizedModel, SyntheticDataset,
                  TrainingDivergedError, TrainResult, accuracy, dequantize,
                  infer, make_dataset, quantize, train)
-from .objective import (DeviationReport, WeightView, best_encodings,
-                        deviation_words, search_best_encoding, search_words,
-                        store_words)
+from .objective import best_encodings, deviation_words, search_words, store_words
 from .harness import (CriticalityResult, RobustnessRatio, Scheme, SweepResult,
                       ber_sweep, bit_criticality, default_ber_grid,
                       robustness_improvement, second_zero_exponent_bit)

@@ -11,10 +11,13 @@ words (16 float32 weights, or 64 uint8 weights grouped 4 per word):
                cells that would otherwise corrupt them (rotate by 4 for
                8-bit weights, by 10 for 32-bit weights).
 
-A block's chosen combination is recorded in 6 fault-free auxiliary bits:
-key (4) then invert flag then switch flag, giving the 64-point search
-space enumerated by `ALL_CONFIGS`.  An error-correcting-pointers baseline
-(`ecp_words`) and the storage-overhead formulas live here too.
+A block's chosen combination is recorded in 6 fault-free auxiliary bits,
+and a config is that 6-bit aux code, ``key | invert << 4 | switch << 5``:
+key in bits 0-3, the invert flag in bit 4 and the switch flag in bit 5.
+The 64 codes are the search space; the schemes search prefixes of
+aux-code order (`N_CONFIGS`, `N_REMAP_INVERT`).  An
+error-correcting-pointers baseline (`ecp_words`) and the storage-overhead
+formulas live here too.
 
 Every function here takes blocks in one form: (n, 16) arrays of
 little-endian uint32 words, bit w*32+k of a block being bit k of word w
@@ -32,16 +35,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import PAYLOAD_BITS, apply_stuck
+from .memory import PAYLOAD_BITS, WORDS_PER_BLOCK, apply_stuck
 
-REMAP_SLOTS = 16
 SLOT_BITS = 32
-KEY_BITS = 4
+#: Aux codes in the search space.  The nested scheme spaces are prefixes of
+#: aux-code order: identity 1, remap 16, remap+invert 32, craft 64.
 N_CONFIGS = 64
+#: Aux codes of the remap+invert prefix: every key, with or without inversion.
+N_REMAP_INVERT = 32
 
 
 class Precision(enum.Enum):
@@ -65,41 +69,8 @@ class Precision(enum.Enum):
         return 10 if self is Precision.FP32 else 4
 
 
-@dataclass(frozen=True, order=True)
-class EncodingConfig:
-    """One point of the encoding search space: (xor_key, invert, switch)."""
-
-    xor_key: int
-    invert: bool = False
-    switch: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.xor_key < (1 << KEY_BITS):
-            raise ValueError(f"xor_key must be a 4-bit value, got {self.xor_key}")
-
-    @property
-    def aux_code(self) -> int:
-        """6-bit integer form: key in bits 0-3, invert bit 4, switch bit 5."""
-        return self.xor_key | (int(self.invert) << 4) | (int(self.switch) << 5)
-
-    @classmethod
-    def from_aux_code(cls, code: int) -> "EncodingConfig":
-        if not 0 <= code < N_CONFIGS:
-            raise ValueError(f"aux code must be in [0, 64), got {code}")
-        return cls(xor_key=code & 0xF, invert=bool(code & 0x10), switch=bool(code & 0x20))
-
-
-#: All 64 configurations in ascending aux-code order.  The nested scheme
-#: spaces are prefixes of this ordering: identity, remap-only (16),
-#: remap+invert (32), full (64).
-ALL_CONFIGS: tuple[EncodingConfig, ...] = tuple(EncodingConfig.from_aux_code(c) for c in range(N_CONFIGS))
-REMAP_CONFIGS = ALL_CONFIGS[:16]
-REMAP_INVERT_CONFIGS = ALL_CONFIGS[:32]
-IDENTITY_CONFIG = ALL_CONFIGS[0]
-
-
 #: Row k is the slot gather of remap key k: output slot j takes slot j ^ k.
-SLOT_PERMS = np.arange(REMAP_SLOTS) ^ np.arange(REMAP_SLOTS)[:, None]
+SLOT_PERMS = np.arange(WORDS_PER_BLOCK) ^ np.arange(WORDS_PER_BLOCK)[:, None]
 SLOT_PERMS.setflags(write=False)
 
 _ALL_ONES = np.uint32(0xFFFFFFFF)
@@ -108,7 +79,7 @@ _NIBBLE_HI = np.uint32(0xF0F0F0F0)
 
 
 def _remap_words(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    rows = SLOT_PERMS[keys] + REMAP_SLOTS * np.arange(keys.size)[:, None]
+    rows = SLOT_PERMS[keys] + WORDS_PER_BLOCK * np.arange(keys.size)[:, None]
     return np.take(words.reshape(words.shape[:-2] + (-1,)), rows, axis=-1)
 
 

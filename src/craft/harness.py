@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .codecs import N_CONFIGS, PAYLOAD_BITS, REMAP_INVERT_CONFIGS, ecp_words
-from .memory import DEFAULT_SA1_FRACTION, FaultMap, apply_stuck, generate_fault_map
+from .codecs import N_CONFIGS, N_REMAP_INVERT, PAYLOAD_BITS, ecp_words
+from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, FaultMap, apply_stuck,
+                     generate_fault_map)
 from .nn import MlpModel, QuantizedModel, _forward, dequantized
 from .objective import best_encodings, deviation_words
 from .prng import trial_seed
@@ -53,7 +54,7 @@ class Scheme:
         if self.kind == "craft":
             return N_CONFIGS
         if self.kind == "remap_invert":
-            return len(REMAP_INVERT_CONFIGS)
+            return N_REMAP_INVERT
         return 0
 
     @classmethod
@@ -170,14 +171,15 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
     the longest (see :func:`craft.objective.best_encodings`).
     """
     if len(fault_map) == 0:
-        return np.empty(0, dtype=np.intp), np.empty((len(schemes), 0, 16), dtype=np.uint32)
+        return (np.empty(0, dtype=np.intp),
+                np.empty((len(schemes), 0, WORDS_PER_BLOCK), dtype=np.uint32))
     touched, mask, stuck = fault_map.touched_blocks
     words = blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     sizes = [s.n_configs for s in schemes if s.n_configs]
     found = iter(best_encodings(words, mask, stuck, layout.precision, scale, sizes))
-    outs = np.empty((len(schemes), len(touched), 16), dtype=np.uint32)
+    outs = np.empty((len(schemes), len(touched), WORDS_PER_BLOCK), dtype=np.uint32)
     for out, scheme in zip(outs, schemes):
         if scheme.kind == "baseline":
             out[...] = apply_stuck(words, mask, stuck)

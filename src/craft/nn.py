@@ -31,9 +31,17 @@ TRAIN_FRACTION = 0.75
 QMAX = 255
 SCALE_FLOOR = 1e-8
 
+#: Most input values (samples x features) a synthetic dataset may hold; the
+#: default dataset holds 64 000.
+MAX_DATASET_VALUES = 10 ** 8
+#: Most parameters (weights and biases) :func:`train` may fit; the
+#: 16-256-256-4 model has 71 172.
+MAX_PARAMETERS = 10 ** 8
+
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss leaves the finite range."""
+    """Raised when the training loss, or a trained parameter as float32,
+    leaves the finite range."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,11 @@ class TrainResult:
 def make_dataset(seed: int = DEFAULT_SEED, n_classes: int = DEFAULT_CLASSES,
                  n_features: int = DEFAULT_FEATURES,
                  n_samples: int = DEFAULT_SAMPLES) -> SyntheticDataset:
-    """Gaussian clusters, one per class, means drawn once from the seed."""
+    """Gaussian clusters, one per class, means drawn once from the seed.
+
+    The dataset may hold at most :data:`MAX_DATASET_VALUES` input values,
+    checked before any is drawn.
+    """
     if n_classes < 2:
         raise ValueError(f"n_classes must be at least 2, got {n_classes}")
     if n_features < 1:
@@ -140,6 +152,9 @@ def make_dataset(seed: int = DEFAULT_SEED, n_classes: int = DEFAULT_CLASSES,
     if n_samples < n_classes or n_samples % n_classes:
         raise ValueError(f"n_samples must split evenly across the {n_classes} classes, "
                          f"at least one sample each, got {n_samples}")
+    if n_samples * n_features > MAX_DATASET_VALUES:
+        raise ValueError(f"{n_samples} samples x {n_features} features exceed "
+                         f"{MAX_DATASET_VALUES} values")
     rng = make_rng(seed)
     per_class = n_samples // n_classes
     means = rng.normal(0.0, 1.5, size=(n_classes, n_features))
@@ -192,7 +207,12 @@ def gradients(weights, biases, x, labels):
 def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN,
           epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
           seed: int = DEFAULT_SEED) -> TrainResult:
-    """Momentum SGD on the train split; bit-deterministic for fixed inputs."""
+    """Momentum SGD on the train split; bit-deterministic for fixed inputs.
+
+    The model may hold at most :data:`MAX_PARAMETERS` parameters, checked
+    before any is drawn.  Raises :class:`TrainingDivergedError` if a batch
+    loss, or a trained parameter cast to float32, is not finite.
+    """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not 0 <= lr < math.inf:
@@ -200,6 +220,10 @@ def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN
     dims = [dataset.inputs.shape[1], *hidden_dims, int(dataset.labels.max()) + 1]
     if any(d < 1 for d in dims):
         raise ValueError("invalid layer dimensions")
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if n_params > MAX_PARAMETERS:
+        raise ValueError(f"layer dims {dims} make {n_params} parameters, "
+                         f"more than {MAX_PARAMETERS}")
     rng = make_rng(seed)
     weights, biases = _init_params(dims, rng)
     vel_w = [np.zeros_like(w) for w in weights]
@@ -225,10 +249,15 @@ def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN
             epoch_loss += loss
             n_batches += 1
         losses.append(float(epoch_loss / n_batches))
-    model = MlpModel(
-        weights=tuple(w.astype(np.float32) for w in weights),
-        biases=tuple(b.astype(np.float32) for b in biases),
-    )
+    # the last update can push a parameter past the float32 range, which
+    # its own loss, taken before the update, does not show
+    with np.errstate(over="ignore"):
+        model = MlpModel(
+            weights=tuple(w.astype(np.float32) for w in weights),
+            biases=tuple(b.astype(np.float32) for b in biases),
+        )
+    if not all(np.isfinite(a).all() for a in model.weights + model.biases):
+        raise TrainingDivergedError("training ended with non-finite float32 parameters")
     return TrainResult(model=model, epoch_losses=tuple(losses))
 
 

@@ -8,7 +8,8 @@ and keeping the argmin (ties go to the smallest aux code).  The aux code
 is ``key | invert << 4 | switch << 5``, so the encoding spaces nest as
 prefixes of that order: identity 1, remap 16, remap+invert 32, craft 64.
 
-The search runs on the word form of blocks (see :mod:`craft.codecs`) and
+Everything here takes blocks in one form, (n, 16) uint32 words (see
+:mod:`craft.codecs`), and names a config by its aux code.  The search runs
 in the data's frame: it never encodes.  :func:`craft.codecs.frame_stuck`
 gathers each block's stuck cells into the position where every logical
 word sits under every config, so a config's readback is the original words
@@ -20,22 +21,18 @@ longest of several prefixes once, a chunk at a time, and gives each prefix
 its winners, their readbacks and their deltas from that one pass;
 :func:`store_words` builds on it, searches all 64 configs and encodes the
 winners' readbacks into the words the memory holds.
-:func:`search_best_encoding` is the one function that takes a block as 512
-bits: a single-block search that reports every config's delta.
+:func:`search_best_encoding` is :func:`search_words` of one block, kept
+only for the benchmark's self-test.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bitops import as_bit_array, u32_from_bits
-from .codecs import (ALL_CONFIGS, N_CONFIGS, PAYLOAD_BITS, REMAP_SLOTS, EncodingConfig,
-                     Precision, encode_words, frame_stuck)
-from .memory import FaultMap, stuck_words
+from .codecs import N_CONFIGS, Precision, encode_words, frame_stuck
+from .memory import WORDS_PER_BLOCK, apply_stuck
 
 #: Delta contributed by a non-finite float32 readout weight.  Just above
 #: float32 max, so a config producing NaN/Inf loses to any finite one.
@@ -46,7 +43,7 @@ NONFINITE_SENTINEL = 2.0 ** 128
 #: configs), so memory stays flat in the model size.
 SEARCH_CHUNK_BLOCKS = 32
 
-_SLOTS = np.arange(REMAP_SLOTS)
+_SLOTS = np.arange(WORDS_PER_BLOCK)
 
 #: The order in which the search lays out a block's 16 words: halving it
 #: repeatedly pairs them as numpy pairs 16 contiguous float64 in a sum.
@@ -55,30 +52,6 @@ _WORD_ORDER = np.array([0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15])
 #: _COLUMNS[p, c] = c ^ _WORD_ORDER[p]: the frame-table column of the
 #: p-th laid-out word under aux code c.
 _COLUMNS = _WORD_ORDER[:, None] ^ np.arange(N_CONFIGS)
-
-
-@dataclass(frozen=True)
-class WeightView:
-    """How a block's bits are read as numeric weights.
-
-    fp32 blocks are 16 IEEE floats; u8 blocks are 64 quantized codes with
-    value scale * (code - zero_point).
-    """
-
-    precision: Precision
-    scale: float | None = None
-    zero_point: int | None = None
-
-    def __post_init__(self):
-        if self.precision is Precision.U8:
-            if self.scale is None or self.zero_point is None:
-                raise ValueError("u8 views require scale and zero_point")
-            if not 0 < self.scale < math.inf:
-                raise ValueError("scale must be positive and finite")
-            if not 0 <= self.zero_point <= 255:
-                raise ValueError("zero_point must be in [0, 255]")
-        elif self.scale is not None or self.zero_point is not None:
-            raise ValueError("fp32 views take no quantization parameters")
 
 
 def deviation_words(original: np.ndarray, readout: np.ndarray, precision: Precision,
@@ -112,33 +85,6 @@ def deviation_words(original: np.ndarray, readout: np.ndarray, precision: Precis
     np.abs(diff, out=diff)
     diff[~np.isfinite(diff)] = NONFINITE_SENTINEL
     return diff.sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Per-config deltas from an encoding search, in search order."""
-
-    configs: tuple[EncodingConfig, ...]
-    deltas: np.ndarray  # float64, parallel to configs
-    best_index: int
-
-    def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=np.float64)
-        d.setflags(write=False)
-        object.__setattr__(self, "deltas", d)
-
-    @property
-    def best_config(self) -> EncodingConfig:
-        return self.configs[self.best_index]
-
-    @property
-    def best_delta(self) -> float:
-        return float(self.deltas[self.best_index])
-
-    def to_csv(self) -> str:
-        lines = ["config_hex,delta"]
-        lines.extend(f"{c.aux_code:02x},{float(d)!r}" for c, d in zip(self.configs, self.deltas))
-        return "\n".join(lines) + "\n"
 
 
 def _sum_halves(terms: np.ndarray) -> np.ndarray:
@@ -264,7 +210,7 @@ def best_encodings(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
             chosen[part] = best
             deltas[part] = scored[best, rows]
             won = rows[:, None], best[:, None] ^ _SLOTS
-            readback[part] = (x & ~mask_t[won]) | stuck_t[won]
+            readback[part] = apply_stuck(x, mask_t[won], stuck_t[won])
     return found
 
 
@@ -285,33 +231,15 @@ def store_words(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     return chosen, stored, deltas
 
 
-def _single_block(original: np.ndarray, fault_map: FaultMap, offset: int, view: WeightView):
-    """Words, stuck words and u8 scale of one bit-level block at `offset`."""
-    original = as_bit_array(original, PAYLOAD_BITS)
-    if original.ndim != 1:
-        raise ValueError("search operates on a single block")
-    mask, stuck = stuck_words(fault_map, offset)
-    scale = None if view.scale is None else np.array([view.scale])
-    return u32_from_bits(original)[None], mask, stuck, scale
+def search_best_encoding(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
+                         precision: Precision, scale=None) -> np.ndarray:
+    """The 64 deltas of one (16,) block, entry c holding aux code c: the
+    row of :func:`search_words` for that block alone.  `mask` and `stuck`
+    are its (16,) stuck words and `scale` its u8 scale, None for fp32.
 
-
-def search_best_encoding(original: np.ndarray, fault_map: FaultMap, offset: int,
-                         view: WeightView,
-                         configs: Sequence[EncodingConfig] | None = None) -> DeviationReport:
-    """Exhaustively evaluate every config and pick the minimal-deviation one.
-
-    `original` is one block as 512 0/1 values, bit w*32+k being bit k of
-    word w, at bit `offset` of the fault map's region.  `configs` is a
-    non-empty prefix of :data:`craft.codecs.ALL_CONFIGS` (None means all
-    64); anything else raises ValueError.  For each config the stored
-    block is the encoded original; it reads back through the fault map and
-    is decoded, and the reported delta is the deviation of that readback
-    from the original.  Ties break toward the smallest aux code, so
-    identical inputs always produce identical reports.
+    It stays only because the benchmark's self-test, ``bench/test_bench.py``,
+    wraps it by name; ROADMAP item 6 deletes it once item 1 retargets the
+    benchmark.
     """
-    configs = ALL_CONFIGS if configs is None else tuple(configs)
-    if not configs or configs != ALL_CONFIGS[:len(configs)]:
-        raise ValueError("search configs must be a non-empty prefix of ALL_CONFIGS")
-    words, mask, stuck, scale = _single_block(original, fault_map, offset, view)
-    deltas = search_words(words, mask, stuck, view.precision, scale, len(configs))[0]
-    return DeviationReport(configs=configs, deltas=deltas, best_index=int(np.argmin(deltas)))
+    scale = None if scale is None else np.array([scale])
+    return search_words(words[None], mask[None], stuck[None], precision, scale)[0]

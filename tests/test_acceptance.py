@@ -12,21 +12,17 @@ import numpy as np
 import pytest
 
 from craft import nn
-from craft.bitops import u32_from_bits
-from craft.codecs import (ALL_CONFIGS, REMAP_CONFIGS, REMAP_INVERT_CONFIGS,
-                          Precision, craft_overhead, decode_words, ecp_overhead,
-                          ecp_words, encode_words)
+from craft.codecs import (N_CONFIGS, N_REMAP_INVERT, Precision, craft_overhead,
+                          decode_words, ecp_overhead, ecp_words, encode_words)
 from craft.harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
                            robustness_improvement, second_zero_exponent_bit)
 from craft.memory import FaultMap, generate_fault_map, stuck_words
-from craft.objective import WeightView, search_best_encoding, store_words
+from craft.objective import search_words, store_words
 from craft.cli import main
 
 # frozen after the first validated run of each deterministic experiment
 FROZEN_RATIO_FP32 = 68.38087806502098
 FROZEN_RATIO_U8 = 1.3655918674735505
-
-U8_UNIT = WeightView(Precision.U8, scale=1.0, zero_point=0)
 
 
 @contextmanager
@@ -40,6 +36,11 @@ def criterion(num, name):
     print(f"ACCEPTANCE {num:02d} {name}: PASS ({time.time() - start:.1f}s)")
 
 
+def random_blocks(rng, n):
+    """(n, 16) uint32 words: n random 512-bit payloads."""
+    return rng.integers(0, 2**32, (n, 16), dtype=np.uint64).astype(np.uint32)
+
+
 def single_cell_map(pos, stuck, region=512):
     return FaultMap(region, np.array([pos]), np.array([stuck], dtype=np.uint8),
                     0.0, 0.5, 0)
@@ -48,11 +49,11 @@ def single_cell_map(pos, stuck, region=512):
 def test_01_codec_conformance():
     with criterion(1, "codec round-trip, 10k payloads x 64 configs, <10s"):
         rng = np.random.default_rng(424242)
-        words = u32_from_bits(rng.integers(0, 2, (10_000, 512)).astype(np.uint8))
+        words = random_blocks(rng, 10_000)
         start = time.time()
         for prec in Precision:
-            for cfg in ALL_CONFIGS:
-                codes = np.full(len(words), cfg.aux_code)
+            for code in range(N_CONFIGS):
+                codes = np.full(len(words), code)
                 out = decode_words(encode_words(words, codes, prec), codes, prec)
                 assert np.array_equal(out, words)
         assert time.time() - start < 10.0
@@ -70,36 +71,36 @@ def test_02_switch_vector():
 def test_03_single_fault_guarantee():
     with criterion(3, "single stuck cell always recoverable, exhaustive"):
         rng = np.random.default_rng(31173)
-        payloads = rng.integers(0, 2, (100, 512)).astype(np.uint8)
+        payloads = random_blocks(rng, 100)
         # One block per (payload, position, stuck value), in that nesting
         # order, each holding its single stuck cell, searched in one call.
         cases = len(payloads) * 512 * 2
-        words = np.repeat(u32_from_bits(payloads), 512 * 2, axis=0)
+        words = np.repeat(payloads, 512 * 2, axis=0)
         positions = np.tile(np.repeat(np.arange(512), 2), len(payloads))
         values = np.tile(np.array([0, 1], dtype=np.uint8), len(payloads) * 512)
         fmap = FaultMap(cases * 512, np.arange(cases) * 512 + positions, values, 0.0, 0.5, 0)
         mask, stuck = stuck_words(fmap, 0, cases)
         codes, _, deltas = store_words(words, mask, stuck, Precision.U8, np.ones(cases))
         assert np.all(deltas == 0.0)
-        # the bit-level search agrees case by case on the first payload
+        # a search of each case alone, over a one-block map of its cell,
+        # agrees case by case on the first payload
         for i in range(512 * 2):
-            report = search_best_encoding(payloads[0], single_cell_map(positions[i], values[i]),
-                                          0, U8_UNIT)
-            assert report.best_delta == deltas[i] == 0.0
-            assert report.best_config.aux_code == codes[i]
+            mask, stuck = stuck_words(single_cell_map(positions[i], values[i]))
+            scored = search_words(payloads[:1], mask, stuck, Precision.U8, np.ones(1))[0]
+            assert scored.min() == deltas[i] == 0.0
+            assert np.argmin(scored) == codes[i]
 
 
 def test_04_config_space_nesting():
     with criterion(4, "delta nesting craft <= remap+inv <= remap <= identity, 1000 cases"):
         for i in range(1000):
             gen = np.random.default_rng(5000 + i)
-            x = gen.integers(0, 2, 512).astype(np.uint8)
-            fmap = generate_fault_map(512, 1e-2, 0.5, 5000 + i)
-            view = U8_UNIT if i % 2 == 0 else WeightView(Precision.FP32)
-            d64 = search_best_encoding(x, fmap, 0, view).best_delta
-            d32 = search_best_encoding(x, fmap, 0, view, REMAP_INVERT_CONFIGS).best_delta
-            d16 = search_best_encoding(x, fmap, 0, view, REMAP_CONFIGS).best_delta
-            d1 = search_best_encoding(x, fmap, 0, view, ALL_CONFIGS[:1]).best_delta
+            x = random_blocks(gen, 1)
+            mask, stuck = stuck_words(generate_fault_map(512, 1e-2, 0.5, 5000 + i))
+            precision, scale = ((Precision.U8, np.ones(1)) if i % 2 == 0
+                                else (Precision.FP32, None))
+            d64, d32, d16, d1 = (search_words(x, mask, stuck, precision, scale, size).min()
+                                 for size in (N_CONFIGS, N_REMAP_INVERT, 16, 1))
             assert d64 <= d32 <= d16 <= d1
 
 
@@ -115,7 +116,7 @@ def test_06_ecp1_semantics():
     with criterion(6, "ecp1 exact with <=1 mismatch, exhaustive positions"):
         rng = np.random.default_rng(90210)
         for _ in range(3):
-            x = u32_from_bits(rng.integers(0, 2, (1, 512)).astype(np.uint8))
+            x = random_blocks(rng, 1)
             for pos in range(512):
                 for value in (0, 1):
                     mask, stuck = stuck_words(single_cell_map(pos, value))

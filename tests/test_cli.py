@@ -77,6 +77,17 @@ class TestTrain:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("quantize", [[], ["--quantize"]], ids=["fp32", "u8"])
+    def test_parameters_past_float32_exit_3(self, capsys, tmp_path, quantize):
+        # every batch loss is finite; the last update overflows float32
+        out = tmp_path / "t.w"
+        code, _, err = run(capsys, "train", "--samples", "8", "--classes", "2",
+                           "--epochs", "1", "--lr", "1e200", "--out", str(out), *quantize)
+        assert code == 3
+        [line] = err.splitlines()
+        assert line == "craft: numeric failure: training ended with non-finite float32 parameters"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, rule", [
         (["--features", "0"], "bad dataset flags: n_features must be at least 1, got 0"),
         (["--samples", "3"], "bad dataset flags: n_samples must split evenly across the "
@@ -500,6 +511,37 @@ class TestImpossibleTrials:
         [line] = err.splitlines()
         assert line.startswith(f"craft: error: bad {command} flags: ")
         assert line.endswith(f"trial results, more than {MAX_TRIAL_RESULTS}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.w"]
+
+
+class TestImpossibleSizes:
+    """A dataset or model that no host could hold exits 1 with one error
+    line, before it is allocated and before any file is written."""
+
+    @pytest.mark.parametrize("flags, rule", [
+        (["--samples", "4000000000000000"],
+         f"4000000000000000 samples x 16 features exceed {nn.MAX_DATASET_VALUES} values"),
+        (["--features", "1000000000000000"],
+         f"4000 samples x 1000000000000000 features exceed {nn.MAX_DATASET_VALUES} values"),
+        (["--hidden", "1000000000000000"],
+         f"21000000000000004 parameters, more than {nn.MAX_PARAMETERS}"),
+    ], ids=["samples", "features", "hidden"])
+    def test_train_exits_1(self, capsys, tmp_path, flags, rule):
+        code, _, err = run(capsys, "train", "--out", str(tmp_path / "m.w"), *flags)
+        assert code == 1
+        [line] = err.splitlines()
+        assert line.startswith("craft: error: bad ") and line.endswith(rule), line
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "criticality"])
+    def test_run_exits_1(self, capsys, tmp_path, command):
+        model, _ = train_default(capsys, tmp_path, "m.w")
+        code, _, err = run(capsys, command, "--model", str(model), "--trials", "1",
+                           "--samples", "4000000000000000", "--out", str(tmp_path / "o"))
+        assert code == 1
+        [line] = err.splitlines()
+        assert line == (f"craft: error: bad dataset flags: 4000000000000000 samples x 16 "
+                        f"features exceed {nn.MAX_DATASET_VALUES} values")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.w"]
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craft.codecs import (ALL_CONFIGS, IDENTITY_CONFIG, EncodingConfig, Precision,
-                          craft_overhead, decode_words, ecp_overhead, ecp_words,
+from craft.codecs import (Precision, craft_overhead, decode_words, ecp_overhead, ecp_words,
                           encode_words)
 from craft.memory import FaultMap, apply_stuck, stuck_words
 from craft.objective import deviation_words
@@ -42,29 +41,6 @@ def bit(words, pos):
 
 def popcount(words):
     return int(np.unpackbits(np.ascontiguousarray(words, dtype="<u4").view(np.uint8)).sum())
-
-
-class TestEncodingConfig:
-    def test_aux_layout_key_then_invert_then_switch(self):
-        cfg = EncodingConfig(xor_key=0b1010, invert=True, switch=False)
-        assert [(cfg.aux_code >> i) & 1 for i in range(6)] == [0, 1, 0, 1, 1, 0]
-        assert cfg.aux_code == 0b011010
-
-    def test_code_roundtrip(self):
-        for code in range(64):
-            cfg = EncodingConfig.from_aux_code(code)
-            assert cfg.aux_code == code
-            assert EncodingConfig(cfg.xor_key, cfg.invert, cfg.switch) == cfg
-
-    def test_all_configs_cover_space_once(self):
-        assert len(ALL_CONFIGS) == 64
-        assert sorted(c.aux_code for c in ALL_CONFIGS) == list(range(64))
-
-    def test_bad_key_rejected(self):
-        with pytest.raises(ValueError):
-            EncodingConfig(xor_key=16)
-        with pytest.raises(ValueError):
-            EncodingConfig.from_aux_code(64)
 
 
 class TestRemap:
@@ -152,7 +128,7 @@ class TestSwitchBits:
 class TestEncodeDecode:
     def test_identity_config(self, rng):
         x = random_words(rng)
-        code = [IDENTITY_CONFIG.aux_code]
+        code = [0]  # key 0, no inversion, no switching
         for prec in Precision:
             assert np.array_equal(encode_words(x, code, prec), x)
             assert np.array_equal(decode_words(x, code, prec), x)

@@ -37,6 +37,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="empty split"):
             nn.make_dataset(n_classes=2, n_samples=2)
 
+    def test_values_capped_before_drawing(self, monkeypatch):
+        with pytest.raises(ValueError, match=f"exceed {nn.MAX_DATASET_VALUES} values"):
+            nn.make_dataset(n_samples=4 * 10 ** 15)
+        with pytest.raises(ValueError, match=f"exceed {nn.MAX_DATASET_VALUES} values"):
+            nn.make_dataset(n_features=10 ** 15)
+        monkeypatch.setattr(nn, "MAX_DATASET_VALUES", 64)
+        assert nn.make_dataset(n_classes=2, n_features=16, n_samples=4).inputs.size == 64
+        with pytest.raises(ValueError, match="6 samples x 16 features exceed 64 values"):
+            nn.make_dataset(n_classes=2, n_features=16, n_samples=6)
+
 
 class TestTrain:
     def test_bit_identical_for_fixed_seed(self, default_dataset, default_train_result):
@@ -68,6 +78,25 @@ class TestTrain:
         ds = nn.make_dataset(seed=1, n_samples=400)
         with pytest.raises(nn.TrainingDivergedError):
             nn.train(ds, epochs=3, lr=1e9, seed=2)
+
+    def test_parameters_past_float32_raise(self, default_dataset):
+        # Each batch loss is finite, since it is taken before the update;
+        # the last update leaves parameters that float32 cannot hold.
+        tiny = nn.make_dataset(1234, n_classes=2, n_samples=8)
+        with pytest.raises(nn.TrainingDivergedError, match="non-finite float32 parameters"):
+            nn.train(tiny, epochs=1, lr=1e200, seed=1235)
+        with pytest.raises(nn.TrainingDivergedError, match="non-finite float32 parameters"):
+            nn.train(default_dataset, epochs=1, lr=2.551140785217285, seed=1235)
+
+    def test_parameters_capped_before_drawing(self, monkeypatch):
+        ds = nn.make_dataset(seed=1, n_samples=40)
+        with pytest.raises(ValueError, match=f"more than {nn.MAX_PARAMETERS}"):
+            nn.train(ds, hidden_dims=(10 ** 15,), epochs=0)
+        # 16 -> h -> 4 holds 17h + 4(h + 1) parameters: 67 for h = 3
+        monkeypatch.setattr(nn, "MAX_PARAMETERS", 67)
+        assert nn.train(ds, hidden_dims=(3,), epochs=0).model.layer_dims == (16, 3, 4)
+        with pytest.raises(ValueError, match="make 88 parameters, more than 67"):
+            nn.train(ds, hidden_dims=(4,), epochs=0)
 
 
 class TestGradients:

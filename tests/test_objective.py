@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from craft.bitops import u32_from_bits
-from craft.codecs import (ALL_CONFIGS, REMAP_CONFIGS, REMAP_INVERT_CONFIGS, Precision,
-                          decode_words, encode_words)
+from craft.codecs import (N_CONFIGS, N_REMAP_INVERT, Precision, decode_words,
+                          encode_words)
 from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
-from craft.objective import (NONFINITE_SENTINEL, WeightView, deviation_words,
-                             search_best_encoding, store_words)
+from craft.objective import (NONFINITE_SENTINEL, best_encodings, deviation_words,
+                             search_words, store_words)
 
-U8_UNIT = WeightView(Precision.U8, scale=1.0, zero_point=0)
-FP32 = WeightView(Precision.FP32)
-U8 = Precision.U8
+U8, FP32 = Precision.U8, Precision.FP32
+ONE = np.ones(1)  # the u8 scale of one block at unit scale
 
 
 def u8_block(codes):
@@ -34,26 +32,6 @@ def make_map(entries, size=512):
     idx = np.array([i for i, _ in entries], dtype=np.int64)
     val = np.array([v for _, v in entries], dtype=np.uint8)
     return FaultMap(size, idx, val, 0.0, 0.5, 0)
-
-
-class TestWeightView:
-    def test_u8_requires_quant_params(self):
-        with pytest.raises(ValueError):
-            WeightView(Precision.U8)
-        with pytest.raises(ValueError):
-            WeightView(Precision.U8, scale=0.0, zero_point=0)
-        with pytest.raises(ValueError):
-            WeightView(Precision.U8, scale=1.0, zero_point=300)
-
-    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf"), float("-inf")],
-                             ids=str)
-    def test_u8_scale_must_be_positive_and_finite(self, scale):
-        with pytest.raises(ValueError, match="scale must be positive and finite"):
-            WeightView(Precision.U8, scale=scale, zero_point=0)
-
-    def test_fp32_forbids_quant_params(self):
-        with pytest.raises(ValueError):
-            WeightView(Precision.FP32, scale=1.0, zero_point=0)
 
 
 class TestDeviation:
@@ -99,11 +77,10 @@ class TestDeviation:
 
     def test_nonfinite_original_stays_total(self, rng):
         # a block whose fp32 interpretation is NaN must still search cleanly
-        x = np.ones(512, dtype=np.uint8)  # every word NaN
-        fmap = generate_fault_map(512, 0.02, 0.5, 3)
-        report = search_best_encoding(x, fmap, 0, FP32)
-        assert np.isfinite(report.best_delta)
-        words = np.full(16, 0xFFFFFFFF, dtype=np.uint32)
+        words = np.full((1, 16), 0xFFFFFFFF, dtype=np.uint32)  # every word NaN
+        mask, stuck = stuck_words(generate_fault_map(512, 0.02, 0.5, 3))
+        _, _, delta = best_encodings(words, mask, stuck, FP32, None, [N_CONFIGS])[0]
+        assert np.isfinite(delta[0])
         assert deviation_words(words, words, Precision.FP32) == 16 * NONFINITE_SENTINEL
 
     def test_fp32_nonfinite_readout_uses_sentinel(self):
@@ -164,104 +141,94 @@ class TestToyRemapAnalog:
         assert devs[0b11] == 2
 
 
+def search(words, fmap, precision, scale=None, n_configs=N_CONFIGS, offset=0):
+    """(n_configs,) deltas of one (1, 16) block over the block of `fmap` at
+    bit `offset`; `scale` is the u8 scale, None for fp32."""
+    mask, stuck = stuck_words(fmap, offset)
+    scales = None if scale is None else np.array([scale])
+    return search_words(words, mask, stuck, precision, scales, n_configs)[0]
+
+
 class TestSearch:
     def test_empty_map_picks_identity(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        fmap = make_map([])
-        report = search_best_encoding(x, fmap, 0, U8_UNIT)
-        assert report.best_config.aux_code == 0
-        assert report.best_delta == 0.0
-        assert np.all(report.deltas == 0.0)
+        x = random_words(rng)
+        mask, stuck = stuck_words(make_map([]))
+        chosen, _, delta = best_encodings(x, mask, stuck, U8, ONE, [N_CONFIGS])[0]
+        assert chosen.tolist() == [0]
+        assert delta.tolist() == [0.0]
+        assert np.all(search(x, make_map([]), U8, 1.0) == 0.0)
 
     def test_covers_config_space_once(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        report = search_best_encoding(x, make_map([]), 0, U8_UNIT)
-        assert sorted(c.aux_code for c in report.configs) == list(range(64))
-        assert len(report.deltas) == 64
+        deltas = search(random_words(rng), make_map([]), U8, 1.0)
+        assert N_CONFIGS == 64
+        assert deltas.shape == (64,)
 
     def test_single_stuck_cell_always_recoverable(self, rng):
         # sampled here; the acceptance suite runs the exhaustive version
-        x = rng.integers(0, 2, 512).astype(np.uint8)
+        x = random_words(rng)
         for pos in range(0, 512, 37):
             for stuck in (0, 1):
                 fmap = make_map([(pos, stuck)])
-                for view in (U8_UNIT, FP32):
-                    report = search_best_encoding(x, fmap, 0, view)
-                    assert report.best_delta == 0.0
+                for precision, scale in ((U8, 1.0), (FP32, None)):
+                    assert search(x, fmap, precision, scale).min() == 0.0
 
     def test_matches_per_config_recompute(self, rng):
         # independent recompute through the public codec ops, one config at
         # a time, must agree exactly with the vectorized search
-        x = rng.integers(0, 2, 512).astype(np.uint8)
+        words = random_words(rng)
         fmap = generate_fault_map(512, 0.02, 0.5, 99)
-        for view in (U8_UNIT, FP32,
-                     WeightView(Precision.U8, scale=0.013, zero_point=77)):
-            report = search_best_encoding(x, fmap, 0, view)
-            words = u32_from_bits(x)[None]
-            mask, stuck = stuck_words(fmap, 0)
-            for cfg, delta in zip(report.configs, report.deltas):
-                code = [cfg.aux_code]
-                stored = apply_stuck(encode_words(words, code, view.precision), mask, stuck)
-                readback = decode_words(stored, code, view.precision)
-                assert deviation_words(words, readback, view.precision, view.scale) == delta
+        mask, stuck = stuck_words(fmap, 0)
+        for precision, scale in ((U8, 1.0), (FP32, None), (U8, 0.013)):
+            deltas = search(words, fmap, precision, scale)
+            for code, delta in enumerate(deltas):
+                stored = apply_stuck(encode_words(words, [code], precision), mask, stuck)
+                readback = decode_words(stored, [code], precision)
+                assert deviation_words(words, readback, precision, scale) == delta
 
     def test_config_space_nesting(self, rng):
         for seed in range(20):
-            gen = np.random.default_rng(seed)
-            x = gen.integers(0, 2, 512).astype(np.uint8)
+            x = random_words(np.random.default_rng(seed))
             fmap = generate_fault_map(512, 1e-2, 0.5, seed)
-            d64 = search_best_encoding(x, fmap, 0, U8_UNIT).best_delta
-            d32 = search_best_encoding(x, fmap, 0, U8_UNIT, REMAP_INVERT_CONFIGS).best_delta
-            d16 = search_best_encoding(x, fmap, 0, U8_UNIT, REMAP_CONFIGS).best_delta
-            d1 = search_best_encoding(x, fmap, 0, U8_UNIT, ALL_CONFIGS[:1]).best_delta
+            d64, d32, d16, d1 = (search(x, fmap, U8, 1.0, size).min()
+                                 for size in (N_CONFIGS, N_REMAP_INVERT, 16, 1))
             assert d64 <= d32 <= d16 <= d1
 
     def test_scale_equivariant_argmin(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
+        x = random_words(rng)
         fmap = generate_fault_map(512, 0.03, 0.5, 5)
-        small = WeightView(Precision.U8, scale=0.5, zero_point=10)
-        large = WeightView(Precision.U8, scale=1.0, zero_point=10)
-        a = search_best_encoding(x, fmap, 0, small)
-        b = search_best_encoding(x, fmap, 0, large)
-        assert b.best_index == a.best_index
-        assert np.array_equal(b.deltas, 2.0 * a.deltas)
+        a = search(x, fmap, U8, 0.5)
+        b = search(x, fmap, U8, 1.0)
+        assert np.argmin(b) == np.argmin(a)
+        assert np.array_equal(b, 2.0 * a)
 
     def test_deterministic(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
+        x = random_words(rng)
         fmap = generate_fault_map(512, 0.05, 0.5, 17)
-        a = search_best_encoding(x, fmap, 0, FP32)
-        b = search_best_encoding(x, fmap, 0, FP32)
-        assert a.best_index == b.best_index
-        assert np.array_equal(a.deltas, b.deltas)
+        a = search(x, fmap, FP32)
+        b = search(x, fmap, FP32)
+        assert np.argmin(a) == np.argmin(b)
+        assert np.array_equal(a, b)
 
     def test_tie_break_prefers_smallest_aux_code(self):
         # all-zero data with one cell stuck at 1: every plain mapping keeps
         # the mismatch, while every inverting config stores all ones and
         # reads back exactly; the tie among them must resolve to code 16.
-        x = np.zeros(512, dtype=np.uint8)
+        x = np.zeros((1, 16), dtype=np.uint32)
         fmap = make_map([(3, 1)])
-        report = search_best_encoding(x, fmap, 0, U8_UNIT)
-        zero_codes = [c.aux_code for c, d in zip(report.configs, report.deltas) if d == 0.0]
-        assert min(zero_codes) == 16
-        assert report.best_config.aux_code == 16
-        assert report.best_delta == 0.0
+        deltas = search(x, fmap, U8, 1.0)
+        assert np.flatnonzero(deltas == 0.0).min() == 16
+        chosen, _, delta = best_encodings(x, *stuck_words(fmap), U8, ONE, [N_CONFIGS])[0]
+        assert chosen.tolist() == [16]
+        assert delta.tolist() == [0.0]
 
     def test_offset_blocks(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
+        x = random_words(rng)
         fmap = generate_fault_map(2048, 0.02, 0.5, 31)
-        report = search_best_encoding(x, fmap, 1024, U8_UNIT)
-        code = [report.best_config.aux_code]
-        words = u32_from_bits(x)[None]
-        stored = apply_stuck(encode_words(words, code, U8), *stuck_words(fmap, 1024))
-        assert deviation_words(words, decode_words(stored, code, U8), U8, 1.0) == report.best_delta
-
-    def test_csv_export(self, rng):
-        x = rng.integers(0, 2, 512).astype(np.uint8)
-        report = search_best_encoding(x, make_map([]), 0, U8_UNIT)
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "config_hex,delta"
-        assert len(lines) == 65
-        assert lines[1] == "00,0.0"
+        mask, stuck = stuck_words(fmap, 1024)
+        chosen, _, delta = best_encodings(x, mask, stuck, U8, ONE, [N_CONFIGS])[0]
+        assert delta[0] == search(x, fmap, U8, 1.0, offset=1024).min()
+        stored = apply_stuck(encode_words(x, chosen, U8), mask, stuck)
+        assert deviation_words(x, decode_words(stored, chosen, U8), U8, 1.0) == delta
 
 
 class TestWriteWithCraft:

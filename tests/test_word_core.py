@@ -23,13 +23,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from craft.codecs import (ALL_CONFIGS, PAYLOAD_BITS, Precision, decode_words, encode_words,
-                          frame_stuck)
+from craft.codecs import PAYLOAD_BITS, Precision, decode_words, encode_words, frame_stuck
 from craft.harness import Scheme, _apply_schemes
 from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
-from craft.objective import (NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, WeightView,
-                             best_encodings, deviation_words, search_best_encoding,
-                             search_words, store_words)
+from craft.objective import (NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, best_encodings,
+                             deviation_words, search_best_encoding, search_words,
+                             store_words)
 from craft.weightfile import flatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -67,11 +66,6 @@ def stuck_cells(draw):
 prefix_sizes = st.integers(1, 64)
 
 
-def bits_of(words):
-    """A block of words as the 512 bits search_best_encoding takes."""
-    return np.unpackbits(np.array(words, dtype="<u4").view(np.uint8), bitorder="little")
-
-
 OFFSET = PAYLOAD_BITS  # the block sits second in a two-block region
 
 
@@ -89,39 +83,43 @@ def fault_map_of(cells):
 @example(words=[0x3F800000] * 16, cells={p: 1 for p in range(PAYLOAD_BITS)},
          size=None, precision="fp32", scale=1.0)
 def test_search_matches_integer_reference(words, cells, size, precision, scale):
-    view = (WeightView(Precision.FP32) if precision == "fp32"
-            else WeightView(Precision.U8, scale=scale, zero_point=0))
+    prec = Precision(precision)
+    u8_scale = None if precision == "fp32" else scale
+    scales = None if u8_scale is None else np.array([u8_scale])
     fmap = fault_map_of(cells)
-    configs = None if size is None else ALL_CONFIGS[:size]
     codes = list(range(64 if size is None else size))
-    report = search_best_encoding(bits_of(words), fmap, OFFSET, view, configs)
-
-    every = search_ref(words, cells, precision, view.scale, range(64))
-    expected = every[:len(codes)]
-    assert [c.aux_code for c in report.configs] == codes
-    assert report.deltas.tolist() == expected
-    best = min(codes, key=lambda c: (expected[c], c))
-    assert report.best_index == best
-
     mask, stuck = stuck_words(fmap, OFFSET)
-    scales = None if view.scale is None else np.array([view.scale])
     block = np.array([words], dtype=np.uint32)
-    chosen, _, delta = best_encodings(block, mask, stuck, view.precision, scales,
-                                      [len(codes)])[0]
+    sized = () if size is None else (size,)
+    deltas = search_words(block, mask, stuck, prec, scales, *sized)[0]
+
+    every = search_ref(words, cells, precision, u8_scale, range(64))
+    expected = every[:len(codes)]
+    assert deltas.tolist() == expected
+    best = min(codes, key=lambda c: (expected[c], c))
+    assert np.argmin(deltas) == best
+
+    chosen, _, delta = best_encodings(block, mask, stuck, prec, scales, [len(codes)])[0]
     assert chosen[0] == best
     assert delta[0] == expected[best]
     best = min(range(64), key=lambda c: (every[c], c))
-    chosen, stored, delta = store_words(block, mask, stuck, view.precision, scales)
+    chosen, stored, delta = store_words(block, mask, stuck, prec, scales)
     assert chosen[0] == best
     assert delta[0] == every[best]
     assert stored[0].tolist() == stuck_ref(encode_ref(words, best, precision), cells)
 
 
-def test_search_rejects_configs_that_are_not_a_prefix():
-    block, fmap = bits_of([0] * 16), fault_map_of({3: 1})
-    for configs in (ALL_CONFIGS[1:], ALL_CONFIGS[:8][::-1], (), ALL_CONFIGS + ALL_CONFIGS[:1]):
-        with pytest.raises(ValueError, match="prefix"):
-            search_best_encoding(block, fmap, OFFSET, WeightView(Precision.FP32), configs)
+def test_search_best_encoding_is_search_words_of_one_block():
+    for precision in Precision:
+        words, mask, stuck, _, scale = random_stuck_blocks(8, 3, precision, 0.1)
+        for b in range(3):
+            one = slice(b, b + 1)
+            expected = search_words(words[one], mask[one], stuck[one], precision,
+                                    None if scale is None else scale[one])[0]
+            got = search_best_encoding(words[b], mask[b], stuck[b], precision,
+                                       None if scale is None else scale[b])
+            assert got.shape == (64,)
+            assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_configs", [0, 65, -1])
@@ -138,12 +136,12 @@ def test_search_sizes_outside_1_to_64_rejected(n_configs):
 
 def test_all_sa1_fp32_block_loses_to_nan_unless_inverted():
     # 1.0 everywhere; all-ones reads back as NaN, or as 0.0 after inversion
-    fmap = fault_map_of({p: 1 for p in range(PAYLOAD_BITS)})
-    report = search_best_encoding(bits_of([0x3F800000] * 16), fmap, OFFSET,
-                                  WeightView(Precision.FP32))
-    for config, delta in zip(report.configs, report.deltas.tolist()):
-        assert delta == (16.0 if config.invert else 16 * NONFINITE_SENTINEL)
-    assert report.best_config.aux_code == 16
+    mask, stuck = stuck_words(fault_map_of({p: 1 for p in range(PAYLOAD_BITS)}), OFFSET)
+    block = np.full((1, 16), 0x3F800000, dtype=np.uint32)
+    deltas = search_words(block, mask, stuck, Precision.FP32, None)[0]
+    for code, delta in enumerate(deltas.tolist()):
+        assert delta == (16.0 if code & 0x10 else 16 * NONFINITE_SENTINEL)
+    assert np.argmin(deltas) == 16
 
 
 @settings(max_examples=100, deadline=None)
