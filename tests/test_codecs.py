@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craft.codecs import (Precision, craft_overhead, decode_words, ecp_overhead, ecp_words,
-                          encode_words)
+from craft.codecs import (N_CONFIGS, N_REMAP_INVERT, Precision, craft_overhead, decode_words,
+                          ecp_overhead, ecp_words, encode_words)
 from craft.memory import FaultMap, apply_stuck, stuck_words
 from craft.objective import deviation_words
 
@@ -41,6 +41,44 @@ def bit(words, pos):
 
 def popcount(words):
     return int(np.unpackbits(np.ascontiguousarray(words, dtype="<u4").view(np.uint8)).sum())
+
+
+class TestAuxCode:
+    """A config is its 6-bit aux code: key in bits 0-3, invert in bit 4,
+    switch in bit 5."""
+
+    def test_aux_layout_key_then_invert_then_switch(self, rng):
+        x = random_words(rng)
+        # key 0b1010 with inversion: output slot i ^ 10 holds ~(input slot i)
+        y = encode_words(x, [0b011010], FP32)
+        assert [int(y[0, i ^ 10]) for i in range(16)] == [int(~w) & 0xFFFFFFFF for w in x[0]]
+        u8_switch = lambda w: ((w << 4) & 0xF0F0F0F0) | ((w >> 4) & 0x0F0F0F0F)
+        fp32_switch = lambda w: ((w << 10) | (w >> 22)) & 0xFFFFFFFF
+        for prec, switched in ((U8, u8_switch), (FP32, fp32_switch)):
+            for code in range(N_CONFIGS):
+                key, invert, switch = code & 0xF, (code >> 4) & 1, (code >> 5) & 1
+                want = [0] * 16
+                for i, w in enumerate(x[0].tolist()):
+                    w = w ^ 0xFFFFFFFF if invert else w
+                    want[i ^ key] = switched(w) if switch else w
+                assert encode_words(x, [code], prec)[0].tolist() == want, (prec, code)
+
+    def test_code_roundtrip(self, rng):
+        codes = np.arange(N_CONFIGS)
+        x = random_words(rng, N_CONFIGS)
+        for prec in Precision:
+            assert np.array_equal(decode_words(encode_words(x, codes, prec), codes, prec), x)
+
+    def test_all_configs_cover_space_once(self, rng):
+        # the 64 codes are 64 different encodings of one block, and the
+        # remap+invert prefix is exactly the codes without the switch bit
+        assert N_CONFIGS == 64 and N_REMAP_INVERT == 32
+        codes = np.arange(N_CONFIGS)
+        x = np.repeat(random_words(rng), N_CONFIGS, axis=0)
+        for prec in Precision:
+            enc = encode_words(x, codes, prec)
+            assert len({row.tobytes() for row in enc}) == N_CONFIGS
+        assert [code >> 5 for code in range(N_CONFIGS)] == [0] * N_REMAP_INVERT + [1] * 32
 
 
 class TestRemap:

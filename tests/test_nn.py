@@ -229,6 +229,28 @@ class TestInfer:
             nn.accuracy(fp32_model, np.zeros((3, 16)), np.zeros(4, dtype=np.int64))
 
 
+class TestQuantizedLayer:
+    @staticmethod
+    def layer(scale=1.0, zero_point=0):
+        return nn.QuantizedLayer(codes=np.zeros((2, 3), dtype=np.uint8), scale=scale,
+                                 zero_point=zero_point, biases=np.zeros(3, dtype=np.float32))
+
+    def test_u8_requires_quant_params(self):
+        self.layer(1.0, 255)
+        with pytest.raises(ValueError):
+            self.layer(scale=0.0)
+        with pytest.raises(ValueError):
+            self.layer(zero_point=300)
+        with pytest.raises(ValueError):
+            self.layer(zero_point=-1)
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf"), float("-inf")],
+                             ids=str)
+    def test_u8_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            self.layer(scale=scale)
+
+
 class TestModelTypes:
     def test_dimension_chain_enforced(self):
         with pytest.raises(ValueError):
