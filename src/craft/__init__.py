@@ -9,9 +9,8 @@ bit error rates against a small quantized MLP.
 
 from .codecs import (Precision, craft_overhead, decode_words, ecp_overhead,
                      ecp_words, encode_words, frame_stuck)
-from .memory import (AUX_BITS, PAYLOAD_BITS, FaultMap, apply_stuck,
-                     generate_fault_map, load_fault_map, save_fault_map,
-                     stuck_words)
+from .memory import (PAYLOAD_BITS, FaultMap, apply_stuck, generate_fault_map,
+                     load_fault_map, save_fault_map, stuck_words)
 from .nn import (MlpModel, QuantizedLayer, QuantizedModel, SyntheticDataset,
                  TrainingDivergedError, TrainResult, accuracy, dequantize,
                  infer, make_dataset, quantize, train)

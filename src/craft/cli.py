@@ -410,6 +410,9 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"craft: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # sizes within the MAX_* caps that the host cannot hold
+        print(f"craft: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

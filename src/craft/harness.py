@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .codecs import N_CONFIGS, N_REMAP_INVERT, PAYLOAD_BITS, ecp_words
-from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, FaultMap, apply_stuck,
-                     generate_fault_map)
+from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, apply_stuck, generate_fault_map,
+                     stuck_words)
 from .nn import MlpModel, QuantizedModel, _forward, dequantized
 from .objective import best_encodings, deviation_words
 from .prng import trial_seed
@@ -160,21 +160,23 @@ def _check_trial_results(n: int, what: str) -> None:
 
 
 def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
-                   fault_map: FaultMap) -> tuple[np.ndarray, np.ndarray]:
+                   fault_map) -> tuple[np.ndarray, np.ndarray]:
     """Protect the blocks that hold stuck cells under each scheme.
 
-    `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`.
-    Returns the indices of the blocks holding stuck cells and their readout
-    words under each scheme in order, one (len(schemes), len(touched), 16)
-    array; every other block reads back unchanged.  The encoding schemes
-    search nested prefixes of aux-code order, so they share one search of
-    the longest (see :func:`craft.objective.best_encodings`).
+    `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`,
+    and `fault_map` covers its bits.  Returns the indices of the blocks
+    holding stuck cells and their readout words under each scheme in order,
+    one (len(schemes), len(touched), 16) array; every other block reads
+    back unchanged.  The encoding schemes search nested prefixes of
+    aux-code order, so they share one search of the longest (see
+    :func:`craft.objective.best_encodings`).
     """
     if len(fault_map) == 0:
         return (np.empty(0, dtype=np.intp),
                 np.empty((len(schemes), 0, WORDS_PER_BLOCK), dtype=np.uint32))
-    touched, mask, stuck = fault_map.touched_blocks
-    words = blocks[touched]
+    mask, stuck = stuck_words(fault_map, 0, layout.n_blocks)
+    touched = np.flatnonzero(mask.any(axis=1))
+    mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     sizes = [s.n_configs for s in schemes if s.n_configs]
@@ -346,13 +348,15 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
 
     Each trial's stuck words are drawn once, as a fault map over the words
     (see :func:`craft.memory.generate_fault_map`), and serve every
-    position: the map of position 0 holds bit 0 of each stuck word, which
-    is bit 0 (fp32) or bit 8*(i % 4) (u8) of its uint32 word, so position
-    p's (mask, stuck) words are position 0's shifted left by p.  A trial
-    builds every position's readback at once and scores them, total
-    deviation and test error, in one batched call; a readback whose weights
-    equal the fault-free ones takes the fault-free error without another
-    inference (see :class:`_Readbacks`).  The run may hold at most
+    position.  The draw is scattered into weight-sized units, a 1 in the
+    mask and the stuck value in the stuck array at each stuck word; read as
+    (n_blocks, 16) uint32 words, they are position 0's (mask, stuck) words,
+    bit 0 of an fp32 word or bit 8*(i % 4) of the word that holds u8 byte
+    i, and position p's are them shifted left by p.  A trial builds every
+    position's readback at once and scores them, total deviation and test
+    error, in one batched call; a readback whose weights equal the
+    fault-free ones takes the fault-free error without another inference
+    (see :class:`_Readbacks`).  The run may hold at most
     :data:`MAX_TRIAL_RESULTS` results.
     """
     if trials < 1:
@@ -362,19 +366,19 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     blocks, layout = flatten_model(model)
     word_bits = layout.precision.word_bits
     _check_trial_results(word_bits * trials, f"{word_bits} bit positions x {trials} trials")
-    region = layout.n_blocks * PAYLOAD_BITS
-    n_words = region // word_bits
+    n_words = layout.n_blocks * PAYLOAD_BITS // word_bits
     readbacks = _Readbacks(blocks, layout, dataset)
     shifts = np.arange(word_bits, dtype=np.uint32)[:, None, None]
     errs = np.empty((word_bits, trials))
     deltas = np.empty((word_bits, trials))
     for t in range(trials):
-        seed = trial_seed(base_seed, t)
-        g = generate_fault_map(n_words, ber, DEFAULT_SA1_FRACTION, seed)
-        fmap = FaultMap(region, g.bit_indices * word_bits, g.stuck_values, ber,
-                        DEFAULT_SA1_FRACTION, seed)
-        touched, mask0, stuck0 = fmap.touched_blocks
-        outs = apply_stuck(blocks[touched], mask0 << shifts, stuck0 << shifts)
+        g = generate_fault_map(n_words, ber, DEFAULT_SA1_FRACTION, trial_seed(base_seed, t))
+        units = np.zeros((2, n_words), dtype=f"<u{word_bits // 8}")
+        units[0, g.bit_indices] = 1
+        units[1, g.bit_indices] = g.stuck_values
+        mask0, stuck0 = units.view("<u4").reshape(2, layout.n_blocks, WORDS_PER_BLOCK)
+        touched = np.flatnonzero(mask0.any(axis=1))
+        outs = apply_stuck(blocks[touched], mask0[touched] << shifts, stuck0[touched] << shifts)
         deltas[:, t], errs[:, t] = readbacks.score(touched, outs)
     points = tuple(CriticalityPoint(p, float(errs[p].mean()), float(errs[p].std(ddof=0)),
                                     float(deltas[p].mean()))

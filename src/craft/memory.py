@@ -4,20 +4,22 @@ A stuck cell keeps its frozen value regardless of what is written; reads
 return the stuck value silently.  Faults are i.i.d. per bit: each cell is
 stuck with probability `ber`, and a stuck cell holds 1 with probability
 `sa1_fraction` (SA1), otherwise 0 (SA0).
+
+A fault map lists its stuck cells by bit index.  Their one word form is
+:func:`stuck_words`, per-block (mask, stuck) uint32 words, which fault
+application, the encodings, ECP and the harness all read.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .prng import make_rng
 
 PAYLOAD_BITS = 512
-AUX_BITS = 6
 WORDS_PER_BLOCK = PAYLOAD_BITS // 32
 #: Share of stuck cells that hold 1 unless a caller says otherwise.
 DEFAULT_SA1_FRACTION = 0.5
@@ -25,7 +27,10 @@ DEFAULT_SA1_FRACTION = 0.5
 
 @dataclass(frozen=True, eq=False)
 class FaultMap:
-    """Immutable set of stuck cells over a bit-addressed region."""
+    """Immutable, validated set of stuck cells over a bit-addressed region.
+
+    It keeps no derived state: :func:`stuck_words` gives its word form.
+    """
 
     region_size_bits: int
     bit_indices: np.ndarray  # int64, strictly ascending
@@ -77,23 +82,6 @@ class FaultMap:
     def entries(self) -> list[tuple[int, int]]:
         return list(zip(self.bit_indices.tolist(), self.stuck_values.tolist()))
 
-    @cached_property
-    def touched_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Indices of the 512-bit blocks that hold stuck cells, ascending,
-        with their (mask, stuck) words as :func:`stuck_words` gives them.
-        Built on first use and kept, since the map never changes."""
-        block_of = self.bit_indices // PAYLOAD_BITS
-        # indices ascend, so each block's cells are one run
-        starts = np.empty(block_of.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(block_of[1:], block_of[:-1], out=starts[1:])
-        blocks = block_of[starts]
-        local = (np.cumsum(starts) - 1) * PAYLOAD_BITS + self.bit_indices % PAYLOAD_BITS
-        out = (blocks, *_pack_words(local, self.stuck_values, blocks.size))
-        for arr in out:
-            arr.setflags(write=False)
-        return out
-
 
 def generate_fault_map(region_size_bits: int, ber: float,
                        sa1_fraction: float = DEFAULT_SA1_FRACTION, seed: int = 0) -> FaultMap:
@@ -111,34 +99,30 @@ def generate_fault_map(region_size_bits: int, ber: float,
 _BIT_WEIGHTS = 2.0 ** np.arange(32)
 
 
-def _pack_words(positions: np.ndarray, values: np.ndarray, n_blocks: int):
-    """(mask, stuck) words of distinct local bit positions in n blocks."""
-    words = positions // 32  # row * WORDS_PER_BLOCK + word within the row
-    cells = _BIT_WEIGHTS[positions % 32]
-    # The cells of a word are distinct bits, so their sum is their OR, and
-    # it stays below 2**32, where float64 is exact.
-    size = n_blocks * WORDS_PER_BLOCK
-    mask = np.bincount(words, weights=cells, minlength=size)
-    stuck = np.bincount(words, weights=cells * values, minlength=size)
-    return (mask.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK),
-            stuck.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK))
-
-
 def stuck_words(fault_map: FaultMap, offset: int = 0, n_blocks: int = 1):
     """Word-level form of the stuck cells of `n_blocks` blocks at `offset`.
 
     Returns (mask, stuck), two (n_blocks, 16) little-endian uint32 arrays:
     bit k of word w of a block is set in `mask` when cell w*32+k of the
     block is stuck, and the same bit of `stuck` holds its stuck value.
-    Cells of the map outside the blocks are ignored.
+    Cells of the map outside the blocks are ignored.  Rows with no stuck
+    cell are zero, so ``mask.any(axis=1)`` finds the blocks that hold one.
     """
     end = offset + n_blocks * PAYLOAD_BITS
     if offset < 0 or end > fault_map.region_size_bits:
         raise IndexError(f"bit range [{offset}, {end}) outside region of "
                          f"{fault_map.region_size_bits} bits")
     lo, hi = np.searchsorted(fault_map.bit_indices, [offset, end])
-    return _pack_words(fault_map.bit_indices[lo:hi] - offset, fault_map.stuck_values[lo:hi],
-                       n_blocks)
+    positions = fault_map.bit_indices[lo:hi] - offset
+    words = positions // 32  # row * WORDS_PER_BLOCK + word within the row
+    cells = _BIT_WEIGHTS[positions % 32]
+    # The cells of a word are distinct bits, so their sum is their OR, and
+    # it stays below 2**32, where float64 is exact.
+    size = n_blocks * WORDS_PER_BLOCK
+    mask = np.bincount(words, weights=cells, minlength=size)
+    stuck = np.bincount(words, weights=cells * fault_map.stuck_values[lo:hi], minlength=size)
+    return (mask.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK),
+            stuck.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK))
 
 
 def apply_stuck(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray) -> np.ndarray:

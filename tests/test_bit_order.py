@@ -1,6 +1,7 @@
-"""The bit order of a block: bit i of a 512-bit block is bit i % 32 of its
-little-endian uint32 word i // 32, so bit i is bit i % 8 of byte i // 8.
-Fault-map cell indices and block-file bytes both follow it."""
+"""The bit order of a block, as the words of :func:`craft.memory.stuck_words`
+and the bytes of block files hold it: bit i of a 512-bit block is bit
+i % 32 of its little-endian uint32 word i // 32, so bit i is bit i % 8 of
+byte i // 8.  Fault-map cell indices follow it too."""
 
 import numpy as np
 import pytest

@@ -758,6 +758,22 @@ class TestOversizedHeader:
         assert "truncated file" in proc.stderr and "Traceback" not in proc.stderr
 
 
+class TestOutOfMemory:
+    """Sizes within the caps that the host cannot hold end in one error line."""
+
+    @pytest.mark.parametrize("sizes", [
+        pytest.param(["--hidden", "9000,9000"], id="hidden"),
+        pytest.param(["--samples", "1000000", "--features", "100"], id="dataset"),
+    ])
+    def test_train_exits_1_without_traceback(self, tmp_path, sizes):
+        proc = run_capped(tmp_path, "train", "--out", "t.w", "--epochs", "1", *sizes)
+        assert proc.returncode == 1, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("craft: error: out of memory: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "t.w").exists()
+
+
 class TestConfigOverlay:
     def test_config_file_overrides_flags(self, capsys, tmp_path):
         model, _ = train_default(capsys, tmp_path, "m.w", "--quantize")

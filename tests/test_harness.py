@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
@@ -13,8 +15,8 @@ from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, MAX_TRIAL_
                            bit_criticality, default_ber_grid, robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
-from craft.memory import FaultMap, generate_fault_map
-from craft.nn import accuracy
+from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
+from craft.nn import MlpModel, accuracy
 from craft.objective import NONFINITE_SENTINEL, best_encodings, deviation_words
 from craft.prng import make_rng, trial_seed
 from craft.weightfile import flatten_model
@@ -339,8 +341,8 @@ def test_score_totals_match_scheme_totals(criticality_model, default_dataset, be
     schemes = [Scheme.parse(s) for s in ("baseline", "ecp1", "ecp3", "remap_invert", "craft")]
     touched, outs = _apply_schemes(blocks, layout, schemes, fmap)
     totals, _ = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
-    _, mask, stuck = fmap.touched_blocks
-    words = blocks[touched]
+    mask, stuck = stuck_words(fmap, 0, layout.n_blocks)
+    mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     searched = [s for s in schemes if s.n_configs]
@@ -353,6 +355,52 @@ def test_score_totals_match_scheme_totals(criticality_model, default_dataset, be
         else:
             want = _in_order_sum(deviation_words(words, out, layout.precision, scale))
         assert total == float(want), scheme.name
+
+
+def make_map(size, entries):
+    idx = np.array([i for i, _ in entries], dtype=np.int64)
+    val = np.array([v for _, v in entries], dtype=np.uint8)
+    return FaultMap(size, idx, val, 0.0, 0.5, 0)
+
+
+@st.composite
+def whole_block_maps(draw):
+    """(n_blocks, map) over a region of whole blocks: a generated map at BER
+    0, 1e-2 or 1.0, or one built by hand, its cells listed in any order and
+    dense at the block edges."""
+    n_blocks = draw(st.integers(1, 6))
+    region = n_blocks * PAYLOAD_BITS
+    if draw(st.booleans()):
+        return n_blocks, generate_fault_map(region, draw(st.sampled_from([0.0, 1e-2, 1.0])),
+                                            draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                            draw(st.integers(0, 2**16)))
+    edges = [p for b in range(n_blocks) for p in (b * PAYLOAD_BITS, (b + 1) * PAYLOAD_BITS - 1)]
+    positions = st.one_of(st.integers(0, region - 1), st.sampled_from(edges))
+    cells = draw(st.dictionaries(positions, st.integers(0, 1), max_size=40))
+    return n_blocks, make_map(region, list(cells.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=whole_block_maps())
+@example(drawn=(3, make_map(3 * PAYLOAD_BITS, [(1023, 1), (512, 0), (0, 1)])))
+@example(drawn=(2, make_map(2 * PAYLOAD_BITS, [])))
+def test_apply_schemes_protects_the_stuck_words_rows_that_hold_cells(drawn):
+    """The touched blocks are the ascending blocks that hold cells, and the
+    baseline reads them back over their :func:`stuck_words` rows."""
+    n_blocks, fmap = drawn
+    # one (16, n) fp32 layer fills exactly n blocks
+    weights = make_rng(n_blocks).standard_normal((16, n_blocks)).astype(np.float32)
+    model = MlpModel((weights,), (np.zeros(n_blocks, dtype=np.float32),))
+    blocks, layout = flatten_model(model)
+    assert layout.n_blocks == n_blocks
+    touched, outs = _apply_schemes(blocks, layout, [Scheme("baseline")], fmap)
+    holding = sorted({pos // PAYLOAD_BITS for pos, _ in fmap.entries})
+    assert touched.tolist() == holding
+    mask, stuck = stuck_words(fmap, 0, n_blocks)
+    assert outs.dtype == mask.dtype == stuck.dtype == np.uint32
+    assert np.array_equal(outs[0], apply_stuck(blocks[touched], mask[touched], stuck[touched]))
+    others = np.setdiff1d(np.arange(n_blocks), touched)
+    assert not mask[others].any() and not stuck[others].any()
 
 
 def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_dataset):

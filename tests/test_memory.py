@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craft.memory import (PAYLOAD_BITS, FaultMap, apply_stuck, generate_fault_map,
@@ -227,41 +227,6 @@ class TestFaultMapType:
         fmap = make_map(64, [(1, 1)])
         with pytest.raises(ValueError):
             fmap.bit_indices[0] = 2
-
-
-@st.composite
-def whole_block_maps(draw):
-    """(n_blocks, map) over a region of whole blocks: a generated map at BER
-    0, 1e-2 or 1.0, or one built by hand, its cells listed in any order and
-    dense at the block edges."""
-    n_blocks = draw(st.integers(1, 6))
-    region = n_blocks * PAYLOAD_BITS
-    if draw(st.booleans()):
-        return n_blocks, generate_fault_map(region, draw(st.sampled_from([0.0, 1e-2, 1.0])),
-                                            draw(st.sampled_from([0.0, 0.5, 1.0])),
-                                            draw(st.integers(0, 2**16)))
-    edges = [p for b in range(n_blocks) for p in (b * PAYLOAD_BITS, (b + 1) * PAYLOAD_BITS - 1)]
-    positions = st.one_of(st.integers(0, region - 1), st.sampled_from(edges))
-    cells = draw(st.dictionaries(positions, st.integers(0, 1), max_size=40))
-    return n_blocks, make_map(region, list(cells.items()))
-
-
-@settings(max_examples=100, deadline=None)
-@given(drawn=whole_block_maps())
-@example(drawn=(3, make_map(3 * PAYLOAD_BITS, [(1023, 1), (512, 0), (0, 1)])))
-@example(drawn=(2, make_map(2 * PAYLOAD_BITS, [])))
-def test_touched_blocks_are_the_dense_rows_that_hold_cells(drawn):
-    n_blocks, fmap = drawn
-    touched, mask, stuck = fmap.touched_blocks
-    holding = sorted({pos // PAYLOAD_BITS for pos, _ in fmap.entries})
-    assert touched.tolist() == holding
-    dense_mask, dense_stuck = stuck_words(fmap, 0, n_blocks)
-    assert mask.dtype == stuck.dtype == np.uint32
-    assert np.array_equal(mask, dense_mask[touched])
-    assert np.array_equal(stuck, dense_stuck[touched])
-    others = np.setdiff1d(np.arange(n_blocks), touched)
-    assert not dense_mask[others].any() and not dense_stuck[others].any()
-    assert not any(arr.flags.writeable for arr in (touched, mask, stuck))
 
 
 @pytest.fixture(scope="module")
