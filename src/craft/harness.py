@@ -201,6 +201,15 @@ def _in_order_sum(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas, axis=-1)[..., -1]
 
 
+#: Relative slack of the readback certificate (see :class:`_Readbacks`):
+#: far above the few roundings of relative size 2^-53 that the certificate's
+#: own float evaluation makes, and far below the margins it certifies.
+_CERT_SLACK = 2.0 ** -20
+_UNIT_ROUNDOFF = 2.0 ** -53
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT64_TINY = float(np.finfo(np.float64).tiny)
+
+
 class _Readbacks:
     """Total deviations and test errors of faulty readbacks of one
     fault-free block stream.
@@ -213,16 +222,57 @@ class _Readbacks:
     biases and every layer's activations on the test set.  A readback equal
     to the fault-free stream, or whose words decode to the same float64
     weights bit for bit (faults only in pad slots, say), takes the
-    fault-free error.  Any other is written into the touched rows of slots,
-    the layers from the first changed one rerun from its kept input
-    activation into kept work arrays, and the rows restored.  The words
-    decode as :func:`craft.weightfile.unflatten_model`,
+    fault-free error, and so does one that the certificate below proves
+    cannot move any test row's argmax.  Any other is written into the
+    touched rows of slots, the layers from the first changed one rerun from
+    its kept input activation into kept work arrays, and the rows restored.
+    The words decode as :func:`craft.weightfile.unflatten_model`,
     :func:`craft.nn.dequantized` and :func:`craft.nn.infer` do, so every
     matmul gets a rebuilt model's operands and the errors match bit for bit.
+
+    **The certificate.**  Let a readback change only layer L's weights,
+    ``W -> W + D``.  Both the fault-free logits and the readback's are
+    computed from the same kept input ``h = acts[L]`` (layers before L are
+    unchanged).  In exact arithmetic the readback moves layer L's
+    pre-activation by ``h D``, ReLU is 1-Lipschitz and the later layers'
+    weights are unchanged, so row r's logit c moves by at most
+    ``S_r = sum_ij |h[r, i]| |D_ij| p_j``, where ``p_j = max_c P_L[j, c]``
+    and ``P_L = |W_L+1| ... |W_last|`` (``P_last = I``).  Rounding adds at
+    most R to the distance between the two computed logit vectors: for an
+    inner product of length n, ``|fl - exact| <= gamma_n |x|.|y|`` with
+    ``gamma_n = n u / (1 - n u)``, ``u = 2^-53``, in any summation order
+    and with FMA (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., ch. 3); n is fan-in + 1 for the bias add, and an underflowed
+    product adds at most the smallest normal.  Carried through the later
+    layers with ``||x W||_inf <= ||x||_inf ||W||_1`` (max column abs-sum),
+    one run's error is at most ``E``, built from the fault-free
+    activations' norms; the readback's run adds terms of at most
+    ``gamma_n S_r`` (its activations differ by at most ``S_r`` through
+    ``P``) and of order ``gamma_n E``, and ``R = 2 E (1 + _CERT_SLACK)``
+    covers both runs.  Each row's fault-free top-1 logit beats its
+    runner-up by ``m_r`` (0 on a tie), so every argmax, first-maximum
+    tie-break included, stays put when ``S_r + R < m_r / 2``.  With
+    ``room_r = (m_r (1 - _CERT_SLACK) / 2 - R) / (1 + _CERT_SLACK)`` and the
+    per-slot coefficient ``coef_ij = max_r(|h[r, i]| / room_r) p_j``,
+    ``sum_ij |D_ij| coef_ij <= 1`` gives ``S_r <= room_r`` for every row,
+    and the slack covers every rounding of the certificate's own
+    arithmetic (margins, ``P``, the coefficient and the check's sum).  The
+    rounding model needs a run that never overflows: its weights are finite
+    float32 values (a non-finite change fails the check), so the build
+    bounds every value that any one-layer readback's run can compute with
+    weights of up to the float32 maximum, and certifies nothing unless that
+    bound is finite.  Nor does it certify anything when a margin is not
+    positive beyond R (a tied or near-tied row) or any value of the build
+    is not finite: every ``coef`` is then inf.  A NaN or infinite change, or a signed-zero change under an inf
+    coefficient (``0 * inf``), makes the check's sum NaN or inf, and the
+    readback runs the forward.  Readbacks that change several layers run
+    the forward too.  This is interval bound propagation used to certify
+    (Gowal et al., arXiv:1810.12715), on the weights instead of the input.
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
         self.blocks = blocks
+        self.layout = layout
         self.precision = layout.precision
         self.scale = layout.block_scales()
         if self.scale is not None:
@@ -241,6 +291,7 @@ class _Readbacks:
         self.acts = [inputs] + [np.empty((inputs.shape[0], c)) for _, c in layout.shapes]
         self.work = [np.empty_like(a) for a in self.acts[1:]]
         self.fault_free = self._error(_forward(self.weights, self.biases, inputs, self.acts[1:]))
+        self.coef = None  # the certificate's slot coefficients, built on first use
 
     def _decode(self, touched: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The float64 weights that the blocks at `touched` reading `out`
@@ -260,6 +311,69 @@ class _Readbacks:
         hits = int(np.count_nonzero(np.argmax(logits, axis=1) == self.labels))
         return 1.0 - hits / self.labels.size
 
+    def _coefficients(self) -> np.ndarray:
+        """The certificate's ``coef`` in slot shape (see the class
+        docstring), all inf when it can certify nothing."""
+        coef = np.abs(self.flat)
+        absw = layer_views(coef, self.layout)  # |W| until each layer's coef overwrites it
+        logits = self.acts[-1]
+        n, classes = logits.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = reach = worst = 0.0
+            for w, b, h in zip(absw, self.biases, self.acts):
+                fan_in = w.shape[0] + 1
+                gamma = fan_in * _UNIT_ROUNDOFF / (1 - fan_in * _UNIT_ROUNDOFF)
+                size = max(float(h.max()), -float(h.min()))
+                norm = float(w.sum(axis=0).max())
+                bias = float(np.abs(b).max())
+                err = (err * norm + gamma * (size * norm + bias)
+                       + fan_in * _FLOAT64_TINY)
+                # largest value of a run that changed this layer or an earlier one
+                reach = 2 * (max(reach * norm, fan_in * size * _FLOAT32_MAX) + bias)
+                worst = max(worst, reach)
+            p, down = [np.ones(classes)], np.eye(classes)
+            for w in absw[:0:-1]:
+                down = w @ down
+                p.insert(0, down.max(axis=1))
+            # each row's top logit and runner-up (-inf for one class), equal on a tie
+            top, second = np.full(n, -np.inf), np.full(n, -np.inf)
+            for c in range(classes):
+                np.maximum(second, np.minimum(top, logits[:, c]), out=second)
+                np.maximum(top, logits[:, c], out=top)
+            room = ((top - second) * (1 - _CERT_SLACK) / 2
+                    - 2 * err * (1 + _CERT_SLACK)) / (1 + _CERT_SLACK)
+            if not (np.isfinite(worst) and room.min() > 0):
+                coef.fill(np.inf)
+                return coef
+            inv = 1 / room
+            # max_r |h[r, i]| / room_r, a block of columns at a time in a work array
+            buf = max(self.work, key=np.size).reshape(-1)
+            step = buf.size // n
+            for h, w, pj in zip(self.acts, absw, p):
+                a = np.empty(h.shape[1])
+                for c in range(0, h.shape[1], step):
+                    t = buf[:n * min(step, h.shape[1] - c)].reshape(-1, n)
+                    np.multiply(np.abs(h[:, c:c + step].T, out=t), inv, out=t)
+                    t.max(axis=1, out=a[c:c + step])
+                np.multiply(a[:, None], pj, out=w)
+            if not np.isfinite(coef).all():
+                coef.fill(np.inf)
+        return coef
+
+    def _certified(self, touched: np.ndarray, values: np.ndarray, changed: np.ndarray,
+                   candidates: np.ndarray) -> np.ndarray:
+        """Which of K readbacks, the blocks at `touched` decoding to `values`
+        and changing the real slots `changed`, are `candidates` (their
+        changes lie in one layer) whose every test row's argmax the
+        certificate proves unmoved: ``sum |D| coef (1 + _CERT_SLACK) <= 1``
+        over the changed slots."""
+        if self.coef is None:
+            self.coef = self._coefficients()
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = np.abs(values - self.flat[touched]) * self.coef[touched]
+        terms[~changed] = 0.0
+        return candidates & (terms.sum(axis=(1, 2)) * (1 + _CERT_SLACK) <= 1)
+
     def score(self, touched: np.ndarray, outs: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """Total deviations and test errors of K readbacks, the blocks at
         `touched` reading each of `outs`, of shape (K, len(touched), 16), in
@@ -267,9 +381,13 @@ class _Readbacks:
 
         A readback's total deviation adds its blocks' deviations from the
         fault-free ones left to right (see :func:`_in_order_sum`).  All K
-        decode and compare with the kept weights in one pass; only those
-        that change a weight run inference, each from its own first changed
-        layer.
+        decode and compare with the kept weights in one pass.  Those that
+        change no weight take the fault-free error.  Those that change
+        weights of one layer only are candidates for the certificate (see
+        the class docstring): when there is one, its coefficients are built
+        if this is their first use, and every candidate whose change they
+        bound takes the fault-free error.  The rest run inference, each
+        from its own first changed layer.
         """
         scale = None if self.scale is None else self.scale[touched, 0]
         totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.precision,
@@ -278,13 +396,21 @@ class _Readbacks:
         kept = self.flat[touched]
         changed = (values.view(np.uint64) != kept.view(np.uint64)) & self.real[touched]
         rows = changed.any(axis=2)
+        layer = self.block_layer[touched]
+        n_layers = len(self.biases)
+        first = np.where(rows, layer, n_layers).min(axis=1, initial=n_layers)
+        last = np.where(rows, layer, -1).max(axis=1, initial=-1)
+        infer = last >= 0
+        single = first == last
+        if single.any():
+            infer &= ~self._certified(touched, values, changed, single)
         errs = [self.fault_free] * len(outs)
-        for k in np.flatnonzero(rows.any(axis=1)).tolist():
-            first = int(self.block_layer[touched[rows[k]]].min())
+        for k in np.flatnonzero(infer).tolist():
+            start = int(first[k])
             self.flat[touched] = values[k]
             try:
-                errs[k] = self._error(_forward(self.weights, self.biases, self.acts[first],
-                                               self.work, first))
+                errs[k] = self._error(_forward(self.weights, self.biases, self.acts[start],
+                                               self.work, start))
             finally:
                 self.flat[touched] = kept
         return totals, errs

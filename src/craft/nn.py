@@ -264,14 +264,17 @@ def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN
 def quantize(model: MlpModel) -> QuantizedModel:
     """Asymmetric per-layer 8-bit post-training quantization of the weights.
 
-    scale = (max - min) / 255 (floored at 1e-8 for constant layers),
-    zero_point = round(-min/scale) clamped to [0, 255]; biases stay float32.
+    The range [lo, hi] is the weights' range widened to include 0, so that
+    a layer whose weights are all of one sign keeps 0 on the code grid and
+    every weight within scale/2 of its code: scale = (hi - lo) / 255
+    (floored at 1e-8 for an all-zero layer), zero_point = round(-lo/scale)
+    clamped to [0, 255]; biases stay float32.
     """
     layers = []
     for w, b in zip(model.weights, model.biases):
         if not np.isfinite(w).all():
             raise ValueError("cannot quantize non-finite weights")
-        lo, hi = float(w.min()), float(w.max())
+        lo, hi = min(float(w.min()), 0.0), max(float(w.max()), 0.0)
         scale = max((hi - lo) / QMAX, SCALE_FLOOR)
         zero_point = int(np.clip(np.rint(-lo / scale), 0, QMAX))
         codes = np.clip(np.rint(w.astype(np.float64) / scale) + zero_point, 0, QMAX).astype(np.uint8)

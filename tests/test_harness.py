@@ -1,10 +1,11 @@
 import math
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from craft import harness, nn
@@ -19,7 +20,7 @@ from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
 from craft.nn import MlpModel, accuracy
 from craft.objective import NONFINITE_SENTINEL, best_encodings, deviation_words
 from craft.prng import make_rng, trial_seed
-from craft.weightfile import flatten_model
+from craft.weightfile import flatten_model, unflatten_model
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from readbacks import float64_weights, reference_error, scheme_readbacks, weights_differ
@@ -277,6 +278,36 @@ def forward_passes(monkeypatch):
     return starts
 
 
+def record_certificates(patch):
+    """Record every batch that _Readbacks.score scores from now on, through
+    `patch` (a pytest MonkeyPatch), as a list of [readbacks, touched, outs,
+    certified] entries, `certified` the mask of the batch's readbacks that
+    the certificate passed (none when the batch had no candidate)."""
+    batches = []
+    score, certified = _Readbacks.score, _Readbacks._certified
+
+    def recording_score(self, touched, outs):
+        batches.append([self, touched, outs, np.zeros(len(outs), dtype=bool)])
+        return score(self, touched, outs)
+
+    def recording_certified(self, *args):
+        batches[-1][3] = passed = certified(self, *args)
+        return passed
+
+    patch.setattr(_Readbacks, "score", recording_score)
+    patch.setattr(_Readbacks, "_certified", recording_certified)
+    return batches
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    return record_certificates(monkeypatch)
+
+
+def n_certified(batches):
+    return sum(int(passed.sum()) for *_, passed in batches)
+
+
 @pytest.fixture(params=["fp32", "u8"])
 def model(request, fp32_model, u8_model):
     return fp32_model if request.param == "fp32" else u8_model
@@ -294,14 +325,16 @@ def criticality_model(request, fp32_model, u8_model):
 
 class TestUnchangedReadbacks:
     """Criticality draws each trial once for all positions, and both runs
-    skip inference on readbacks whose weights equal the fault-free ones;
-    neither may change a result."""
+    skip inference on readbacks whose weights equal the fault-free ones or
+    that the certificate passes; none of these may change a result.  A run
+    infers once for the fault-free error, then once per readback that
+    changes a weight and is not certified."""
 
     @pytest.mark.parametrize("ber", [0.0, 1e-3, 1e-1, 1.0])
     @pytest.mark.parametrize("base_seed", [0, 7])
     def test_criticality_matches_per_position_reference(self, criticality_model,
                                                         default_dataset, ber, base_seed,
-                                                        forward_passes):
+                                                        forward_passes, certificates):
         model = criticality_model
         expected, differing = reference_criticality(model, default_dataset, ber, 4,
                                                     base_seed)
@@ -310,13 +343,14 @@ class TestUnchangedReadbacks:
         assert result == expected
         for got, want in zip(result.points, expected.points, strict=True):
             assert got == want
-        assert len(forward_passes) == 1 + differing
+        assert len(forward_passes) == 1 + differing - n_certified(certificates)
 
-    def test_sweep_infers_only_changed_readbacks(self, model, default_dataset, forward_passes):
+    def test_sweep_infers_only_changed_readbacks(self, model, default_dataset, forward_passes,
+                                                 certificates):
         bers = [0.0, 1e-3, 1e-2]
         differing = differing_sweep_readbacks(model, SCHEMES, bers, 3, 7)
         ber_sweep(model, default_dataset, SCHEMES, bers, 3, 7)
-        assert len(forward_passes) == 1 + differing
+        assert len(forward_passes) == 1 + differing - n_certified(certificates)
 
     def test_sweep_records_match_single_trials(self, u8_model, default_dataset):
         bers = [1e-3, 1e-2]
@@ -574,6 +608,171 @@ class TestReadbacksMatchRebuild:
         assert got == [rb.fault_free] * 3
         assert totals.tolist() == [0.0] * 3
         assert forward_passes == []
+
+
+def held_out(inputs, labels):
+    """A dataset stand-in that holds only a test split."""
+    return SimpleNamespace(test_inputs=np.asarray(inputs, dtype=np.float64),
+                           test_labels=np.asarray(labels))
+
+
+@pytest.fixture(scope="module")
+def trained_odd(default_dataset):
+    """A trained 16-13-7-4 model, whose test margins are wide, unlike those
+    of :func:`odd_model`'s random weights."""
+    return nn.train(default_dataset, hidden_dims=(13, 7)).model
+
+
+def certificate_passes(model, dataset, changes):
+    """Whether the certificate passes the readback of fp32 `model` that sets
+    weight (layer, i, j) to value for each entry of `changes`."""
+    blocks, layout = flatten_model(model)
+    weights = [w.copy() for w in model.weights]
+    for (layer, i, j), value in changes.items():
+        weights[layer][i, j] = value
+    read, _ = flatten_model(MlpModel(tuple(weights), model.biases))
+    touched = np.flatnonzero((read != blocks).any(axis=1))
+    with pytest.MonkeyPatch.context() as patch:
+        batches = record_certificates(patch)
+        _Readbacks(blocks, layout, dataset).score(touched, read[touched][None])
+    [(*_, passed)] = batches
+    return bool(passed[0])
+
+
+class TestCertificate:
+    """A readback that the certificate passes keeps every test row's argmax,
+    so it takes the fault-free error without inference; what it passes and
+    what it refuses is pinned on constructed cases."""
+
+    @pytest.mark.parametrize("precision", ["fp32", "u8"])
+    @pytest.mark.parametrize("name", ["default", "16-13-7-4"])
+    def test_certified_readbacks_take_the_oracle_error(self, name, precision, fp32_model,
+                                                       trained_odd, default_dataset,
+                                                       certificates):
+        model = fp32_model if name == "default" else trained_odd
+        if precision == "u8":
+            model = nn.quantize(model)
+        bit_criticality(model, default_dataset, ber=1e-3, trials=8, base_seed=7)
+        in_criticality = n_certified(certificates)
+        ber_sweep(model, default_dataset, SCHEMES, [1e-3, 1e-2, 1e-1], 4, 7)
+        # a bound that never fires would pass the oracle check vacuously
+        assert in_criticality > 0
+        assert n_certified(certificates) > in_criticality
+        for rb, touched, outs, passed in certificates:
+            for k in np.flatnonzero(passed).tolist():
+                read = rb.blocks.copy()
+                read[touched] = outs[k]
+                assert reference_error(read, rb.layout, default_dataset) == rb.fault_free
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_certified_readbacks_keep_every_argmax(self, data):
+        """Small random models, fp32 and u8, under changes to a few weights
+        of one layer, from a last-bit change to a whole-weight one."""
+        draw = data.draw
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        dims = [draw(st.integers(1, 6), label="features"),
+                *draw(st.lists(st.integers(1, 6), max_size=2), label="hidden"),
+                draw(st.integers(1, 4), label="classes")]
+        model = MlpModel(
+            tuple(gen.normal(0.0, 1.0 / np.sqrt(a), size=(a, b)).astype(np.float32)
+                  for a, b in zip(dims, dims[1:])),
+            tuple(gen.normal(0.0, 0.1, size=b).astype(np.float32) for b in dims[1:]))
+        n_rows = draw(st.integers(1, 30), label="rows")
+        inputs = gen.normal(size=(n_rows, dims[0]))
+        labels = gen.integers(0, dims[-1], size=n_rows)
+        layer = draw(st.integers(0, len(dims) - 2), label="layer")
+        quantized = draw(st.booleans(), label="u8")
+        if quantized:
+            model = nn.quantize(model)
+        stored = ([l.codes.copy() for l in model.layers] if quantized
+                  else [w.copy() for w in model.weights])
+        for _ in range(draw(st.integers(1, 3), label="changes")):
+            i, j = gen.integers(0, dims[layer]), gen.integers(0, dims[layer + 1])
+            x = float(stored[layer][i, j])
+            if quantized:
+                x += draw(st.sampled_from([-3, -1, 1, 3]), label="code step")
+                stored[layer][i, j] = min(max(x, 0), 255)
+            else:
+                rel = draw(st.sampled_from([-1.0, 1.0]), label="sign") * \
+                    2.0 ** -draw(st.integers(0, 24), label="relative size, log2")
+                stored[layer][i, j] = x * (1 + rel) if x else rel
+        if quantized:
+            changed = nn.QuantizedModel(tuple(
+                nn.QuantizedLayer(c, l.scale, l.zero_point, l.biases)
+                for c, l in zip(stored, model.layers)))
+        else:
+            changed = MlpModel(tuple(stored), model.biases)
+        blocks, layout = flatten_model(model)
+        read, _ = flatten_model(changed)
+        touched = np.flatnonzero((read != blocks).any(axis=1))
+        rb = _Readbacks(blocks, layout, held_out(inputs, labels))
+        with pytest.MonkeyPatch.context() as patch:
+            batches = record_certificates(patch)
+            _, [err] = rb.score(touched, read[touched][None])
+        assert err == 1 - accuracy(changed, inputs, labels)
+        if batches[0][3][0]:
+            event("certified")
+            assert np.array_equal(nn.infer(changed, inputs), nn.infer(model, inputs))
+
+    def test_tied_rows_certify_nothing(self, default_dataset, certificates, forward_passes):
+        """Two identical last-layer columns, lifted by their biases above
+        the others, tie on every row.  A margin of 0 leaves no room, so
+        every coefficient is inf and every readback that changes a weight
+        runs inference."""
+        model = odd_model("fp32")
+        w, b = model.weights[-1].copy(), model.biases[-1].copy()
+        w[:, 1] = w[:, 0]
+        b[:2] = 10.0
+        tied = MlpModel(model.weights[:-1] + (w,), model.biases[:-1] + (b,))
+        expected, differing = reference_criticality(tied, default_dataset, 1e-2, 2, 7)
+        assert bit_criticality(tied, default_dataset, ber=1e-2, trials=2,
+                               base_seed=7) == expected
+        rb = certificates[0][0]
+        logits = rb.acts[-1]
+        assert (logits[:, 0] == logits[:, 1]).all() and (logits.argmax(axis=1) == 0).all()
+        assert rb.coef is not None and np.isinf(rb.coef).all()
+        assert n_certified(certificates) == 0
+        assert differing > 0 and len(forward_passes) == 1 + differing
+
+    def test_passes_changes_up_to_half_the_margin(self):
+        """One layer and one row with logits (1, 0): a change D of weight
+        (0, 0), under input 1, may move each logit by up to half the margin
+        of 1.  |D| = 0.25 passes; 0.5, the edge, which the slack keeps out,
+        and 0.75 do not (half the bound would pass 0.75)."""
+        model = MlpModel((np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32),),
+                         (np.zeros(2, dtype=np.float32),))
+        row = held_out([[1.0, 0.0]], [0])
+        assert certificate_passes(model, row, {(0, 0, 0): 0.75})
+        assert not certificate_passes(model, row, {(0, 0, 0): 0.5})
+        assert not certificate_passes(model, row, {(0, 0, 0): 0.25})
+        # weight (1, 0) meets input 0, so any finite change of it moves
+        # nothing, but a non-finite one makes 0 * inf = NaN
+        assert certificate_passes(model, row, {(0, 1, 0): 1e30})
+        assert not certificate_passes(model, row, {(0, 1, 0): np.inf})
+        assert not certificate_passes(model, row, {(0, 1, 0): np.nan})
+
+    def test_refuses_margins_within_rounding(self):
+        """Logits of about 1e8 that differ by 2 ulps (3e-8): the rounding
+        bound R of a 1e8-sized inner product (about 7e-8 for both runs)
+        exceeds half the margin, so not even a change that moves logit 0 by
+        4e-9 passes, as it would without R.  With input 3e-6 in place of
+        3e-8 the margin clears R and the same change passes."""
+        model = MlpModel((np.array([[1e8, 1e8], [1.0, 0.0]], dtype=np.float32),),
+                         (np.zeros(2, dtype=np.float32),))
+        assert not certificate_passes(model, held_out([[1.0, 3e-8]], [0]), {(0, 1, 0): 1.125})
+        assert certificate_passes(model, held_out([[1.0, 3e-6]], [0]), {(0, 1, 0): 1.125})
+
+    def test_refuses_changes_in_several_layers(self, fp32_model, default_dataset):
+        """Changes of a weight in layer 0 and one in layer 1 by 2^-20 of
+        their size each pass alone, but together they run inference: the
+        bound covers one changed layer under the kept later weights."""
+        w0, w1 = float(fp32_model.weights[0][0, 0]), float(fp32_model.weights[1][0, 0])
+        layer0 = {(0, 0, 0): w0 * (1 + 2.0 ** -20)}
+        layer1 = {(1, 0, 0): w1 * (1 + 2.0 ** -20)}
+        assert certificate_passes(fp32_model, default_dataset, layer0)
+        assert certificate_passes(fp32_model, default_dataset, layer1)
+        assert not certificate_passes(fp32_model, default_dataset, layer0 | layer1)
 
 
 class TestTrialResultLimit:

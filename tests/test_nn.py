@@ -149,11 +149,27 @@ class TestQuantize:
         acc_q = nn.accuracy(u8_model, default_dataset.test_inputs, default_dataset.test_labels)
         assert abs(acc_fp - acc_q) <= 0.02
 
-    def test_constant_layer_scale_floor(self):
-        w = np.full((2, 2), 0.5, dtype=np.float32)
+    def test_all_zero_layer_scale_floor(self):
+        w = np.zeros((2, 2), dtype=np.float32)
+        model = nn.MlpModel(weights=(w,), biases=(np.zeros(2, dtype=np.float32),))
+        layer = nn.quantize(model).layers[0]
+        assert layer.scale == nn.SCALE_FLOOR
+        assert layer.zero_point == 0
+        assert not nn.dequantize(nn.QuantizedModel((layer,))).weights[0].any()
+
+    @pytest.mark.parametrize("w", [[[0.2, 0.9], [0.4, 0.7]], [[-0.2, -0.9], [-0.4, -0.7]],
+                                   [[0.5, 0.5], [0.5, 0.5]], [[-3.0, -3.0], [-3.0, -3.0]]],
+                             ids=["positive", "negative", "constant", "negative_constant"])
+    def test_one_sign_layer_dequantizes_within_half_a_step(self, w):
+        """The quantization range includes 0, so a layer whose weights are
+        all of one sign still dequantizes each weight within scale/2."""
+        w = np.array(w, dtype=np.float32)
         model = nn.MlpModel(weights=(w,), biases=(np.zeros(2, dtype=np.float32),))
         q = nn.quantize(model)
-        assert q.layers[0].scale == nn.SCALE_FLOOR
+        [layer] = q.layers
+        err = np.abs(nn.dequantize(q).weights[0].astype(np.float64) - w)
+        # dequantize rounds to float32, a relative 2^-24 more
+        assert err.max() <= layer.scale / 2 + np.abs(w).max() * 2.0 ** -24
 
     def test_biases_pass_through(self, fp32_model, u8_model):
         for b, layer in zip(fp32_model.biases, u8_model.layers):
