@@ -263,35 +263,33 @@ class _Readbacks:
     weights of up to the float32 maximum, and certifies nothing unless that
     bound is finite.  Nor does it certify anything when a margin is not
     positive beyond R (a tied or near-tied row) or any value of the build
-    is not finite: every ``coef`` is then inf.  A NaN or infinite change, or a signed-zero change under an inf
-    coefficient (``0 * inf``), makes the check's sum NaN or inf, and the
-    readback runs the forward.  Readbacks that change several layers run
-    the forward too.  This is interval bound propagation used to certify
-    (Gowal et al., arXiv:1810.12715), on the weights instead of the input.
+    is not finite: every ``coef`` is then inf.  A NaN or infinite change,
+    or a signed-zero change under an inf coefficient (``0 * inf``), makes
+    the check's sum NaN or inf, so the readback runs the forward, as do
+    those that change several layers.  This is interval bound propagation
+    (Gowal et al., arXiv:1810.12715) on the weights instead of the input.
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
         self.blocks = blocks
         self.layout = layout
-        self.precision = layout.precision
-        self.scale = layout.block_scales()
-        if self.scale is not None:
-            self.scale = self.scale[:, None]
-            self.zero_point = np.repeat([zp for _, zp in layout.quant],
-                                        layout.layer_blocks)[:, None]
+        self.block_layer = np.repeat(np.arange(len(layout.shapes)), layout.layer_blocks)
+        self.scale = None
+        if layout.quant is not None:
+            # each block's u8 scale and zero point, as (n_blocks, 1) columns
+            self.scale, self.zero_point = np.asarray(layout.quant)[self.block_layer].T[..., None]
         self.flat = self._decode(np.arange(layout.n_blocks), blocks)
         self.weights = layer_views(self.flat, layout)
         self.real = np.zeros(self.flat.shape, dtype=bool)
         for view in layer_views(self.real, layout):
             view[...] = True
-        self.block_layer = np.repeat(np.arange(len(layout.shapes)), layout.layer_blocks)
         self.biases = [b.astype(np.float64) for b in layout.biases]
         inputs = np.asarray(dataset.test_inputs, dtype=np.float64)
         self.labels = np.asarray(dataset.test_labels)
         self.acts = [inputs] + [np.empty((inputs.shape[0], c)) for _, c in layout.shapes]
         self.work = [np.empty_like(a) for a in self.acts[1:]]
         self.fault_free = self._error(_forward(self.weights, self.biases, inputs, self.acts[1:]))
-        self.coef = None  # the certificate's slot coefficients, built on first use
+        self.coef = self._coefficients()
 
     def _decode(self, touched: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The float64 weights that the blocks at `touched` reading `out`
@@ -318,7 +316,7 @@ class _Readbacks:
         absw = layer_views(coef, self.layout)  # |W| until each layer's coef overwrites it
         logits = self.acts[-1]
         n, classes = logits.shape
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             err = reach = worst = 0.0
             for w, b, h in zip(absw, self.biases, self.acts):
                 fan_in = w.shape[0] + 1
@@ -342,9 +340,6 @@ class _Readbacks:
                 np.maximum(top, logits[:, c], out=top)
             room = ((top - second) * (1 - _CERT_SLACK) / 2
                     - 2 * err * (1 + _CERT_SLACK)) / (1 + _CERT_SLACK)
-            if not (np.isfinite(worst) and room.min() > 0):
-                coef.fill(np.inf)
-                return coef
             inv = 1 / room
             # max_r |h[r, i]| / room_r, a block of columns at a time in a work array
             buf = max(self.work, key=np.size).reshape(-1)
@@ -356,7 +351,7 @@ class _Readbacks:
                     np.multiply(np.abs(h[:, c:c + step].T, out=t), inv, out=t)
                     t.max(axis=1, out=a[c:c + step])
                 np.multiply(a[:, None], pj, out=w)
-            if not np.isfinite(coef).all():
+            if not (np.isfinite(worst) and room.min() > 0 and np.isfinite(coef).all()):
                 coef.fill(np.inf)
         return coef
 
@@ -367,8 +362,6 @@ class _Readbacks:
         changes lie in one layer) whose every test row's argmax the
         certificate proves unmoved: ``sum |D| coef (1 + _CERT_SLACK) <= 1``
         over the changed slots."""
-        if self.coef is None:
-            self.coef = self._coefficients()
         with np.errstate(invalid="ignore", over="ignore"):
             terms = np.abs(values - self.flat[touched]) * self.coef[touched]
         terms[~changed] = 0.0
@@ -384,13 +377,12 @@ class _Readbacks:
         decode and compare with the kept weights in one pass.  Those that
         change no weight take the fault-free error.  Those that change
         weights of one layer only are candidates for the certificate (see
-        the class docstring): when there is one, its coefficients are built
-        if this is their first use, and every candidate whose change they
-        bound takes the fault-free error.  The rest run inference, each
-        from its own first changed layer.
+        the class docstring), and every candidate whose change it bounds
+        takes the fault-free error.  The rest run inference, each from its
+        own first changed layer.
         """
         scale = None if self.scale is None else self.scale[touched, 0]
-        totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.precision,
+        totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.layout.precision,
                                                scale))
         values = self._decode(touched, outs)
         kept = self.flat[touched]
@@ -424,8 +416,9 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     Every trial runs in the calling thread, in (ber, trial) order, and its
     results are reduced in (scheme, ber, trial) order, so output is
     order-deterministic.  A stuck cell is SA1 with probability
-    :data:`craft.memory.DEFAULT_SA1_FRACTION`.  `threads` must be 1, and
-    the run may hold at most :data:`MAX_TRIAL_RESULTS` results.  Each fault
+    :data:`craft.memory.DEFAULT_SA1_FRACTION`.  `threads` must be 1, every
+    BER must lie in [0, 1] (checked before the first trial), and the run
+    may hold at most :data:`MAX_TRIAL_RESULTS` results.  Each fault
     map's scheme readbacks are scored, total deviation and test error, in
     one batched call; a readback whose weights equal the fault-free ones
     takes the fault-free error without another inference (see
@@ -436,6 +429,9 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     if threads != 1:
         raise ValueError(f"ber_sweep runs every trial in the calling thread; "
                          f"threads must be 1, got {threads}")
+    for ber in ber_list:
+        if not 0.0 <= ber <= 1.0:
+            raise ValueError(f"ber must be in [0, 1], got {ber}")
     _check_trial_results(len(schemes) * len(ber_list) * trials,
                          f"{len(schemes)} schemes x {len(ber_list)} BER points x {trials} trials")
     blocks, layout = flatten_model(model)

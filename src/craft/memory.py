@@ -7,7 +7,9 @@ stuck with probability `ber`, and a stuck cell holds 1 with probability
 
 A fault map lists its stuck cells by bit index.  Their one word form is
 :func:`stuck_words`, per-block (mask, stuck) uint32 words, which fault
-application, the encodings, ECP and the harness all read.
+application, the encodings, ECP and the harness's BER sweep read.
+:func:`craft.harness.bit_criticality` does not: it draws a map over words,
+one cell per weight, and builds bit position 0's words from that draw.
 """
 
 from __future__ import annotations

@@ -238,8 +238,7 @@ def search_best_encoding(words: np.ndarray, mask: np.ndarray, stuck: np.ndarray,
     are its (16,) stuck words and `scale` its u8 scale, None for fp32.
 
     It stays only because the benchmark's self-test, ``bench/test_bench.py``,
-    wraps it by name; ROADMAP item 6 deletes it once item 1 retargets the
-    benchmark.
+    wraps it by name; ROADMAP item 5 retargets the benchmark and deletes it.
     """
     scale = None if scale is None else np.array([scale])
     return search_words(words[None], mask[None], stuck[None], precision, scale)[0]

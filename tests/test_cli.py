@@ -298,6 +298,33 @@ class TestEncodeDecode:
         for (_, delta_text), bound in zip(rows, identity.tolist()):
             assert float(delta_text) <= bound
 
+    @pytest.mark.parametrize("quantize", [[], ["--quantize"]], ids=["fp32", "u8"])
+    @pytest.mark.parametrize("hidden", [["--hidden", "13,7"], []], ids=["16-13-7-4", "default"])
+    def test_decode_deltas_equal_encode_deltas(self, capsys, tmp_path, hidden, quantize):
+        """decode-file --reference prints, as text, the (block, delta) rows
+        that encode-file printed.  The 16-13-7-4 model's partial last blocks
+        hold pad slots; the default model's blocks hold none."""
+        model = tmp_path / "m.w"
+        code, _, err = run(capsys, "train", "--out", str(model), "--epochs", "1",
+                           *hidden, *quantize)
+        assert code == 0, err
+        fmap_path, _, layout = self._fault_map_path(tmp_path, model, 1e-2, seed=3)
+        encoded = tmp_path / "m.blk"
+        code, encode_out, err = run(capsys, "encode-file", "--in", str(model),
+                                    "--out", str(encoded), "--fault-map", str(fmap_path))
+        assert code == 0, err
+        code, decode_out, err = run(capsys, "decode-file", "--in", str(encoded),
+                                    "--sidecar", str(tmp_path / "m.blk.aux"),
+                                    "--out", str(tmp_path / "r.w"), "--reference", str(model))
+        assert code == 0, err
+        # encode-file prints "block,aux,delta" rows, decode-file "block,delta"
+        encoded_rows = [f"{block},{delta}" for block, _, delta in
+                        (l.split(",") for l in encode_out.splitlines() if l[:1].isdigit())]
+        decoded_rows = [l for l in decode_out.splitlines() if l[:1].isdigit()]
+        assert len(encoded_rows) == layout.n_blocks
+        assert any(not row.endswith(",0.0") for row in encoded_rows)
+        assert decoded_rows == encoded_rows
+
     @staticmethod
     def _model(dims, precision, scale=0.01):
         shapes = list(zip(dims, dims[1:]))

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 import sys
 from types import SimpleNamespace
 
@@ -128,6 +129,23 @@ class TestBerSweep:
                 [(ber, t) for ber in (1e-3, 1e-2) for t in range(4)]
         with pytest.raises(ValueError, match="threads must be 1"):
             ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5, threads=2)
+
+    @pytest.mark.parametrize("bad", [2.0, float("nan")])
+    def test_bad_ber_rejected_before_any_trial(self, monkeypatch, u8_model, default_dataset,
+                                               bad):
+        """Every BER is checked before the first fault map is drawn (a check
+        in the trial loop would draw 51 maps first)."""
+        drawn = []
+        draw = harness.generate_fault_map
+
+        def counted(*args, **kwargs):
+            drawn.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_fault_map", counted)
+        with pytest.raises(ValueError, match=re.escape(f"ber must be in [0, 1], got {bad}")):
+            ber_sweep(u8_model, default_dataset, [Scheme.parse("craft")], [1e-3, bad], 50, 7)
+        assert len(drawn) == 0
 
     def test_row_counts(self, u8_model, default_dataset):
         schemes = [Scheme.parse("baseline"), Scheme.parse("craft")]
@@ -352,10 +370,14 @@ class TestUnchangedReadbacks:
         ber_sweep(model, default_dataset, SCHEMES, bers, 3, 7)
         assert len(forward_passes) == 1 + differing - n_certified(certificates)
 
-    def test_sweep_records_match_single_trials(self, u8_model, default_dataset):
-        bers = [1e-3, 1e-2]
+    @pytest.mark.parametrize("bers", [[1e-3, 1e-2], [1e-2, 0.0, 1e-3, 1e-2]])
+    def test_sweep_records_match_single_trials(self, u8_model, default_dataset, bers):
+        """Every cell of a sweep, over an unsorted BER list with a repeat
+        too, equals the one-trial sweep of its scheme, BER and seed, and the
+        points keep the list's order."""
         results = ber_sweep(u8_model, default_dataset, SCHEMES, bers, 3, 7)
         for scheme, res in zip(SCHEMES, results, strict=True):
+            assert [p.ber for p in res.ber_points] == bers
             for r in res.records:
                 # a one-trial sweep's trial 0 has the sweep's seed
                 [single] = ber_sweep(u8_model, default_dataset, [scheme], [r.ber], 1,
@@ -731,7 +753,7 @@ class TestCertificate:
         rb = certificates[0][0]
         logits = rb.acts[-1]
         assert (logits[:, 0] == logits[:, 1]).all() and (logits.argmax(axis=1) == 0).all()
-        assert rb.coef is not None and np.isinf(rb.coef).all()
+        assert np.isinf(rb.coef).all()
         assert n_certified(certificates) == 0
         assert differing > 0 and len(forward_passes) == 1 + differing
 
