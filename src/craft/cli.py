@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .codecs import PAYLOAD_BITS, decode_words
-from .harness import (Scheme, ber_sweep, bit_criticality, default_ber_grid,
+from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
 from .memory import load_fault_map, stuck_words
 from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_HIDDEN,
@@ -120,9 +120,7 @@ def _echo(args: argparse.Namespace, derived: dict | None = None) -> None:
         if isinstance(value, list) and value and isinstance(value[0], Scheme):
             value = ",".join(s.name for s in value)
         elif isinstance(value, (list, tuple)):
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
+            value = ",".join(map(str, value))
         print(f"config {key}={value}")
 
 
@@ -343,12 +341,11 @@ def cmd_encode_file(args) -> int:
         raise IOFailure(
             f"fault map region ({fmap.region_size_bits} bits) smaller than "
             f"weight region ({layout.n_blocks * PAYLOAD_BITS} bits)")
-    mask, stuck = stuck_words(fmap, 0, layout.n_blocks)
+    mask, stuck = stuck_words(fmap, layout.n_blocks)
     codes, stored, deltas = store_words(blocks, mask, stuck, layout.precision,
                                         layout.block_scales())
-    print("block,aux_hex,delta")
-    for i, (code, delta) in enumerate(zip(codes.tolist(), deltas.tolist())):
-        print(f"{i},{code:02x},{delta!r}")
+    _write_rows(sys.stdout, "block,aux_hex,delta",
+                zip(range(layout.n_blocks), map("{:02x}".format, codes.tolist()), deltas.tolist()))
     try:
         save_blocks(stored, layout, args.out)
         save_sidecar(codes, sidecar)
@@ -383,9 +380,7 @@ def cmd_decode_file(args) -> int:
             raise IOFailure("reference model does not match the block file layout")
         deltas = deviation_words(ref_blocks, decoded, layout.precision,
                                  ref_layout.block_scales())
-        print("block,delta")
-        for i, delta in enumerate(deltas.tolist()):
-            print(f"{i},{delta!r}")
+        _write_rows(sys.stdout, "block,delta", enumerate(deltas.tolist()))
     try:
         save_model(model, args.out)
     except OSError as exc:

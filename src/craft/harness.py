@@ -171,10 +171,7 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
     aux-code order, so they share one search of the longest (see
     :func:`craft.objective.best_encodings`).
     """
-    if len(fault_map) == 0:
-        return (np.empty(0, dtype=np.intp),
-                np.empty((len(schemes), 0, WORDS_PER_BLOCK), dtype=np.uint32))
-    mask, stuck = stuck_words(fault_map, 0, layout.n_blocks)
+    mask, stuck = stuck_words(fault_map, layout.n_blocks)
     touched = np.flatnonzero(mask.any(axis=1))
     mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
     scales = layout.block_scales()
@@ -417,12 +414,12 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     results are reduced in (scheme, ber, trial) order, so output is
     order-deterministic.  A stuck cell is SA1 with probability
     :data:`craft.memory.DEFAULT_SA1_FRACTION`.  `threads` must be 1, every
-    BER must lie in [0, 1] (checked before the first trial), and the run
-    may hold at most :data:`MAX_TRIAL_RESULTS` results.  Each fault
-    map's scheme readbacks are scored, total deviation and test error, in
-    one batched call; a readback whose weights equal the fault-free ones
-    takes the fault-free error without another inference (see
-    :class:`_Readbacks`).
+    BER in [0, 1] and every scheme name distinct (checked before the first
+    trial), and the run may hold at most :data:`MAX_TRIAL_RESULTS` results.
+    Each fault map's scheme readbacks are scored, total deviation and test
+    error, in one batched call; a readback whose weights equal the
+    fault-free ones takes the fault-free error without another inference
+    (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -432,6 +429,8 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     for ber in ber_list:
         if not 0.0 <= ber <= 1.0:
             raise ValueError(f"ber must be in [0, 1], got {ber}")
+    if len({s.name for s in schemes}) < len(schemes):
+        raise ValueError(f"repeated scheme in {','.join(s.name for s in schemes)}")
     _check_trial_results(len(schemes) * len(ber_list) * trials,
                          f"{len(schemes)} schemes x {len(ber_list)} BER points x {trials} trials")
     blocks, layout = flatten_model(model)
@@ -550,37 +549,41 @@ def _threshold_crossing(sweep: SweepResult) -> tuple[float, bool]:
 def robustness_improvement(sweep_a: SweepResult, sweep_b: SweepResult) -> RobustnessRatio:
     """How much later (in BER) sweep_a's error collapses compared to sweep_b.
 
-    The collapse point is where mean error first exceeds the scheme's
-    fault-free error by :data:`ERROR_BUDGET`.
+    Each collapses where its mean error first exceeds its fault-free error by
+    :data:`ERROR_BUDGET`, on a shared BER grid, strictly ascending and above 0.
     """
-    if [p.ber for p in sweep_a.ber_points] != [p.ber for p in sweep_b.ber_points]:
+    bers = [p.ber for p in sweep_a.ber_points]
+    if bers != [p.ber for p in sweep_b.ber_points]:
         raise ValueError("sweeps must share the same BER grid")
+    if not (bers and bers[0] > 0 and all(lo < hi for lo, hi in zip(bers, bers[1:]))):
+        raise ValueError(f"robustness needs a strictly ascending BER grid above 0, got {bers}")
     ber_a, cens_a = _threshold_crossing(sweep_a)
     ber_b, cens_b = _threshold_crossing(sweep_b)
     return RobustnessRatio(ratio=ber_a / ber_b, ber_a=ber_a, ber_b=ber_b,
                            censored_a=cens_a, censored_b=cens_b)
 
 
+def _write_rows(fh, header: str, rows) -> None:
+    """Write `header`, then each row's values joined by ``,`` (``str`` of a float is ``repr``)."""
+    fh.write(header + "\n")
+    fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def write_raw_csv(results: Sequence[SweepResult], path) -> None:
     with open(path, "w") as fh:
-        fh.write("scheme,ber,trial,classification_error,total_delta\n")
-        for res in results:
-            for r in res.records:
-                fh.write(f"{res.scheme},{r.ber!r},{r.trial},"
-                         f"{r.classification_error!r},{r.total_delta!r}\n")
+        _write_rows(fh, "scheme,ber,trial,classification_error,total_delta",
+                    ((res.scheme, r.ber, r.trial, r.classification_error, r.total_delta)
+                     for res in results for r in res.records))
 
 
 def write_summary_csv(results: Sequence[SweepResult], path) -> None:
     with open(path, "w") as fh:
-        fh.write("scheme,ber,mean_error,std_error,mean_delta\n")
-        for res in results:
-            for p in res.ber_points:
-                fh.write(f"{res.scheme},{p.ber!r},{p.mean_error!r},"
-                         f"{p.std_error!r},{p.mean_delta!r}\n")
+        _write_rows(fh, "scheme,ber,mean_error,std_error,mean_delta",
+                    ((res.scheme, p.ber, p.mean_error, p.std_error, p.mean_delta)
+                     for res in results for p in res.ber_points))
 
 
 def write_criticality_csv(result: CriticalityResult, path) -> None:
     with open(path, "w") as fh:
-        fh.write("position,mean_error,std_error,mean_delta\n")
-        for p in result.points:
-            fh.write(f"{p.position},{p.mean_error!r},{p.std_error!r},{p.mean_delta!r}\n")
+        _write_rows(fh, "position,mean_error,std_error,mean_delta",
+                    ((p.position, p.mean_error, p.std_error, p.mean_delta) for p in result.points))

@@ -6,8 +6,9 @@ stuck with probability `ber`, and a stuck cell holds 1 with probability
 `sa1_fraction` (SA1), otherwise 0 (SA0).
 
 A fault map lists its stuck cells by bit index.  Their one word form is
-:func:`stuck_words`, per-block (mask, stuck) uint32 words, which fault
-application, the encodings, ECP and the harness's BER sweep read.
+``stuck_words(fault_map, n_blocks)``, the (mask, stuck) uint32 words of the
+first `n_blocks` blocks, which fault application, the encodings, ECP and the
+harness's BER sweep read.
 :func:`craft.harness.bit_criticality` does not: it draws a map over words,
 one cell per weight, and builds bit position 0's words from that draw.
 """
@@ -101,28 +102,28 @@ def generate_fault_map(region_size_bits: int, ber: float,
 _BIT_WEIGHTS = 2.0 ** np.arange(32)
 
 
-def stuck_words(fault_map: FaultMap, offset: int = 0, n_blocks: int = 1):
-    """Word-level form of the stuck cells of `n_blocks` blocks at `offset`.
+def stuck_words(fault_map: FaultMap, n_blocks: int = 1):
+    """Word-level form of the stuck cells in the region's first `n_blocks` blocks.
 
     Returns (mask, stuck), two (n_blocks, 16) little-endian uint32 arrays:
     bit k of word w of a block is set in `mask` when cell w*32+k of the
     block is stuck, and the same bit of `stuck` holds its stuck value.
-    Cells of the map outside the blocks are ignored.  Rows with no stuck
-    cell are zero, so ``mask.any(axis=1)`` finds the blocks that hold one.
+    Cells past the blocks are ignored; blocks past the region raise IndexError.
+    Rows with no stuck cell are zero: ``mask.any(axis=1)`` finds those with one.
     """
-    end = offset + n_blocks * PAYLOAD_BITS
-    if offset < 0 or end > fault_map.region_size_bits:
-        raise IndexError(f"bit range [{offset}, {end}) outside region of "
+    end = n_blocks * PAYLOAD_BITS
+    if end > fault_map.region_size_bits:
+        raise IndexError(f"bit range [0, {end}) outside region of "
                          f"{fault_map.region_size_bits} bits")
-    lo, hi = np.searchsorted(fault_map.bit_indices, [offset, end])
-    positions = fault_map.bit_indices[lo:hi] - offset
+    hi = np.searchsorted(fault_map.bit_indices, end)
+    positions = fault_map.bit_indices[:hi]
     words = positions // 32  # row * WORDS_PER_BLOCK + word within the row
     cells = _BIT_WEIGHTS[positions % 32]
     # The cells of a word are distinct bits, so their sum is their OR, and
     # it stays below 2**32, where float64 is exact.
     size = n_blocks * WORDS_PER_BLOCK
     mask = np.bincount(words, weights=cells, minlength=size)
-    stuck = np.bincount(words, weights=cells * fault_map.stuck_values[lo:hi], minlength=size)
+    stuck = np.bincount(words, weights=cells * fault_map.stuck_values[:hi], minlength=size)
     return (mask.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK),
             stuck.astype(np.uint32).reshape(n_blocks, WORDS_PER_BLOCK))
 

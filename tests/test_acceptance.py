@@ -79,7 +79,7 @@ def test_03_single_fault_guarantee():
         positions = np.tile(np.repeat(np.arange(512), 2), len(payloads))
         values = np.tile(np.array([0, 1], dtype=np.uint8), len(payloads) * 512)
         fmap = FaultMap(cases * 512, np.arange(cases) * 512 + positions, values, 0.0, 0.5, 0)
-        mask, stuck = stuck_words(fmap, 0, cases)
+        mask, stuck = stuck_words(fmap, cases)
         codes, _, deltas = store_words(words, mask, stuck, Precision.U8, np.ones(cases))
         assert np.all(deltas == 0.0)
         # a search of each case alone, over a one-block map of its cell,

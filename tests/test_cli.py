@@ -182,6 +182,16 @@ class TestSweep:
         lines = (tmp_path / "s_summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
 
+    def test_repeated_scheme_exits_1(self, capsys, tmp_path, u8_model):
+        model = tmp_path / "m.w"
+        save_model(u8_model, model)
+        code, _, err = run(capsys, "sweep", "--model", str(model),
+                           "--schemes", "craft,ecp,ecp1,craft", "--ber", "1e-3",
+                           "--trials", "1", "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert "bad sweep flags: repeated scheme in craft,ecp1,ecp1,craft" in err
+        assert not list(tmp_path.glob("s_*.csv"))
+
     def test_missing_model_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--model", str(tmp_path / "nope.w"),
                            "--out", str(tmp_path / "s"), "--trials", "1",
@@ -292,7 +302,7 @@ class TestEncodeDecode:
         # identity deltas recomputed independently
         from craft.memory import apply_stuck, load_fault_map, stuck_words
         from craft.objective import deviation_words
-        mask, stuck = stuck_words(load_fault_map(fmap_path), 0, layout.n_blocks)
+        mask, stuck = stuck_words(load_fault_map(fmap_path), layout.n_blocks)
         identity = deviation_words(blocks, apply_stuck(blocks, mask, stuck),
                                    layout.precision, layout.block_scales())
         for (_, delta_text), bound in zip(rows, identity.tolist()):

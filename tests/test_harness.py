@@ -130,21 +130,32 @@ class TestBerSweep:
         with pytest.raises(ValueError, match="threads must be 1"):
             ber_sweep(u8_model, default_dataset, schemes, [1e-3, 1e-2], 4, 5, threads=2)
 
-    @pytest.mark.parametrize("bad", [2.0, float("nan")])
-    def test_bad_ber_rejected_before_any_trial(self, monkeypatch, u8_model, default_dataset,
-                                               bad):
-        """Every BER is checked before the first fault map is drawn (a check
-        in the trial loop would draw 51 maps first)."""
-        drawn = []
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The arguments of every fault map that the sweep draws."""
+        calls = []
         draw = harness.generate_fault_map
 
         def counted(*args, **kwargs):
-            drawn.append(args)
+            calls.append(args)
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(harness, "generate_fault_map", counted)
+        return calls
+
+    @pytest.mark.parametrize("bad", [2.0, float("nan")])
+    def test_bad_ber_rejected_before_any_trial(self, drawn, u8_model, default_dataset, bad):
+        """Every BER is checked before the first fault map is drawn (a check
+        in the trial loop would draw 51 maps first)."""
         with pytest.raises(ValueError, match=re.escape(f"ber must be in [0, 1], got {bad}")):
             ber_sweep(u8_model, default_dataset, [Scheme.parse("craft")], [1e-3, bad], 50, 7)
+        assert len(drawn) == 0
+
+    def test_repeated_scheme_rejected_before_any_trial(self, drawn, u8_model, default_dataset):
+        """`ecp` and `ecp1` name one scheme, whose rows would appear twice."""
+        schemes = [Scheme.parse(s) for s in ("craft", "ecp", "ecp1")]
+        with pytest.raises(ValueError, match="repeated scheme in craft,ecp1,ecp1"):
+            ber_sweep(u8_model, default_dataset, schemes, [1e-3], 5, 7)
         assert len(drawn) == 0
 
     def test_row_counts(self, u8_model, default_dataset):
@@ -397,7 +408,7 @@ def test_score_totals_match_scheme_totals(criticality_model, default_dataset, be
     schemes = [Scheme.parse(s) for s in ("baseline", "ecp1", "ecp3", "remap_invert", "craft")]
     touched, outs = _apply_schemes(blocks, layout, schemes, fmap)
     totals, _ = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
-    mask, stuck = stuck_words(fmap, 0, layout.n_blocks)
+    mask, stuck = stuck_words(fmap, layout.n_blocks)
     mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
@@ -452,7 +463,7 @@ def test_apply_schemes_protects_the_stuck_words_rows_that_hold_cells(drawn):
     touched, outs = _apply_schemes(blocks, layout, [Scheme("baseline")], fmap)
     holding = sorted({pos // PAYLOAD_BITS for pos, _ in fmap.entries})
     assert touched.tolist() == holding
-    mask, stuck = stuck_words(fmap, 0, n_blocks)
+    mask, stuck = stuck_words(fmap, n_blocks)
     assert outs.dtype == mask.dtype == stuck.dtype == np.uint32
     assert np.array_equal(outs[0], apply_stuck(blocks[touched], mask[touched], stuck[touched]))
     others = np.setdiff1d(np.arange(n_blocks), touched)
@@ -460,17 +471,18 @@ def test_apply_schemes_protects_the_stuck_words_rows_that_hold_cells(drawn):
 
 
 def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_dataset):
-    """remap_invert and craft share one search of each non-empty fault map."""
+    """remap_invert and craft share one search of each fault map; an empty
+    map's search covers no blocks."""
     searches = []
     search = harness.best_encodings
 
     def counted(words, mask, stuck, precision, scale, sizes):
-        searches.append(list(sizes))
+        searches.append((len(words) > 0, list(sizes)))
         return search(words, mask, stuck, precision, scale, sizes)
 
     monkeypatch.setattr(harness, "best_encodings", counted)
     ber_sweep(u8_model, default_dataset, SCHEMES, [0.0, 1e-3, 1e-2], 2, 7)
-    assert searches == [[32, 64]] * 4
+    assert searches == [(False, [32, 64])] * 2 + [(True, [32, 64])] * 4
 
 
 def odd_model(precision, huge_scale=False):
@@ -925,6 +937,18 @@ class TestRobustnessImprovement:
         a = sweep_from_errors(self.BERS, [0.0] * len(self.BERS))
         b = sweep_from_errors(self.BERS[:-1], [0.0] * (len(self.BERS) - 1))
         with pytest.raises(ValueError):
+            robustness_improvement(a, b)
+
+    @pytest.mark.parametrize("bers", [[1e-1, 1e-2, 1e-3], [1e-3, 1e-2, 1e-2], [1e-2, 1e-3, 1e-1],
+                                      [0.0, 1e-3, 1e-2]],
+                             ids=["descending", "repeated", "unsorted", "zero"])
+    def test_grid_not_strictly_ascending_above_zero_rejected(self, bers):
+        # on the descending grid a clearly outlasts b, yet the crossing
+        # search read both as censored with ratio 1.0; a zero BER has no
+        # log10 to interpolate in
+        a = sweep_from_errors(bers, [0.0, 0.0, 0.0])
+        b = sweep_from_errors(bers, [0.9, 0.5, 0.0])
+        with pytest.raises(ValueError, match="strictly ascending BER grid above 0"):
             robustness_improvement(a, b)
 
     def test_interpolates_in_log_ber(self):

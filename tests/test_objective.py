@@ -141,10 +141,10 @@ class TestToyRemapAnalog:
         assert devs[0b11] == 2
 
 
-def search(words, fmap, precision, scale=None, n_configs=N_CONFIGS, offset=0):
-    """(n_configs,) deltas of one (1, 16) block over the block of `fmap` at
-    bit `offset`; `scale` is the u8 scale, None for fp32."""
-    mask, stuck = stuck_words(fmap, offset)
+def search(words, fmap, precision, scale=None, n_configs=N_CONFIGS, block=0):
+    """(n_configs,) deltas of one (1, 16) block over block number `block` of
+    `fmap`; `scale` is the u8 scale, None for fp32."""
+    mask, stuck = (w[block:block + 1] for w in stuck_words(fmap, block + 1))
     scales = None if scale is None else np.array([scale])
     return search_words(words, mask, stuck, precision, scales, n_configs)[0]
 
@@ -177,7 +177,7 @@ class TestSearch:
         # a time, must agree exactly with the vectorized search
         words = random_words(rng)
         fmap = generate_fault_map(512, 0.02, 0.5, 99)
-        mask, stuck = stuck_words(fmap, 0)
+        mask, stuck = stuck_words(fmap)
         for precision, scale in ((U8, 1.0), (FP32, None), (U8, 0.013)):
             deltas = search(words, fmap, precision, scale)
             for code, delta in enumerate(deltas):
@@ -224,9 +224,9 @@ class TestSearch:
     def test_offset_blocks(self, rng):
         x = random_words(rng)
         fmap = generate_fault_map(2048, 0.02, 0.5, 31)
-        mask, stuck = stuck_words(fmap, 1024)
+        mask, stuck = (w[2:3] for w in stuck_words(fmap, 3))  # block 2, at bit 1024
         chosen, _, delta = best_encodings(x, mask, stuck, U8, ONE, [N_CONFIGS])[0]
-        assert delta[0] == search(x, fmap, U8, 1.0, offset=1024).min()
+        assert delta[0] == search(x, fmap, U8, 1.0, block=2).min()
         stored = apply_stuck(encode_words(x, chosen, U8), mask, stuck)
         assert deviation_words(x, decode_words(stored, chosen, U8), U8, 1.0) == delta
 

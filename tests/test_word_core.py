@@ -66,7 +66,7 @@ def stuck_cells(draw):
 prefix_sizes = st.integers(1, 64)
 
 
-OFFSET = PAYLOAD_BITS  # the block sits second in a two-block region
+OFFSET = PAYLOAD_BITS  # the block sits second in a two-block region, row 1 of its words
 
 
 def fault_map_of(cells):
@@ -88,7 +88,7 @@ def test_search_matches_integer_reference(words, cells, size, precision, scale):
     scales = None if u8_scale is None else np.array([u8_scale])
     fmap = fault_map_of(cells)
     codes = list(range(64 if size is None else size))
-    mask, stuck = stuck_words(fmap, OFFSET)
+    mask, stuck = (w[1:] for w in stuck_words(fmap, 2))
     block = np.array([words], dtype=np.uint32)
     sized = () if size is None else (size,)
     deltas = search_words(block, mask, stuck, prec, scales, *sized)[0]
@@ -136,7 +136,8 @@ def test_search_sizes_outside_1_to_64_rejected(n_configs):
 
 def test_all_sa1_fp32_block_loses_to_nan_unless_inverted():
     # 1.0 everywhere; all-ones reads back as NaN, or as 0.0 after inversion
-    mask, stuck = stuck_words(fault_map_of({p: 1 for p in range(PAYLOAD_BITS)}), OFFSET)
+    fmap = fault_map_of({p: 1 for p in range(PAYLOAD_BITS)})
+    mask, stuck = (w[1:] for w in stuck_words(fmap, 2))
     block = np.full((1, 16), 0x3F800000, dtype=np.uint32)
     deltas = search_words(block, mask, stuck, Precision.FP32, None)[0]
     for code, delta in enumerate(deltas.tolist()):
