@@ -227,50 +227,77 @@ class _Readbacks:
     :func:`craft.nn.dequantized` and :func:`craft.nn.infer` do, so every
     matmul gets a rebuilt model's operands and the errors match bit for bit.
 
-    **The certificate.**  Let a readback change only layer L's weights,
-    ``W -> W + D``.  Both the fault-free logits and the readback's are
-    computed from the same kept input ``h = acts[L]`` (layers before L are
-    unchanged).  In exact arithmetic the readback moves layer L's
-    pre-activation by ``h D``, ReLU is 1-Lipschitz and the later layers'
-    weights are unchanged, so row r's logit c moves by at most
-    ``S_r = sum_ij |h[r, i]| |D_ij| p_j``, where ``p_j = max_c P_L[j, c]``
-    and ``P_L = |W_L+1| ... |W_last|`` (``P_last = I``).  Rounding adds at
-    most R to the distance between the two computed logit vectors: for an
-    inner product of length n, ``|fl - exact| <= gamma_n |x|.|y|`` with
-    ``gamma_n = n u / (1 - n u)``, ``u = 2^-53``, in any summation order
-    and with FMA (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., ch. 3); n is fan-in + 1 for the bias add, and an underflowed
-    product adds at most the smallest normal.  Carried through the later
-    layers with ``||x W||_inf <= ||x||_inf ||W||_1`` (max column abs-sum),
-    one run's error is at most ``E``, built from the fault-free
-    activations' norms; the readback's run adds terms of at most
-    ``gamma_n S_r`` (its activations differ by at most ``S_r`` through
-    ``P``) and of order ``gamma_n E``, and ``R = 2 E (1 + _CERT_SLACK)``
-    covers both runs.  Each row's fault-free top-1 logit beats its
-    runner-up by ``m_r`` (0 on a tie), so every argmax, first-maximum
-    tie-break included, stays put when ``S_r + R < m_r / 2``.  With
-    ``room_r = (m_r (1 - _CERT_SLACK) / 2 - R) / (1 + _CERT_SLACK)`` and the
-    per-slot coefficient ``coef_ij = max_r(|h[r, i]| / room_r) p_j``,
-    ``sum_ij |D_ij| coef_ij <= 1`` gives ``S_r <= room_r`` for every row,
-    and the slack covers every rounding of the certificate's own
-    arithmetic (margins, ``P``, the coefficient and the check's sum).  The
-    rounding model needs a run that never overflows: its weights are finite
-    float32 values (a non-finite change fails the check), so the build
-    bounds every value that any one-layer readback's run can compute with
-    weights of up to the float32 maximum, and certifies nothing unless that
-    bound is finite.  Nor does it certify anything when a margin is not
-    positive beyond R (a tied or near-tied row) or any value of the build
-    is not finite: every ``coef`` is then inf.  A NaN or infinite change,
-    or a signed-zero change under an inf coefficient (``0 * inf``), makes
-    the check's sum NaN or inf, so the readback runs the forward, as do
-    those that change several layers.  This is interval bound propagation
-    (Gowal et al., arXiv:1810.12715) on the weights instead of the input.
+    **The certificate.**  Let a readback change the weights ``W_L -> W_L +
+    D_L`` of one or more layers, the first being F.  Both runs start from
+    the same kept input ``acts[F]``, as the layers before F are unchanged.
+    Two exact runs from one input whose layer-L weights differ by ``V_L``
+    and biases by ``v_L`` give logits that differ, row r, by at most ``sum_L
+    (|x_L[r]| |V_L| + |v_L|) Q_L``, where ``x_L`` is the first run's layer-L
+    input and ``Q_L`` the product of the second run's later ``|weights|``
+    (ReLU is 1-Lipschitz).  A computed layer is an exact one whose weights
+    are off by at most ``gamma_n |W|`` and whose bias by at most ``gamma_n
+    |b|`` plus n times the smallest normal: for an inner product of length
+    n, ``fl = sum x_i y_i (1 + t_i)`` with ``|t_i| <= gamma_n = n u / (1 -
+    n u)``, ``u = 2^-53``, in any summation order and with FMA, and an
+    underflowed product adds at most the smallest normal (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 3); n is fan-in + 1
+    for the bias add.  Take the computed fault-free run, whose layer inputs
+    are ``acts``, as the first run and the computed readback as the second:
+    then ``|V_L| <= (1 + gamma_n) |D_L| + 2 gamma_n |W_L|``, and row r's
+    computed logits move by at most ``(1 + g) (S_r + 2 R')``, where
+
+    - ``S_r = max_c sum_L sum_ij |acts[L][r, i]| |D_L,ij| Q'_L[j, c]`` and
+      ``Q'_L = (|W_L+1| + |D_L+1|) ... (|W_last| + |D_last|)`` (``Q'_last =
+      I``) is the readback's downstream product;
+    - ``R' = sum_{L >= F} rho_L ||Q'_L||_1``, where ``rho_L = gamma_n
+      (max|acts[L]| ||W_L||_1 + max|b_L|) + n tiny`` bounds every entry of
+      one run's layer-L rounding and ``||.||_1`` is the largest column
+      abs-sum;
+    - g, about the sum of the layers' ``gamma_n``, is far below
+      ``_CERT_SLACK``.
+
+    Each row's fault-free top-1 logit beats its runner-up by ``m_r`` (0 on
+    a tie), so every argmax, first-maximum tie-break included, stays put
+    when ``(1 + g) (S_r + 2 R') < m_r / 2``.  The build keeps the rounding
+    budget ``E = sum_L rho_L prod_{M > L} ||W_M||_1``, ``room_r = (m_r (1 -
+    _CERT_SLACK) / 2 - 2 E (1 + _CERT_SLACK)) / (1 + _CERT_SLACK)`` and
+    ``a_L[i] = max_r |acts[L][r, i]| / room_r``.  Over a readback's changed
+    slots, ``B = sum |D_L,ij| a_L[i] max_c Q'_L[j, c]`` is at least ``S_r /
+    room_r`` for every row, and the readback passes when ``B (1 +
+    _CERT_SLACK) + 2 max(R' (1 + _CERT_SLACK) - E, 0) / min_r room_r <=
+    1``: rounding beyond the budget spends room that the change leaves.
+    The slack covers every rounding of the certificate's own arithmetic
+    (margins, ``Q'``, ``a``, the coefficients and the sums).
+
+    A change to one layer has ``Q'_L = P_L = |W_L+1| ... |W_last|`` for
+    every L from F on, so ``R' <= E``, and the check is ``sum |D_ij|
+    coef_ij (1 + _CERT_SLACK) <= 1`` with the per-slot ``coef_ij = a_L[i]
+    max_c P_L[j, c]`` built once.  A change to several layers has ``Q' >=
+    P``, so that sum never exceeds its ``B`` and refuses most of them for
+    free; the rest form ``Q'`` per readback, from their last changed layer
+    down, and gather it only at their changed slots (:meth:`_downstream`).
+    The rounding model needs a run that never overflows: its weights are
+    finite float32 values (a non-finite change fails the check), so the
+    build bounds every value that a run can compute whose one changed layer
+    holds weights of up to the float32 maximum, and certifies nothing unless
+    that bound is finite; and the same for a run whose every layer from its
+    first changed one on may hold such weights, and certifies no change to
+    several layers (``E = -inf`` for them) unless that bound is finite.  Nor
+    does it certify anything when a margin is not positive beyond ``2 E``
+    (a tied or near-tied row) or any value of the build is not finite:
+    every ``coef`` is then inf.  A NaN or infinite change, or a signed-zero
+    change under an inf coefficient (``0 * inf``), makes the check's sum NaN
+    or inf, so the readback runs the forward.  This is interval bound
+    propagation (Gowal et al., arXiv:1810.12715) on the weights instead of
+    the input.
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
         self.blocks = blocks
         self.layout = layout
         self.block_layer = np.repeat(np.arange(len(layout.shapes)), layout.layer_blocks)
+        self.layer_start = np.cumsum((0,) + layout.layer_blocks)[:-1]
+        self.cols = np.array([c for _, c in layout.shapes])
         self.scale = None
         if layout.quant is not None:
             # each block's u8 scale and zero point, as (n_blocks, 1) columns
@@ -308,28 +335,35 @@ class _Readbacks:
 
     def _coefficients(self) -> np.ndarray:
         """The certificate's ``coef`` in slot shape (see the class
-        docstring), all inf when it can certify nothing."""
-        coef = np.abs(self.flat)
-        absw = layer_views(coef, self.layout)  # |W| until each layer's coef overwrites it
+        docstring), all inf when it can certify nothing.  Also keeps what
+        the several-layer check needs: each layer's ``|W|``, ``P``, ``a``
+        and ``rho``, and the rounding budget ``E`` (-inf when a run whose
+        every later layer changed might overflow)."""
+        coef = np.zeros_like(self.flat)
+        self.absw = [np.abs(w) for w in self.weights]
         logits = self.acts[-1]
         n, classes = logits.shape
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            err = reach = worst = 0.0
-            for w, b, h in zip(absw, self.biases, self.acts):
+            err = reach = reach_all = worst = 0.0
+            self.rho = []
+            for w, b, h in zip(self.absw, self.biases, self.acts):
                 fan_in = w.shape[0] + 1
                 gamma = fan_in * _UNIT_ROUNDOFF / (1 - fan_in * _UNIT_ROUNDOFF)
                 size = max(float(h.max()), -float(h.min()))
                 norm = float(w.sum(axis=0).max())
                 bias = float(np.abs(b).max())
-                err = (err * norm + gamma * (size * norm + bias)
-                       + fan_in * _FLOAT64_TINY)
+                self.rho.append(gamma * (size * norm + bias) + fan_in * _FLOAT64_TINY)
+                err = err * norm + self.rho[-1]
                 # largest value of a run that changed this layer or an earlier one
                 reach = 2 * (max(reach * norm, fan_in * size * _FLOAT32_MAX) + bias)
+                # and of one that changed this layer or may have changed every
+                # layer from an earlier one on
+                reach_all = 2 * (fan_in * max(reach_all, size) * _FLOAT32_MAX + bias)
                 worst = max(worst, reach)
-            p, down = [np.ones(classes)], np.eye(classes)
-            for w in absw[:0:-1]:
-                down = w @ down
-                p.insert(0, down.max(axis=1))
+            self.budget = err if np.isfinite(reach_all) else -np.inf
+            self.p = [np.eye(classes)]
+            for w in self.absw[:0:-1]:
+                self.p.insert(0, w @ self.p[0])
             # each row's top logit and runner-up (-inf for one class), equal on a tie
             top, second = np.full(n, -np.inf), np.full(n, -np.inf)
             for c in range(classes):
@@ -337,32 +371,77 @@ class _Readbacks:
                 np.maximum(top, logits[:, c], out=top)
             room = ((top - second) * (1 - _CERT_SLACK) / 2
                     - 2 * err * (1 + _CERT_SLACK)) / (1 + _CERT_SLACK)
+            self.least_room = float(room.min())
             inv = 1 / room
-            # max_r |h[r, i]| / room_r, a block of columns at a time in a work array
+            # a = max_r |h[r, i]| / room_r, a block of columns at a time in a work array
             buf = max(self.work, key=np.size).reshape(-1)
             step = buf.size // n
-            for h, w, pj in zip(self.acts, absw, p):
+            self.a = []
+            for h, w, p in zip(self.acts, layer_views(coef, self.layout), self.p):
                 a = np.empty(h.shape[1])
                 for c in range(0, h.shape[1], step):
                     t = buf[:n * min(step, h.shape[1] - c)].reshape(-1, n)
                     np.multiply(np.abs(h[:, c:c + step].T, out=t), inv, out=t)
                     t.max(axis=1, out=a[c:c + step])
-                np.multiply(a[:, None], pj, out=w)
-            if not (np.isfinite(worst) and room.min() > 0 and np.isfinite(coef).all()):
+                self.a.append(a)
+                np.multiply(a[:, None], p.max(axis=1), out=w)
+            if not (np.isfinite(worst) and self.least_room > 0 and np.isfinite(coef).all()):
                 coef.fill(np.inf)
         return coef
 
     def _certified(self, touched: np.ndarray, values: np.ndarray, changed: np.ndarray,
-                   candidates: np.ndarray) -> np.ndarray:
+                   first: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Which of K readbacks, the blocks at `touched` decoding to `values`
-        and changing the real slots `changed`, are `candidates` (their
-        changes lie in one layer) whose every test row's argmax the
-        certificate proves unmoved: ``sum |D| coef (1 + _CERT_SLACK) <= 1``
-        over the changed slots."""
+        and changing the real slots `changed`, in layers `first` to `last`
+        (-1 for none), the certificate proves keep every test row's argmax.
+        Each that changes a weight must pass ``sum |D| coef (1 +
+        _CERT_SLACK) <= 1`` over its changed slots, and each that changes
+        several layers the check of :meth:`_downstream` too."""
         with np.errstate(invalid="ignore", over="ignore"):
-            terms = np.abs(values - self.flat[touched]) * self.coef[touched]
+            absd = np.abs(values - self.flat[touched])
+            terms = absd * self.coef[touched]
         terms[~changed] = 0.0
-        return candidates & (terms.sum(axis=(1, 2)) * (1 + _CERT_SLACK) <= 1)
+        passed = (last >= 0) & (terms.sum(axis=(1, 2)) * (1 + _CERT_SLACK) <= 1)
+        several = np.flatnonzero(passed & (first < last))
+        if several.size:
+            passed[several] = self._downstream(touched, absd[several], changed[several],
+                                               first[several])
+        return passed
+
+    def _downstream(self, touched: np.ndarray, absd: np.ndarray, changed: np.ndarray,
+                    first: np.ndarray) -> np.ndarray:
+        """Whether each of n readbacks that change several layers, ``|D|``
+        being `absd` at its changed slots `changed` (both (n, len(touched),
+        weights per block)) and `first` its first changed layer, passes the
+        check on ``B`` and ``R'`` of the class docstring.  Only the union of
+        their changed slots is gathered, and ``Q'`` is formed per readback
+        only below a layer that one of them changes: above it, ``Q' = P``."""
+        t, s = np.nonzero(changed.any(axis=0))
+        d = np.where(changed[:, t, s], absd[:, t, s], 0.0)
+        blocks = touched[t]
+        layer = self.block_layer[blocks]
+        offset = (blocks - self.layer_start[layer]) * self.layout.precision.weights_per_block + s
+        i, j = np.divmod(offset, self.cols[layer])
+        bound, rounding = np.zeros(len(first)), np.zeros(len(first))
+        top = int(first.min())
+        q = None  # Q'_L, (n, width, classes), once a layer above L changed; P_L until then
+        with np.errstate(over="ignore", invalid="ignore"):
+            for L in range(len(self.p) - 1, top - 1, -1):
+                here = layer == L
+                qL = self.p[L] if q is None else q
+                rows = qL[..., j[here], :]
+                bound += (d[:, here] * self.a[L][i[here]] * rows.max(axis=-1)).sum(axis=1)
+                rounding += np.where(first <= L, self.rho[L] * qL.sum(axis=-2).max(axis=-1), 0.0)
+                if L == top:
+                    break
+                if q is not None:
+                    q = self.absw[L] @ q
+                elif here.any():
+                    q = np.repeat(self.p[L - 1][None], len(first), axis=0)
+                if here.any():
+                    np.add.at(q, (slice(None), i[here]), d[:, here, None] * rows)
+            excess = np.maximum(rounding * (1 + _CERT_SLACK) - self.budget, 0.0)
+            return bound * (1 + _CERT_SLACK) + 2 * excess / self.least_room <= 1
 
     def score(self, touched: np.ndarray, outs: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """Total deviations and test errors of K readbacks, the blocks at
@@ -372,11 +451,10 @@ class _Readbacks:
         A readback's total deviation adds its blocks' deviations from the
         fault-free ones left to right (see :func:`_in_order_sum`).  All K
         decode and compare with the kept weights in one pass.  Those that
-        change no weight take the fault-free error.  Those that change
-        weights of one layer only are candidates for the certificate (see
-        the class docstring), and every candidate whose change it bounds
-        takes the fault-free error.  The rest run inference, each from its
-        own first changed layer.
+        change no weight take the fault-free error, and so does every one
+        whose change the certificate bounds, in one layer or several (see
+        the class docstring).  The rest run inference, each from its own
+        first changed layer.
         """
         scale = None if self.scale is None else self.scale[touched, 0]
         totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.layout.precision,
@@ -390,9 +468,8 @@ class _Readbacks:
         first = np.where(rows, layer, n_layers).min(axis=1, initial=n_layers)
         last = np.where(rows, layer, -1).max(axis=1, initial=-1)
         infer = last >= 0
-        single = first == last
-        if single.any():
-            infer &= ~self._certified(touched, values, changed, single)
+        if infer.any():
+            infer &= ~self._certified(touched, values, changed, first, last)
         errs = [self.fault_free] * len(outs)
         for k in np.flatnonzero(infer).tolist():
             start = int(first[k])
@@ -417,9 +494,10 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     BER in [0, 1] and every scheme name distinct (checked before the first
     trial), and the run may hold at most :data:`MAX_TRIAL_RESULTS` results.
     Each fault map's scheme readbacks are scored, total deviation and test
-    error, in one batched call; a readback whose weights equal the
-    fault-free ones takes the fault-free error without another inference
-    (see :class:`_Readbacks`).
+    error, in one batched call.  A readback whose weights equal the
+    fault-free ones takes the fault-free error without another inference,
+    and so does one whose change, to one layer or several, a certificate
+    proves cannot move any test row's argmax (see :class:`_Readbacks`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -475,9 +553,11 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     bit 0 of an fp32 word or bit 8*(i % 4) of the word that holds u8 byte
     i, and position p's are them shifted left by p.  A trial builds every
     position's readback at once and scores them, total deviation and test
-    error, in one batched call; a readback whose weights equal the
-    fault-free ones takes the fault-free error without another inference
-    (see :class:`_Readbacks`).  The run may hold at most
+    error, in one batched call.  A readback whose weights equal the
+    fault-free ones takes the fault-free error without another inference,
+    and so does one whose change, to one layer or several, a certificate
+    proves cannot move any test row's argmax (see :class:`_Readbacks`), as
+    most do at BER 1e-3.  The run may hold at most
     :data:`MAX_TRIAL_RESULTS` results.
     """
     if trials < 1:
