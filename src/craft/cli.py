@@ -19,7 +19,7 @@ import numpy as np
 from .codecs import PAYLOAD_BITS, decode_words
 from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
-from .memory import load_fault_map, stuck_words
+from .memory import check_ber, load_fault_map, stuck_words
 from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_HIDDEN,
                  DEFAULT_LR, DEFAULT_SAMPLES, DEFAULT_SEED, TrainingDivergedError,
                  accuracy, make_dataset, quantize, train)
@@ -79,20 +79,14 @@ def _positive_int(text: str) -> int:
 
 @_flag_type
 def _ber(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= 1:
-        raise ValueError(f"BER must be in [0, 1], got {value!r}")
-    return value
+    return check_ber(float(text))
 
 
 @_flag_type
 def _ber_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part]
+    values = [check_ber(float(part)) for part in text.split(",") if part]
     if not values:
         raise ValueError("empty BER list")
-    for value in values:
-        if not 0 <= value <= 1:
-            raise ValueError(f"every BER must be in [0, 1], got {value!r}")
     return values
 
 

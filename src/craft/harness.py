@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .codecs import N_CONFIGS, N_REMAP_INVERT, PAYLOAD_BITS, ecp_words
-from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, apply_stuck, generate_fault_map,
-                     stuck_words)
+from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, apply_stuck, check_ber,
+                     generate_fault_map, stuck_words)
 from .nn import MlpModel, QuantizedModel, _forward, dequantized
 from .objective import best_encodings, deviation_words
 from .prng import trial_seed
@@ -215,12 +215,13 @@ class _Readbacks:
     :meth:`score` scores a batch of them over the same blocks.  No
     readback rebuilds the model.  Kept from the fault-free stream: its
     weights as float64 in (n_blocks, weights_per_block) slots, whose
-    :func:`craft.weightfile.layer_views` are the layer matrices, the float64
-    biases and every layer's activations on the test set.  A readback equal
-    to the fault-free stream, or whose words decode to the same float64
-    weights bit for bit (faults only in pad slots, say), takes the
-    fault-free error, and so does one that the certificate below proves
-    cannot move any test row's argmax.  Any other is written into the
+    :func:`craft.weightfile.layer_views` are the layer matrices, each slot's
+    row and column in its layer's matrix written through the same views (-1
+    in pad slots), the float64 biases and every layer's activations on the
+    test set.  A readback equal to the fault-free stream, or whose words
+    decode to the same float64 weights bit for bit (faults only in pad
+    slots, say), takes the fault-free error, and so does one that the
+    certificate below proves cannot move any test row's argmax.  Any other is written into the
     touched rows of slots, the layers from the first changed one rerun from
     its kept input activation into kept work arrays, and the rows restored.
     The words decode as :func:`craft.weightfile.unflatten_model`,
@@ -278,35 +279,34 @@ class _Readbacks:
     down, and gather it only at their changed slots (:meth:`_downstream`).
     The rounding model needs a run that never overflows: its weights are
     finite float32 values (a non-finite change fails the check), so the
-    build bounds every value that a run can compute whose one changed layer
-    holds weights of up to the float32 maximum, and certifies nothing unless
-    that bound is finite; and the same for a run whose every layer from its
-    first changed one on may hold such weights, and certifies no change to
-    several layers (``E = -inf`` for them) unless that bound is finite.  Nor
-    does it certify anything when a margin is not positive beyond ``2 E``
-    (a tied or near-tied row) or any value of the build is not finite:
-    every ``coef`` is then inf.  A NaN or infinite change, or a signed-zero
-    change under an inf coefficient (``0 * inf``), makes the check's sum NaN
-    or inf, so the readback runs the forward.  This is interval bound
-    propagation (Gowal et al., arXiv:1810.12715) on the weights instead of
-    the input.
+    build bounds every value that a run can compute whose every layer from
+    its first changed one on may hold weights of up to the float32 maximum,
+    and certifies nothing unless that one bound is finite; a run that
+    changes one layer is such a run too.  Nor does it certify anything when
+    a margin is not positive beyond ``2 E`` (a tied or near-tied row) or any
+    value of the build is not finite: every ``coef`` is then inf.  A NaN or
+    infinite change, or a signed-zero change under an inf coefficient (``0 *
+    inf``), makes the check's sum NaN or inf, so the readback runs the
+    forward.  This is interval bound propagation (Gowal et al.,
+    arXiv:1810.12715) on the weights instead of the input.
     """
 
     def __init__(self, blocks: np.ndarray, layout: BlockLayout, dataset):
         self.blocks = blocks
         self.layout = layout
-        self.block_layer = np.repeat(np.arange(len(layout.shapes)), layout.layer_blocks)
-        self.layer_start = np.cumsum((0,) + layout.layer_blocks)[:-1]
-        self.cols = np.array([c for _, c in layout.shapes])
+        self.block_layer = layout.block_layer
         self.scale = None
         if layout.quant is not None:
             # each block's u8 scale and zero point, as (n_blocks, 1) columns
             self.scale, self.zero_point = np.asarray(layout.quant)[self.block_layer].T[..., None]
         self.flat = self._decode(np.arange(layout.n_blocks), blocks)
         self.weights = layer_views(self.flat, layout)
-        self.real = np.zeros(self.flat.shape, dtype=bool)
-        for view in layer_views(self.real, layout):
-            view[...] = True
+        # each slot's row and column in its layer's matrix, -1 in pad slots
+        self.row, self.col = np.full((2,) + self.flat.shape, -1)
+        for rows, cols in zip(layer_views(self.row, layout), layer_views(self.col, layout)):
+            rows[...] = np.arange(rows.shape[0])[:, None]
+            cols[...] = np.arange(cols.shape[1])
+        self.real = self.row >= 0
         self.biases = [b.astype(np.float64) for b in layout.biases]
         inputs = np.asarray(dataset.test_inputs, dtype=np.float64)
         self.labels = np.asarray(dataset.test_labels)
@@ -337,14 +337,13 @@ class _Readbacks:
         """The certificate's ``coef`` in slot shape (see the class
         docstring), all inf when it can certify nothing.  Also keeps what
         the several-layer check needs: each layer's ``|W|``, ``P``, ``a``
-        and ``rho``, and the rounding budget ``E`` (-inf when a run whose
-        every later layer changed might overflow)."""
+        and ``rho``, and the rounding budget ``E``."""
         coef = np.zeros_like(self.flat)
         self.absw = [np.abs(w) for w in self.weights]
         logits = self.acts[-1]
         n, classes = logits.shape
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            err = reach = reach_all = worst = 0.0
+            err = reach = 0.0
             self.rho = []
             for w, b, h in zip(self.absw, self.biases, self.acts):
                 fan_in = w.shape[0] + 1
@@ -354,13 +353,10 @@ class _Readbacks:
                 bias = float(np.abs(b).max())
                 self.rho.append(gamma * (size * norm + bias) + fan_in * _FLOAT64_TINY)
                 err = err * norm + self.rho[-1]
-                # largest value of a run that changed this layer or an earlier one
-                reach = 2 * (max(reach * norm, fan_in * size * _FLOAT32_MAX) + bias)
-                # and of one that changed this layer or may have changed every
-                # layer from an earlier one on
-                reach_all = 2 * (fan_in * max(reach_all, size) * _FLOAT32_MAX + bias)
-                worst = max(worst, reach)
-            self.budget = err if np.isfinite(reach_all) else -np.inf
+                # largest value of a run that may have changed every layer
+                # from this one or an earlier one on
+                reach = 2 * (fan_in * max(reach, size) * _FLOAT32_MAX + bias)
+            self.budget = err
             self.p = [np.eye(classes)]
             for w in self.absw[:0:-1]:
                 self.p.insert(0, w @ self.p[0])
@@ -385,7 +381,7 @@ class _Readbacks:
                     t.max(axis=1, out=a[c:c + step])
                 self.a.append(a)
                 np.multiply(a[:, None], p.max(axis=1), out=w)
-            if not (np.isfinite(worst) and self.least_room > 0 and np.isfinite(coef).all()):
+            if not (np.isfinite(reach) and self.least_room > 0 and np.isfinite(coef).all()):
                 coef.fill(np.inf)
         return coef
 
@@ -414,14 +410,14 @@ class _Readbacks:
         being `absd` at its changed slots `changed` (both (n, len(touched),
         weights per block)) and `first` its first changed layer, passes the
         check on ``B`` and ``R'`` of the class docstring.  Only the union of
-        their changed slots is gathered, and ``Q'`` is formed per readback
-        only below a layer that one of them changes: above it, ``Q' = P``."""
+        their changed slots is gathered, with its weights' rows and columns
+        read from the slot tables, and ``Q'`` is formed per readback only
+        below a layer that one of them changes: above it, ``Q' = P``."""
         t, s = np.nonzero(changed.any(axis=0))
         d = np.where(changed[:, t, s], absd[:, t, s], 0.0)
         blocks = touched[t]
         layer = self.block_layer[blocks]
-        offset = (blocks - self.layer_start[layer]) * self.layout.precision.weights_per_block + s
-        i, j = np.divmod(offset, self.cols[layer])
+        i, j = self.row[blocks, s], self.col[blocks, s]
         bound, rounding = np.zeros(len(first)), np.zeros(len(first))
         top = int(first.min())
         q = None  # Q'_L, (n, width, classes), once a layer above L changed; P_L until then
@@ -505,8 +501,7 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
         raise ValueError(f"ber_sweep runs every trial in the calling thread; "
                          f"threads must be 1, got {threads}")
     for ber in ber_list:
-        if not 0.0 <= ber <= 1.0:
-            raise ValueError(f"ber must be in [0, 1], got {ber}")
+        check_ber(ber)
     if len({s.name for s in schemes}) < len(schemes):
         raise ValueError(f"repeated scheme in {','.join(s.name for s in schemes)}")
     _check_trial_results(len(schemes) * len(ber_list) * trials,
@@ -562,8 +557,7 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 <= ber <= 1.0:
-        raise ValueError(f"ber must be in [0, 1], got {ber}")
+    check_ber(ber)
     blocks, layout = flatten_model(model)
     word_bits = layout.precision.word_bits
     _check_trial_results(word_bits * trials, f"{word_bits} bit positions x {trials} trials")

@@ -28,6 +28,13 @@ WORDS_PER_BLOCK = PAYLOAD_BITS // 32
 DEFAULT_SA1_FRACTION = 0.5
 
 
+def check_ber(ber: float) -> float:
+    """`ber` if it is a bit error rate, in [0, 1] (so not NaN); else ValueError."""
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError(f"ber must be in [0, 1], got {ber}")
+    return ber
+
+
 @dataclass(frozen=True, eq=False)
 class FaultMap:
     """Immutable, validated set of stuck cells over a bit-addressed region.
@@ -47,8 +54,7 @@ class FaultMap:
         val = np.asarray(self.stuck_values, dtype=np.uint8)
         if self.region_size_bits <= 0:
             raise ValueError("fault map region must be non-empty")
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError(f"ber must be in [0, 1], got {self.ber}")
+        check_ber(self.ber)
         if not 0.0 <= self.sa1_fraction <= 1.0:
             raise ValueError(f"sa1_fraction must be in [0, 1], got {self.sa1_fraction}")
         if idx.shape != val.shape or idx.ndim != 1:

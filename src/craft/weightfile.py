@@ -71,11 +71,16 @@ class BlockLayout:
     def n_blocks(self) -> int:
         return sum(self.layer_blocks)
 
+    @property
+    def block_layer(self) -> np.ndarray:
+        """The index of the layer that holds each block."""
+        return np.repeat(np.arange(len(self.shapes)), self.layer_blocks)
+
     def block_scales(self) -> np.ndarray | None:
         """Quantization scale of every block (u8), or None (fp32)."""
         if self.quant is None:
             return None
-        return np.repeat([scale for scale, _ in self.quant], self.layer_blocks)
+        return np.array([scale for scale, _ in self.quant], dtype=np.float64)[self.block_layer]
 
 
 def _layout_and_weights(model: MlpModel | QuantizedModel) -> tuple[BlockLayout, list[np.ndarray]]:

@@ -144,8 +144,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, reason", [
         (["sweep", "--ber-grid", "1e-2:10:1"], "0 < lo <= hi <= 1, got 0.01:10.0"),
         (["sweep", "--ber-grid", "1e-3:1e-1"], "grid must be lo:hi:per-decade"),
-        (["criticality", "--ber", "2"], "BER must be in [0, 1], got 2.0"),
-        (["sweep", "--ber", "1e-3,2"], "every BER must be in [0, 1], got 2.0"),
+        (["criticality", "--ber", "2"], "ber must be in [0, 1], got 2.0"),
+        (["sweep", "--ber", "1e-3,2"], "ber must be in [0, 1], got 2.0"),
         (["sweep", "--trials", "0"], "must be at least 1, got 0"),
         (["train", "--hidden", "32,0"], "hidden dims must be positive integers, got '32,0'"),
         (["sweep", "--schemes", "baseline,parity"], "unknown scheme 'parity'"),

@@ -710,12 +710,15 @@ class TestCertificate:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_certified_readbacks_keep_every_argmax(self, data):
-        """Small random models, fp32 and u8, under changes to a few weights
-        of any layers, from a last-bit change to a whole-weight one."""
+        """Small random models with at least one hidden layer, fp32 and u8,
+        under changes to a few weights of any layers, from a last-bit change
+        to a whole-weight one.  Half the examples change two or more layers,
+        fp32 ones by 2^-24 to 2^-12 of a weight, which the several-layer
+        bound often passes."""
         draw = data.draw
         gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
         dims = [draw(st.integers(1, 6), label="features"),
-                *draw(st.lists(st.integers(1, 6), max_size=2), label="hidden"),
+                *draw(st.lists(st.integers(1, 6), min_size=1, max_size=2), label="hidden"),
                 draw(st.integers(1, 4), label="classes")]
         model = MlpModel(
             tuple(gen.normal(0.0, 1.0 / np.sqrt(a), size=(a, b)).astype(np.float32)
@@ -730,8 +733,16 @@ class TestCertificate:
         stored = ([l.codes.copy() for l in model.layers] if quantized
                   else [w.copy() for w in model.weights])
         original = [a.copy() for a in stored]
-        for _ in range(draw(st.integers(1, 3), label="changes")):
-            layer = draw(st.integers(0, len(dims) - 2), label="layer")
+        n_layers = len(dims) - 1
+        if draw(st.booleans(), label="small changes across layers"):
+            layers = draw(st.permutations(range(n_layers)), label="layers")
+            layers = layers[:draw(st.integers(2, n_layers), label="changed layers")]
+            largest = 12
+        else:
+            layers = draw(st.lists(st.integers(0, n_layers - 1), min_size=1, max_size=3),
+                          label="layers")
+            largest = 0
+        for layer in layers:
             i, j = gen.integers(0, dims[layer]), gen.integers(0, dims[layer + 1])
             x = float(stored[layer][i, j])
             if quantized:
@@ -739,7 +750,7 @@ class TestCertificate:
                 stored[layer][i, j] = min(max(x, 0), 255)
             else:
                 rel = draw(st.sampled_from([-1.0, 1.0]), label="sign") * \
-                    2.0 ** -draw(st.integers(0, 24), label="relative size, log2")
+                    2.0 ** -draw(st.integers(largest, 24), label="relative size, log2")
                 stored[layer][i, j] = x * (1 + rel) if x else rel
         if quantized:
             changed = nn.QuantizedModel(tuple(
@@ -876,20 +887,24 @@ class TestCertificate:
         assert certificate_passes(model, row, small)
         assert not certificate_passes(model, row, small | large)
 
-    def test_refuses_several_layers_where_a_run_may_overflow(self):
+    def test_certifies_nothing_where_a_run_may_overflow(self, forward_passes):
         """A chain of eight 1x1 layers of weight 1 under input 1, then logits
         (1, 0).  A run whose every layer from the first changed one on may
         hold weights of up to the float32 maximum (about 2^128) can reach
-        2^1024, past float64, so no change to several layers passes, though
-        changes of 2^-10 to one layer do."""
+        2^1024, past float64, so every coefficient is inf, and changes of
+        2^-10 to one layer or to two all run the forward from their first
+        changed layer."""
         one = np.ones((1, 1), dtype=np.float32)
         model = MlpModel((one,) * 8 + (np.array([[1.0, 0.0]], dtype=np.float32),),
                          tuple(np.zeros(n, dtype=np.float32) for n in [1] * 8 + [2]))
         row = held_out([[1.0]], [0])
-        assert certificate_passes(model, row, {(3, 0, 0): 1 + 2.0 ** -10})
-        assert certificate_passes(model, row, {(5, 0, 0): 1 + 2.0 ** -10})
-        assert not certificate_passes(model, row, {(3, 0, 0): 1 + 2.0 ** -10,
-                                                   (5, 0, 0): 1 + 2.0 ** -10})
+        assert np.isinf(_Readbacks(*flatten_model(model), row).coef).all()
+        layer3 = {(3, 0, 0): 1 + 2.0 ** -10}
+        layer5 = {(5, 0, 0): 1 + 2.0 ** -10}
+        for changes in (layer3, layer5, layer3 | layer5):
+            assert not certificate_passes(model, row, changes)
+        # each build's fault-free forward from layer 0, then its readback's
+        assert forward_passes == [0, 0, 3, 0, 5, 0, 3]
 
     @pytest.mark.parametrize("precision, most", [("fp32", 25), ("u8", 12)])
     def test_criticality_readback_forwards(self, fp32_model, default_dataset, forward_passes,

@@ -224,15 +224,19 @@ class TestFormatPin:
 
     @pytest.mark.parametrize("precision", ["fp32", "u8"])
     def test_readbacks_keep_the_pinned_weights(self, default_dataset, precision):
-        """The readback path's float64 weights, built from `layer_bytes`, and
-        its pad mask, False on the zero padding of the block file test."""
+        """The readback path's float64 weights, built from `layer_bytes`, its
+        pad mask, False on the zero padding of the block file test, each
+        slot's row and column in its layer (-1 on that padding), and each
+        block's layer."""
         # 208 weights fill 13 fp32 blocks; 65 leave weights_per_block - 1 pads
-        model = random_fp32_model(np.random.default_rng(22), (16, 13, 5, 4))
+        dims = (16, 13, 5, 4)
+        model = random_fp32_model(np.random.default_rng(22), dims)
         if precision == "u8":
             model = nn.quantize(model)
-        rb = _Readbacks(*flatten_model(model), default_dataset)
+        blocks, layout = flatten_model(model)
+        rb = _Readbacks(blocks, layout, default_dataset)
         wpb = 16 if precision == "fp32" else 64
-        real = []
+        real, rows, cols, block_layer = [], [], [], []
         for i, (raw, w) in enumerate(zip(layer_bytes(model), rb.weights)):
             if precision == "fp32":
                 values = np.frombuffer(raw, "<f4")
@@ -241,8 +245,15 @@ class TestFormatPin:
                 codes = np.frombuffer(raw, np.uint8).astype(np.float64)
                 values = (layer.scale * (codes - layer.zero_point)).astype(np.float32)
             assert w.tobytes() == values.astype(np.float64).reshape(w.shape).tobytes()
-            real.append(np.arange(values.size + -values.size % wpb) < values.size)
+            slot = np.arange(values.size + -values.size % wpb)
+            real.append(slot < values.size)
+            rows.append(np.where(real[-1], slot // dims[i + 1], -1))
+            cols.append(np.where(real[-1], slot % dims[i + 1], -1))
+            block_layer += [i] * (slot.size // wpb)
         assert np.array_equal(rb.real.reshape(-1), np.concatenate(real))
+        assert np.array_equal(rb.row.reshape(-1), np.concatenate(rows))
+        assert np.array_equal(rb.col.reshape(-1), np.concatenate(cols))
+        assert layout.block_layer.tolist() == block_layer
 
 
 class TestSidecar:
