@@ -14,9 +14,7 @@ import functools
 import os
 import sys
 
-import numpy as np
-
-from .codecs import PAYLOAD_BITS, decode_words
+from .codecs import N_CONFIGS, PAYLOAD_BITS, decode_words
 from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
 from .memory import check_ber, load_fault_map, stuck_words
@@ -31,6 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+#: Each aux code as the per-block table of ``encode-file`` prints it.
+_AUX_HEX = [f"{code:02x}" for code in range(N_CONFIGS)]
 
 
 class IOFailure(Exception):
@@ -339,7 +340,7 @@ def cmd_encode_file(args) -> int:
     codes, stored, deltas = store_words(blocks, mask, stuck, layout.precision,
                                         layout.block_scales())
     _write_rows(sys.stdout, "block,aux_hex,delta",
-                zip(range(layout.n_blocks), map("{:02x}".format, codes.tolist()), deltas.tolist()))
+                [range(layout.n_blocks), map(_AUX_HEX.__getitem__, codes.tolist()), deltas])
     try:
         save_blocks(stored, layout, args.out)
         save_sidecar(codes, sidecar)
@@ -361,7 +362,7 @@ def cmd_decode_file(args) -> int:
         codes = load_sidecar(args.sidecar, layout.n_blocks)
     except (OSError, ValueError) as exc:
         raise IOFailure(f"cannot read sidecar {args.sidecar}: {exc}") from exc
-    decoded = decode_words(blocks, np.array(codes), layout.precision)
+    decoded = decode_words(blocks, codes, layout.precision)
     try:
         model = unflatten_model(decoded, layout)
     except ValueError as exc:  # e.g. layer shapes that do not chain
@@ -374,7 +375,7 @@ def cmd_decode_file(args) -> int:
             raise IOFailure("reference model does not match the block file layout")
         deltas = deviation_words(ref_blocks, decoded, layout.precision,
                                  ref_layout.block_scales())
-        _write_rows(sys.stdout, "block,delta", enumerate(deltas.tolist()))
+        _write_rows(sys.stdout, "block,delta", [range(layout.n_blocks), deltas])
     try:
         save_model(model, args.out)
     except OSError as exc:

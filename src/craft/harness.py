@@ -637,27 +637,47 @@ def robustness_improvement(sweep_a: SweepResult, sweep_b: SweepResult) -> Robust
                            censored_a=cens_a, censored_b=cens_b)
 
 
-def _write_rows(fh, header: str, rows) -> None:
-    """Write `header`, then each row's values joined by ``,`` (``str`` of a float is ``repr``)."""
-    fh.write(header + "\n")
-    fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+def _write_rows(fh, header: str, columns) -> None:
+    """Write `header`, then one line per row: the row's value in each of
+    `columns`, joined by ``,``.  A float64 array column is written as the
+    ``repr`` of its values, formatted once per distinct bit pattern (so
+    ``-0.0`` stays apart from ``0.0``); any other column as ``str`` of each
+    item."""
+    cells = [_float_text(c) if isinstance(c, np.ndarray) and c.dtype == np.float64
+             else map(str, c) for c in columns]
+    fh.write("\n".join([header, *map(",".join, zip(*cells)), ""]))
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    patterns, where = np.unique(np.ascontiguousarray(values).view(np.uint64),
+                                return_inverse=True)
+    return np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)[where]
 
 
 def write_raw_csv(results: Sequence[SweepResult], path) -> None:
+    rows = [(res.scheme, r) for res in results for r in res.records]
     with open(path, "w") as fh:
         _write_rows(fh, "scheme,ber,trial,classification_error,total_delta",
-                    ((res.scheme, r.ber, r.trial, r.classification_error, r.total_delta)
-                     for res in results for r in res.records))
+                    [[scheme for scheme, _ in rows], np.array([r.ber for _, r in rows]),
+                     [r.trial for _, r in rows],
+                     np.array([r.classification_error for _, r in rows]),
+                     np.array([r.total_delta for _, r in rows])])
 
 
 def write_summary_csv(results: Sequence[SweepResult], path) -> None:
+    rows = [(res.scheme, p) for res in results for p in res.ber_points]
     with open(path, "w") as fh:
         _write_rows(fh, "scheme,ber,mean_error,std_error,mean_delta",
-                    ((res.scheme, p.ber, p.mean_error, p.std_error, p.mean_delta)
-                     for res in results for p in res.ber_points))
+                    [[scheme for scheme, _ in rows], np.array([p.ber for _, p in rows]),
+                     np.array([p.mean_error for _, p in rows]),
+                     np.array([p.std_error for _, p in rows]),
+                     np.array([p.mean_delta for _, p in rows])])
 
 
 def write_criticality_csv(result: CriticalityResult, path) -> None:
+    points = result.points
     with open(path, "w") as fh:
         _write_rows(fh, "position,mean_error,std_error,mean_delta",
-                    ((p.position, p.mean_error, p.std_error, p.mean_delta) for p in result.points))
+                    [[p.position for p in points], np.array([p.mean_error for p in points]),
+                     np.array([p.std_error for p in points]),
+                     np.array([p.mean_delta for p in points])])

@@ -50,8 +50,8 @@ class FaultMap:
     seed: int
 
     def __post_init__(self):
-        idx = np.asarray(self.bit_indices, dtype=np.int64)
-        val = np.asarray(self.stuck_values, dtype=np.uint8)
+        idx = np.array(self.bit_indices, dtype=np.int64)
+        val = np.array(self.stuck_values, dtype=np.uint8)
         if self.region_size_bits <= 0:
             raise ValueError("fault map region must be non-empty")
         check_ber(self.ber)
@@ -61,12 +61,16 @@ class FaultMap:
             raise ValueError("bit_indices and stuck_values must be parallel 1-D arrays")
         if idx.size:
             # Canonicalize to ascending order so downstream results never
-            # depend on how the entries were listed.
-            order = np.argsort(idx, kind="stable")
-            idx, val = idx[order], val[order]
+            # depend on how the entries were listed.  Generated and parsed
+            # maps are already strictly ascending and skip the sort.
+            step = np.diff(idx)
+            if not (step > 0).all():
+                order = np.argsort(idx, kind="stable")
+                idx, val = idx[order], val[order]
+                step = np.diff(idx)
             if idx[0] < 0 or idx[-1] >= self.region_size_bits:
                 raise ValueError("bit index out of region")
-            if np.any(np.diff(idx) == 0):
+            if not step.all():
                 raise ValueError("duplicate bit index in fault map")
             if val.max() > 1:
                 raise ValueError("stuck values must be 0 or 1")

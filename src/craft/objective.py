@@ -39,9 +39,9 @@ from .memory import WORDS_PER_BLOCK, apply_stuck
 NONFINITE_SENTINEL = 2.0 ** 128
 
 #: Blocks scored per pass of the search.  A pass works in a few
-#: (16, configs, chunk) arrays of its own (about 0.6 MB for all 64 fp32
-#: configs), so memory stays flat in the model size.
-SEARCH_CHUNK_BLOCKS = 32
+#: (16, configs, chunk) arrays of its own (a traced peak of about 1.0 MB
+#: for all 64 configs, fp32 or u8), so memory stays flat in the model size.
+SEARCH_CHUNK_BLOCKS = 64
 
 _SLOTS = np.arange(WORDS_PER_BLOCK)
 
@@ -138,7 +138,10 @@ def _score(words, mask_t, stuck_t, precision, scale, columns) -> np.ndarray:
         terms = np.subtract(readback.view("<f4"), x.view("<f4")[:, None, :],
                             dtype=np.float64)
     np.abs(terms, out=terms)
-    np.copyto(terms, NONFINITE_SENTINEL, where=~np.isfinite(terms))
+    # A NaN or an infinity among the terms makes their max non-finite, so
+    # one max finds whether any term needs the sentinel.
+    if not np.isfinite(terms.max()):
+        np.copyto(terms, NONFINITE_SENTINEL, where=~np.isfinite(terms))
     return _sum_halves(terms)
 
 

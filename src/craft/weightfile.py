@@ -41,6 +41,13 @@ _TAG_PRECISION = {v: k for k, v in _PRECISION_TAG.items()}
 _WEIGHT_DTYPE = {Precision.FP32: np.dtype("<f4"), Precision.U8: np.dtype(np.uint8)}
 _BLOCK_BYTES = PAYLOAD_BITS // 8
 _SIDECAR_BYTES = b"0123456789abcdefABCDEF \t\n\r\v\f"
+#: Each byte's value as a hex digit, -1 for any other (whitespace, in a sidecar).
+_DIGIT = np.full(256, -1, dtype=np.int8)
+_DIGIT[list(b"0123456789abcdef")] = range(16)
+_DIGIT[list(b"ABCDEF")] = range(10, 16)
+#: Trailing digits of a sidecar field that are read as its value:
+#: 16 ** _PLACES fits in int64.
+_PLACES = 15
 
 
 @dataclass(frozen=True)
@@ -215,42 +222,83 @@ def load_blocks(path) -> tuple[np.ndarray, BlockLayout]:
 
 
 def save_sidecar(aux_codes, path) -> None:
-    """Aux sidecar: one `block_index aux_hex` line per block."""
+    """Aux sidecar: one `block_index aux_hex` line per block, in one write."""
     with open(path, "w") as fh:
-        for i, code in enumerate(aux_codes):
-            fh.write(f"{i} {int(code):02x}\n")
+        codes = np.asarray(aux_codes, dtype=np.int64).tolist()
+        fh.write("".join(map("{} {:02x}\n".format, range(len(codes)), codes)))
 
 
-def load_sidecar(path, n_blocks: int) -> list[int]:
-    """Aux codes by block index.  Every block needs exactly one line of two
-    fields, a decimal block index and a hex aux code, and every code must
-    name one of the 64 configs; a non-blank line of any other shape raises
-    ValueError naming its line number.  The file may hold only ASCII hex digits and
-    ASCII whitespace, so that ``int`` reads no sign, ``0x`` prefix, ``_``
-    digit separator or non-ASCII digit."""
-    codes = [None] * n_blocks
+def load_sidecar(path, n_blocks: int) -> np.ndarray:
+    """Aux codes by block index, as an int64 array.  Every block needs
+    exactly one line of two fields, a decimal block index and a hex aux
+    code, and every code must name one of the 64 configs; a non-blank line
+    of any other shape raises ValueError naming its line number.  The file
+    may hold only ASCII hex digits and ASCII whitespace, so that no sign,
+    ``0x`` prefix, ``_`` digit separator or non-ASCII digit is read.
+
+    The whole file is parsed at once.  Where it breaks several rules, the
+    error is the first a line-by-line reader meets: the first faulty line,
+    checked for shape, index range, a repeated index, then code range; an
+    index of more than 15 significant digits counts as out of range.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data.translate(None, _SIDECAR_BYTES):
         raise ValueError("sidecar may hold only ASCII hex digits and whitespace")
-    for n, line in enumerate(data.splitlines(), 1):
-        try:
-            idx_text, code_text = line.split()
-            idx = int(idx_text)
-        except ValueError:
-            if not line.strip():  # blank lines fail the unpack too
-                continue
-            raise ValueError(f"sidecar line {n}: expected 'block_index aux_hex', "
-                             f"got {line.decode()!r}") from None
-        code = int(code_text, 16)
-        if not 0 <= idx < n_blocks:
+    # One b"\n" per line break, as bytes.splitlines() counts them.
+    text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(text, dtype=np.uint8)
+    digit = _DIGIT[raw]
+    solid = np.concatenate(([False], digit >= 0, [False]))
+    starts = np.flatnonzero(solid[1:] & ~solid[:-1])  # fields are text[starts:ends]
+    ends = np.flatnonzero(solid[:-1] & ~solid[1:])
+    if not starts.size:
+        if n_blocks:
+            raise ValueError("sidecar is missing block entries")
+        return np.empty(0, dtype=np.int64)
+    line = np.searchsorted(np.flatnonzero(raw == 10), starts)  # of each field, from 0
+    rank = np.arange(starts.size) - np.searchsorted(line, line)  # within its line
+    paired = np.bincount(line)[line] == 2
+    key = np.flatnonzero(paired & (rank == 0))  # index fields; codes follow them
+
+    # Each field's value from its last _PLACES digits, in base 10 for an
+    # index and 16 for a code; `big` marks a nonzero digit before those.
+    width = ends - starts
+    offsets = np.cumsum(width) - width
+    digits = digit[digit >= 0]
+    place = np.repeat(offsets + width - 1, width) - np.arange(digits.size)
+    base = np.where(rank == 0, np.int64(10), np.int64(16))
+    weight = np.repeat(base, width) ** np.minimum(place, _PLACES - 1)
+    weight[place >= _PLACES] = 0
+    value = np.add.reduceat(digits * weight, offsets)
+    big = np.logical_or.reduceat((digits > 0) & (place >= _PLACES), offsets)
+
+    index, code = value[key], value[key + 1]
+    lettered = np.maximum.reduceat(digits, offsets)[key] >= 10  # int() refuses the index
+    in_range = ~big[key] & (index < n_blocks)
+    # Flags every entry after the first with its value.  Where a flagged
+    # entry's first is out of range or misshapen, that earlier line is
+    # the error, so only in-range repeats are ever reported.
+    repeat = np.ones(key.size, dtype=bool)
+    repeat[np.unique(index, return_index=True)[1]] = False
+    faulty = lettered | ~in_range | repeat | big[key + 1] | (code >= N_CONFIGS)
+    bad = np.concatenate((line[~paired], line[key[faulty]]))
+    if bad.size:
+        first, entry = bad.min(), line[key]
+        k = np.searchsorted(entry, first)
+        if k == key.size or entry[k] != first or lettered[k]:
+            got = text.split(b"\n")[first].decode()
+            raise ValueError(f"sidecar line {first + 1}: expected 'block_index aux_hex', "
+                             f"got {got!r}")
+        idx = int(text[starts[key[k]]:ends[key[k]]])
+        if not in_range[k]:
             raise ValueError(f"sidecar block index {idx} out of range")
-        if codes[idx] is not None:
+        if repeat[k]:
             raise ValueError(f"sidecar lists block {idx} twice")
-        if not 0 <= code < N_CONFIGS:
-            raise ValueError(f"sidecar aux code {code_text.decode()} of block {idx} "
-                             f"is not in [00, 3f]")
-        codes[idx] = code
-    if any(c is None for c in codes):
+        code_text = text[starts[key[k] + 1]:ends[key[k] + 1]].decode()
+        raise ValueError(f"sidecar aux code {code_text} of block {idx} is not in [00, 3f]")
+    if key.size < n_blocks:
         raise ValueError("sidecar is missing block entries")
+    codes = np.empty(n_blocks, dtype=np.int64)
+    codes[index] = code
     return codes

@@ -5,6 +5,9 @@ check it against this loop, which splits each line and converts its
 fields with `int()`.  The two differ on purpose where `int()` is looser
 than the documented format: `_` digit separators and non-ASCII digits or
 whitespace, which this reader accepts and the package rejects.
+
+`canonical_entries_ref` is the order `FaultMap` gives its entries, by one
+stable sort of every input, whether or not it is already ascending.
 """
 
 import numpy as np
@@ -32,3 +35,19 @@ def load_fault_map_ref(path) -> FaultMap:
             values.append(value)
     return FaultMap(size, np.array(indices, dtype=np.int64), np.array(values, dtype=np.uint8),
                     ber, frac, seed)
+
+
+def canonical_entries_ref(region_size_bits, bit_indices, stuck_values):
+    """(indices, values) sorted by index, or ValueError with `FaultMap`'s message."""
+    idx = np.asarray(bit_indices, dtype=np.int64)
+    val = np.asarray(stuck_values, dtype=np.uint8)
+    order = np.argsort(idx, kind="stable")
+    idx, val = idx[order], val[order]
+    if idx.size:
+        if idx[0] < 0 or idx[-1] >= region_size_bits:
+            raise ValueError("bit index out of region")
+        if np.any(np.diff(idx) == 0):
+            raise ValueError("duplicate bit index in fault map")
+        if val.max() > 1:
+            raise ValueError("stuck values must be 0 or 1")
+    return idx, val

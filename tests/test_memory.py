@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from craft.memory import (PAYLOAD_BITS, FaultMap, apply_stuck, generate_fault_map,
                           load_fault_map, save_fault_map, stuck_words)
-from fault_map_oracle import load_fault_map_ref
+from fault_map_oracle import canonical_entries_ref, load_fault_map_ref
 
 
 def make_map(size, entries):
@@ -222,6 +222,39 @@ class TestFaultMapType:
         fmap = make_map(64, [(1, 1)])
         with pytest.raises(ValueError):
             fmap.bit_indices[0] = 2
+
+    def test_keeps_its_own_copy_of_ascending_entries(self):
+        idx, val = np.array([1, 4, 9]), np.array([1, 0, 1], dtype=np.uint8)
+        fmap = FaultMap(64, idx, val, 0.0, 0.5, 0)
+        idx[0], val[0] = 2, 0
+        assert fmap.entries == [(1, 1), (4, 0), (9, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(1, 40), data=st.data())
+    def test_canonical_entries_match_one_stable_sort(self, size, data):
+        """Ascending input skips the sort; shuffled, reversed and duplicated
+        input must still come out, or fail, as one stable sort of it does."""
+        indices = sorted(data.draw(st.sets(st.integers(-2, size + 1), max_size=12)))
+        entries = [(i, data.draw(st.sampled_from([0, 1, 1, 0, 2]))) for i in indices]
+        layout = data.draw(st.sampled_from(["ascending", "shuffled", "reversed", "duplicated"]))
+        if layout == "shuffled":
+            entries = data.draw(st.permutations(entries))
+        elif layout == "reversed":
+            entries.reverse()
+        elif layout == "duplicated" and entries:
+            i, _ = data.draw(st.sampled_from(entries))
+            entries.insert(data.draw(st.integers(0, len(entries))), (i, data.draw(st.integers(0, 1))))
+        idx = np.array([i for i, _ in entries], dtype=np.int64)
+        val = np.array([v for _, v in entries], dtype=np.uint8)
+        try:
+            want = [a.tolist() for a in canonical_entries_ref(size, idx, val)]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                FaultMap(size, idx, val, 0.0, 0.5, 0)
+            return
+        fmap = FaultMap(size, idx, val, 0.0, 0.5, 0)
+        assert [fmap.bit_indices.tolist(), fmap.stuck_values.tolist()] == want
+        assert fmap.bit_indices.dtype == np.int64 and fmap.stuck_values.dtype == np.uint8
 
 
 @pytest.fixture(scope="module")

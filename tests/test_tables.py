@@ -6,13 +6,15 @@ writer.  Each data line must be its row's values joined by ``,``: floats as
 their ``repr``, aux codes as two hex digits.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from craft.cli import main
 from craft.codecs import PAYLOAD_BITS, decode_words
-from craft.harness import (Scheme, ber_sweep, bit_criticality, write_criticality_csv,
-                           write_raw_csv, write_summary_csv)
+from craft.harness import (Scheme, _write_rows, ber_sweep, bit_criticality,
+                           write_criticality_csv, write_raw_csv, write_summary_csv)
 from craft.memory import generate_fault_map, save_fault_map, stuck_words
 from craft.objective import deviation_words, store_words
 from craft.weightfile import flatten_model, save_model
@@ -88,3 +90,25 @@ def test_encode_and_decode_block_rows(request, capsys, tmp_path, model):
     rows = data_lines(capsys.readouterr().out, "block,delta")
     assert rows == [line(i, delta) for i, delta in enumerate(deviations.tolist())] + \
         [f"wrote {tmp_path / 'r.w'}"]
+
+
+def test_float_columns_are_written_as_repr():
+    # A float column is formatted once per distinct bit pattern, so the
+    # values that compare equal but print apart (0.0 and -0.0), the NaNs
+    # of different payloads and repeated values must each keep their repr.
+    other_nan = np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64)
+    values = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-5, 1e16,
+              0.0, -0.0, 1e-5, 0.1 + 0.2, float(other_nan), 5e-324, 0.0]
+    table = np.array([values, values[::-1]]).T  # columns that are not contiguous
+    out = io.StringIO()
+    _write_rows(out, "i,x,y,name", [range(len(values)), table[:, 0], table[:, 1],
+                                    [f"s{i}" for i in range(len(values))]])
+    rows = data_lines(out.getvalue(), "i,x,y,name")
+    assert rows == [line(i, x, y, f"s{i}") for i, (x, y) in enumerate(zip(values, values[::-1]))]
+    assert [rows[i].split(",")[1] for i in (0, 1, 8, 9, 14)] == ["0.0", "-0.0", "0.0", "-0.0", "0.0"]
+
+
+def test_a_table_without_rows_is_its_header():
+    out = io.StringIO()
+    _write_rows(out, "block,delta", [range(0), np.empty(0)])
+    assert out.getvalue() == "block,delta\n"

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craft import nn
 from craft.codecs import Precision
@@ -9,6 +11,7 @@ from craft.harness import _Readbacks
 from craft.weightfile import (BlockLayout, flatten_model, load_blocks, load_model,
                               load_sidecar, save_blocks, save_model, save_sidecar,
                               unflatten_model)
+from sidecar_oracle import load_sidecar_ref
 
 
 def random_fp32_model(gen, dims=(5, 7, 3)):
@@ -260,7 +263,8 @@ class TestSidecar:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.aux"
         save_sidecar([0, 17, 63, 5], path)
-        assert load_sidecar(path, 4) == [0, 17, 63, 5]
+        codes = load_sidecar(path, 4)
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 17, 63, 5]
         text = path.read_text().splitlines()
         assert text[1] == "1 11"
 
@@ -295,6 +299,88 @@ class TestSidecar:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="ASCII"):
             load_sidecar(path, 2)
+
+
+#: What a sidecar with one of the faults that `sidecar_lines` makes raises.
+SIDECAR_FAULTS = {"range": "out of range", "repeat": "twice", "code": "is not in [00, 3f]",
+                  "missing": "missing block entries", "fields": "expected 'block_index aux_hex'",
+                  "letter": "expected 'block_index aux_hex'"}
+
+
+@st.composite
+def sidecar_lines(draw, codes, faults):
+    """The lines of a sidecar for `codes`, as field lists in a drawn order,
+    with leading zeros, upper-case hex and the given faults."""
+    lines = []
+    for i, code in enumerate(codes):
+        index = draw(st.sampled_from(["", "0", "000"])) + str(i)
+        code = draw(st.sampled_from(["", "0"])) + f"{code:02x}"
+        lines.append([index, code.upper() if draw(st.booleans()) else code])
+    for fault in faults:
+        whole = [k for k, fields in enumerate(lines) if len(fields) == 2]
+        if not whole:
+            break
+        k = draw(st.sampled_from(whole))
+        if fault == "range":
+            lines[k][0] = str(len(codes) + draw(st.integers(0, 3)))
+        elif fault == "repeat":
+            lines.append([lines[k][0], draw(st.sampled_from(["00", "3f", "3F", "1"]))])
+        elif fault == "code":
+            lines[k][1] = draw(st.sampled_from(["40", "4A", "ff", "100", "0040",
+                                                "fffffffffffffffff"]))
+        elif fault == "missing":
+            del lines[k]
+        elif fault == "fields":
+            lines[k] = draw(st.sampled_from([lines[k][:1], lines[k][1:], lines[k] + ["7"]]))
+        elif fault == "letter":
+            # a lone letter taken as a digit reads 10 to 15: in range of 16 blocks
+            lines[k][0] = draw(st.sampled_from(["a", "F", "0b", lines[k][0] + "c",
+                                                "e" + lines[k][0]]))
+    return draw(st.permutations(lines))
+
+
+def sidecar_bytes(draw, lines) -> bytes:
+    """`lines` joined with drawn whitespace (tabs, \\v and \\f inside a line),
+    blank lines and \\n, \\r\\n or \\r line breaks."""
+    text = []
+    for fields in lines:
+        if draw(st.integers(0, 4)) == 0:
+            text.append(draw(st.sampled_from(["", " ", "\t", "\v\f"])))
+        gap = st.sampled_from([" ", "\t", "\v", "\f", " \t "])
+        body = "".join(f + draw(gap) for f in fields[:-1]) + fields[-1]
+        text.append(draw(st.sampled_from(["", " ", "\t"])) + body + draw(st.sampled_from(["", " "])))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in text]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no break after the last line
+    return "".join(map(str.__add__, text, ends)).encode("ascii")
+
+
+def sidecar_outcome(load, path, n_blocks):
+    try:
+        return [int(code) for code in load(path, n_blocks)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def sidecar_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("sidecar") / "m.aux"
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes=st.lists(st.integers(0, 63), min_size=1, max_size=24),
+       faults=st.lists(st.sampled_from(list(SIDECAR_FAULTS)), max_size=3), data=st.data())
+def test_sidecar_agrees_with_line_by_line_reader(sidecar_path, codes, faults, data):
+    """Any layout of a sidecar loads to its codes, and a file with faults
+    raises the message the line-by-line reader raises: for one fault, the
+    message of that fault."""
+    sidecar_path.write_bytes(sidecar_bytes(data.draw, data.draw(sidecar_lines(codes, faults))))
+    got = sidecar_outcome(load_sidecar, sidecar_path, len(codes))
+    assert got == sidecar_outcome(load_sidecar_ref, sidecar_path, len(codes))
+    if not faults:
+        assert got == codes
+    elif len(faults) == 1:
+        assert SIDECAR_FAULTS[faults[0]] in got
 
 
 class TestBlockLayoutType:
