@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .codecs import N_CONFIGS, PAYLOAD_BITS, decode_words
+from .codecs import decode_words
 from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, default_ber_grid,
                       write_criticality_csv, write_raw_csv, write_summary_csv)
 from .memory import check_ber, load_fault_map, stuck_words
@@ -22,16 +22,14 @@ from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_HIDD
                  DEFAULT_LR, DEFAULT_SAMPLES, DEFAULT_SEED, TrainingDivergedError,
                  accuracy, make_dataset, quantize, train)
 from .objective import deviation_words, store_words
-from .weightfile import (flatten_model, load_blocks, load_model, load_sidecar,
+from .prng import trial_seed
+from .weightfile import (AUX_HEX, flatten_model, load_blocks, load_model, load_sidecar,
                          save_blocks, save_model, save_sidecar, unflatten_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
-
-#: Each aux code as the per-block table of ``encode-file`` prints it.
-_AUX_HEX = [f"{code:02x}" for code in range(N_CONFIGS)]
 
 
 class IOFailure(Exception):
@@ -43,10 +41,19 @@ class UsageFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the CLI contract is 1.
+    # A flag matches only when spelled in full, never by a prefix, and a
+    # usage error exits 1, where argparse exits 2.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+#: The ``--config`` flag of every subcommand, which :func:`_overlay_config` reads.
+_CONFIG_FLAG = _Parser(prog="craft", add_help=False)
+_CONFIG_FLAG.add_argument("--config", help="key=value file overlaying the flags")
 
 
 def _flag_type(parse):
@@ -110,13 +117,15 @@ def _schemes(text: str) -> list[Scheme]:
 def _echo(args: argparse.Namespace, derived: dict | None = None) -> None:
     values = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     values.update(derived or {})
-    for key in sorted(values):
-        value = values[key]
-        if isinstance(value, list) and value and isinstance(value[0], Scheme):
-            value = ",".join(s.name for s in value)
-        elif isinstance(value, (list, tuple)):
+    for key, value in sorted(values.items()):
+        if isinstance(value, (list, tuple)):
             value = ",".join(map(str, value))
         print(f"config {key}={value}")
+
+
+def _trial_seeds(args) -> str:
+    """The first and last seed that the trials of a run receive."""
+    return f"{trial_seed(args.seed, 0)}..{trial_seed(args.seed, args.trials - 1)}"
 
 
 def _open_model(path):
@@ -170,8 +179,9 @@ def _add_dataset_flags(sub, seed_flag: bool = True):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="craft", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, parents=[_CONFIG_FLAG])
 
-    p = sub.add_parser("train", help="train (and optionally quantize) the synthetic MLP")
+    p = add_command("train", help="train (and optionally quantize) the synthetic MLP")
     p.add_argument("--out", required=True, help="output weight file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_dataset_flags(p, seed_flag=False)
@@ -179,10 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--quantize", action="store_true", help="write u8 quantized weights")
-    p.add_argument("--config", help="key=value file overlaying the flags")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="BER sweep comparing protection schemes")
+    p = add_command("sweep", help="BER sweep comparing protection schemes")
     p.add_argument("--model", required=True)
     p.add_argument("--schemes", type=_schemes, default=_schemes("baseline,ecp1,remap_invert,craft"))
     p.add_argument("--ber-grid", type=_ber_grid, default=None,
@@ -193,34 +202,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="output prefix for _raw.csv and _summary.csv")
     _add_dataset_flags(p)
-    p.add_argument("--config", help="key=value file overlaying the flags")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("criticality", help="per-bit-position fault sensitivity")
+    p = add_command("criticality", help="per-bit-position fault sensitivity")
     p.add_argument("--model", required=True)
     p.add_argument("--ber", type=_ber, default=1e-3)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_dataset_flags(p)
-    p.add_argument("--config", help="key=value file overlaying the flags")
     p.set_defaults(func=cmd_criticality)
 
-    p = sub.add_parser("encode-file", help="store a weight file through a fault map")
+    p = add_command("encode-file", help="store a weight file through a fault map")
     p.add_argument("--in", dest="in_path", required=True, help="weight file to protect")
     p.add_argument("--out", required=True, help="output block file")
     p.add_argument("--fault-map", required=True, help="fault map text file")
     p.add_argument("--sidecar", default=None, help="aux sidecar path (default <out>.aux)")
-    p.add_argument("--config", help="key=value file overlaying the flags")
     p.set_defaults(func=cmd_encode_file)
 
-    p = sub.add_parser("decode-file", help="decode a stored block file back to weights")
+    p = add_command("decode-file", help="decode a stored block file back to weights")
     p.add_argument("--in", dest="in_path", required=True, help="block file")
     p.add_argument("--sidecar", required=True, help="aux sidecar written by encode-file")
     p.add_argument("--out", required=True, help="output weight file")
     p.add_argument("--reference", default=None,
                    help="original weight file; enables per-block deviation report")
-    p.add_argument("--config", help="key=value file overlaying the flags")
     p.set_defaults(func=cmd_decode_file)
 
     return parser
@@ -228,12 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overlay_config(argv: list[str]) -> list[str]:
     """Append tokens from a --config key=value file; later tokens win."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+    path = _CONFIG_FLAG.parse_known_args(argv)[0].config
     if path is None:
         return argv
     try:
@@ -249,16 +249,13 @@ def _overlay_config(argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "yes", "on"):
             extra.append(flag)
-        elif value.lower() in ("false", "no", "off"):
-            continue
-        else:
+        elif value.lower() not in ("false", "no", "off"):
             extra.extend([flag, value])
     return argv + extra
 
 
 def cmd_train(args) -> int:
-    dataset_seed = args.seed
-    train_seed = args.seed + 1
+    dataset_seed, train_seed = trial_seed(args.seed, 0), trial_seed(args.seed, 1)
     _echo(args, {"dataset_seed": dataset_seed, "train_seed": train_seed,
                  "precision": "u8" if args.quantize else "fp32"})
     _check_out_dir(args.out)
@@ -283,7 +280,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     bers = args.ber if args.ber is not None else (args.ber_grid or default_ber_grid())
-    _echo(args, {"ber_points": bers, "trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
+    _echo(args, {"ber_points": bers, "trial_seeds": _trial_seeds(args)})
     raw_path = f"{args.out}_raw.csv"
     summary_path = f"{args.out}_summary.csv"
     model, dataset = _run_inputs(args, raw_path, summary_path)
@@ -303,7 +300,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_criticality(args) -> int:
-    _echo(args, {"trial_seeds": f"{args.seed}..{args.seed + args.trials - 1}"})
+    _echo(args, {"trial_seeds": _trial_seeds(args)})
     model, dataset = _run_inputs(args, args.out)
     try:
         result = bit_criticality(model, dataset, ber=args.ber, trials=args.trials,
@@ -332,15 +329,14 @@ def cmd_encode_file(args) -> int:
     except (OSError, ValueError) as exc:
         raise IOFailure(f"cannot read fault map {args.fault_map}: {exc}") from exc
     blocks, layout = flatten_model(model)
-    if fmap.region_size_bits < layout.n_blocks * PAYLOAD_BITS:
-        raise IOFailure(
-            f"fault map region ({fmap.region_size_bits} bits) smaller than "
-            f"weight region ({layout.n_blocks * PAYLOAD_BITS} bits)")
-    mask, stuck = stuck_words(fmap, layout.n_blocks)
+    try:
+        mask, stuck = stuck_words(fmap, layout.n_blocks)
+    except IndexError as exc:
+        raise IOFailure(f"fault map {args.fault_map}: {exc}") from exc
     codes, stored, deltas = store_words(blocks, mask, stuck, layout.precision,
                                         layout.block_scales())
     _write_rows(sys.stdout, "block,aux_hex,delta",
-                [range(layout.n_blocks), map(_AUX_HEX.__getitem__, codes.tolist()), deltas])
+                [range(layout.n_blocks), map(AUX_HEX.__getitem__, codes.tolist()), deltas])
     try:
         save_blocks(stored, layout, args.out)
         save_sidecar(codes, sidecar)
@@ -386,11 +382,9 @@ def cmd_decode_file(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        tokens = _overlay_config(argv)
         try:
-            args = parser.parse_args(tokens)
+            args = build_parser().parse_args(_overlay_config(argv))
         except SystemExit as exc:  # argparse help/usage paths
             return int(exc.code or 0)
         return args.func(args)

@@ -10,7 +10,7 @@ derives from base_seed + trial_index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,9 @@ class Scheme:
     def name(self) -> str:
         return f"ecp{self.ecp_n}" if self.kind == "ecp" else self.kind
 
+    def __str__(self) -> str:
+        return self.name
+
     @property
     def n_configs(self) -> int:
         """How many configs this scheme searches, a prefix of aux-code order
@@ -60,10 +63,8 @@ class Scheme:
     @classmethod
     def parse(cls, text: str) -> "Scheme":
         text = text.strip().lower()
-        if text in ("baseline", "remap_invert", "craft"):
+        if text in cls.KINDS:
             return cls(kind=text)
-        if text == "ecp":
-            return cls(kind="ecp", ecp_n=1)
         if text.startswith("ecp") and text[3:].isascii() and text[3:].isdigit():
             return cls(kind="ecp", ecp_n=int(text[3:]))
         raise ValueError(f"unknown scheme {text!r}")
@@ -503,7 +504,7 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     for ber in ber_list:
         check_ber(ber)
     if len({s.name for s in schemes}) < len(schemes):
-        raise ValueError(f"repeated scheme in {','.join(s.name for s in schemes)}")
+        raise ValueError(f"repeated scheme in {','.join(map(str, schemes))}")
     _check_trial_results(len(schemes) * len(ber_list) * trials,
                          f"{len(schemes)} schemes x {len(ber_list)} BER points x {trials} trials")
     blocks, layout = flatten_model(model)
@@ -654,30 +655,26 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     return np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)[where]
 
 
-def write_raw_csv(results: Sequence[SweepResult], path) -> None:
-    rows = [(res.scheme, r) for res in results for r in res.records]
+def _write_results(path, rows, record_type, schemes=None) -> None:
+    """Write `rows` of the dataclass `record_type` as a CSV, one column per
+    field, after a ``scheme`` column of `schemes` (one name per row) if given."""
+    names = [f.name for f in fields(record_type)]
+    columns = [np.array([getattr(row, name) for row in rows]) for name in names]
+    if schemes is not None:
+        names, columns = ["scheme", *names], [schemes, *columns]
     with open(path, "w") as fh:
-        _write_rows(fh, "scheme,ber,trial,classification_error,total_delta",
-                    [[scheme for scheme, _ in rows], np.array([r.ber for _, r in rows]),
-                     [r.trial for _, r in rows],
-                     np.array([r.classification_error for _, r in rows]),
-                     np.array([r.total_delta for _, r in rows])])
+        _write_rows(fh, ",".join(names), columns)
+
+
+def write_raw_csv(results: Sequence[SweepResult], path) -> None:
+    _write_results(path, [r for res in results for r in res.records], TrialRecord,
+                   [res.scheme for res in results for _ in res.records])
 
 
 def write_summary_csv(results: Sequence[SweepResult], path) -> None:
-    rows = [(res.scheme, p) for res in results for p in res.ber_points]
-    with open(path, "w") as fh:
-        _write_rows(fh, "scheme,ber,mean_error,std_error,mean_delta",
-                    [[scheme for scheme, _ in rows], np.array([p.ber for _, p in rows]),
-                     np.array([p.mean_error for _, p in rows]),
-                     np.array([p.std_error for _, p in rows]),
-                     np.array([p.mean_delta for _, p in rows])])
+    _write_results(path, [p for res in results for p in res.ber_points], BerPoint,
+                   [res.scheme for res in results for _ in res.ber_points])
 
 
 def write_criticality_csv(result: CriticalityResult, path) -> None:
-    points = result.points
-    with open(path, "w") as fh:
-        _write_rows(fh, "position,mean_error,std_error,mean_delta",
-                    [[p.position for p in points], np.array([p.mean_error for p in points]),
-                     np.array([p.std_error for p in points]),
-                     np.array([p.mean_delta for p in points])])
+    _write_results(path, result.points, CriticalityPoint)

@@ -123,8 +123,8 @@ def stuck_words(fault_map: FaultMap, n_blocks: int = 1):
     """
     end = n_blocks * PAYLOAD_BITS
     if end > fault_map.region_size_bits:
-        raise IndexError(f"bit range [0, {end}) outside region of "
-                         f"{fault_map.region_size_bits} bits")
+        raise IndexError(f"region ({fault_map.region_size_bits} bits) smaller than "
+                         f"{n_blocks} blocks ({end} bits)")
     hi = np.searchsorted(fault_map.bit_indices, end)
     positions = fault_map.bit_indices[:hi]
     words = positions // 32  # row * WORDS_PER_BLOCK + word within the row

@@ -2,8 +2,8 @@
 
 Every randomized operation in the package draws from a PCG64 generator
 seeded with an explicit 64-bit integer.  Derived seeds (per-trial,
-per-position) are always formed as base_seed + index so that whole
-experiments replay bit for bit from a single recorded seed.
+per-position) are always :func:`trial_seed`, (base_seed + index) mod 2**64,
+so that whole experiments replay bit for bit from one recorded seed.
 """
 
 from __future__ import annotations

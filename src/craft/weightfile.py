@@ -40,6 +40,10 @@ _PRECISION_TAG = {Precision.FP32: 0, Precision.U8: 1}
 _TAG_PRECISION = {v: k for k, v in _PRECISION_TAG.items()}
 _WEIGHT_DTYPE = {Precision.FP32: np.dtype("<f4"), Precision.U8: np.dtype(np.uint8)}
 _BLOCK_BYTES = PAYLOAD_BITS // 8
+_AUX_FORMAT = "{:02x}"
+#: Each aux code as the sidecar and ``encode-file``'s block table write it.
+AUX_HEX = tuple(map(_AUX_FORMAT.format, range(N_CONFIGS)))
+_BAD_CODE = f"sidecar aux code {{}} of block {{}} is not in [{AUX_HEX[0]}, {AUX_HEX[-1]}]"
 _SIDECAR_BYTES = b"0123456789abcdefABCDEF \t\n\r\v\f"
 #: Each byte's value as a hex digit, -1 for any other (whitespace, in a sidecar).
 _DIGIT = np.full(256, -1, dtype=np.int8)
@@ -222,10 +226,14 @@ def load_blocks(path) -> tuple[np.ndarray, BlockLayout]:
 
 
 def save_sidecar(aux_codes, path) -> None:
-    """Aux sidecar: one `block_index aux_hex` line per block, in one write."""
+    """Aux sidecar: one `block_index aux_hex` line per block, in one write.
+    A code outside [0, 64) raises ValueError before the file is opened."""
+    codes = np.asarray(aux_codes, dtype=np.int64)
+    bad = np.flatnonzero((codes < 0) | (codes >= N_CONFIGS))
+    if bad.size:
+        raise ValueError(_BAD_CODE.format(_AUX_FORMAT.format(codes[bad[0]]), bad[0]))
     with open(path, "w") as fh:
-        codes = np.asarray(aux_codes, dtype=np.int64).tolist()
-        fh.write("".join(map("{} {:02x}\n".format, range(len(codes)), codes)))
+        fh.write("".join([f"{i} {AUX_HEX[code]}\n" for i, code in enumerate(codes.tolist())]))
 
 
 def load_sidecar(path, n_blocks: int) -> np.ndarray:
@@ -296,7 +304,7 @@ def load_sidecar(path, n_blocks: int) -> np.ndarray:
         if repeat[k]:
             raise ValueError(f"sidecar lists block {idx} twice")
         code_text = text[starts[key[k] + 1]:ends[key[k] + 1]].decode()
-        raise ValueError(f"sidecar aux code {code_text} of block {idx} is not in [00, 3f]")
+        raise ValueError(_BAD_CODE.format(code_text, idx))
     if key.size < n_blocks:
         raise ValueError("sidecar is missing block entries")
     codes = np.empty(n_blocks, dtype=np.int64)

@@ -71,6 +71,20 @@ class TestTrain:
         assert "config dataset_seed=1234" in out
         assert "config train_seed=1235" in out
 
+    def test_derived_seeds_wrap_as_the_rngs_receive_them(self, capsys, tmp_path):
+        # --seed -1 and --seed 2**64 - 1 give the same rngs: dataset seed
+        # 2**64 - 1, train seed 0, and the echo says so for both.
+        outs = []
+        for seed, name in (("-1", "a.w"), ("18446744073709551615", "b.w")):
+            code, out, err = run(capsys, "train", "--out", str(tmp_path / name),
+                                 "--epochs", "1", "--seed", seed)
+            assert code == 0, err
+            assert "config dataset_seed=18446744073709551615" in out
+            assert "config train_seed=0" in out
+            outs.append(out.replace(name, "X").replace(f"config seed={seed}\n", ""))
+        assert outs[0] == outs[1]
+        assert (tmp_path / "a.w").read_bytes() == (tmp_path / "b.w").read_bytes()
+
     def test_diverged_training_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--out", str(tmp_path / "x.w"),
                            "--lr", "1e9", "--epochs", "3")
@@ -198,6 +212,24 @@ class TestSweep:
                            "--ber", "1e-3")
         assert code == 2
         assert "cannot read model file" in err
+
+
+class TestTrialSeeds:
+    """`trial_seeds=` names the seeds the trials receive, wrapped mod 2**64."""
+
+    @pytest.mark.parametrize("command, out", [("sweep", "s"), ("criticality", "c.csv")])
+    def test_seeds_wrap_past_2_to_the_64(self, capsys, tmp_path, u8_model, command, out):
+        model = tmp_path / "m.w"
+        save_model(u8_model, model)
+        tables = []
+        for seed, name in (("-1", "a"), ("18446744073709551615", "b")):
+            code, printed, err = run(capsys, command, "--model", str(model), "--ber", "1e-2",
+                                     "--trials", "2", "--seed", seed,
+                                     "--out", str(tmp_path / f"{name}{out}"))
+            assert code == 0, err
+            assert "config trial_seeds=18446744073709551615..0" in printed.splitlines()
+            tables.append(sorted(p.read_bytes() for p in tmp_path.glob(f"{name}{out}*")))
+        assert tables[0] == tables[1] and tables[0]
 
 
 class TestCriticality:
@@ -825,6 +857,44 @@ class TestConfigOverlay:
         assert "config seed=11" in out
         lines = (tmp_path / "s_raw.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+
+    @pytest.mark.parametrize("first, last", [("--config", "--config="), ("--config=", "--config")])
+    def test_both_spellings_overlay_and_the_last_wins(self, capsys, tmp_path, u8_model,
+                                                      first, last):
+        model = tmp_path / "m.w"
+        save_model(u8_model, model)
+        (tmp_path / "a.cfg").write_text("trials=3\n")
+        (tmp_path / "b.cfg").write_text("trials=2\n")
+        spell = lambda flag, path: [flag + path] if flag.endswith("=") else [flag, path]
+        code, out, err = run(capsys, "criticality", "--model", str(model), "--trials", "1",
+                             "--out", str(tmp_path / "c.csv"),
+                             *spell(first, str(tmp_path / "a.cfg")),
+                             *spell(last, str(tmp_path / "b.cfg")))
+        assert code == 0, err
+        assert "config trials=2" in out.splitlines()
+
+    def test_config_file_supplies_required_flags(self, capsys, tmp_path, u8_model):
+        save_model(u8_model, tmp_path / "m.w")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model={tmp_path / 'm.w'}\nout={tmp_path / 'c.csv'}\ntrials=1\n")
+        code, _, err = run(capsys, "criticality", "--config", str(cfg))
+        assert code == 0, err
+        assert (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--conf", "{cfg}"], ["--conf={cfg}"], ["--hid", "4"],
+                                      ["--config"]],
+                             ids=["conf", "conf=", "hid", "bare-config"])
+    def test_abbreviated_or_bare_flag_exits_1(self, capsys, tmp_path, argv):
+        # Flags match only when spelled in full, in the overlay and in the
+        # subcommands alike, so an abbreviation is an unrecognized argument.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\n")
+        out = tmp_path / "t.w"
+        code, _, err = run(capsys, "train", "--out", str(out), "--epochs", "1",
+                           *(a.format(cfg=cfg) for a in argv))
+        assert code == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "train", "--out", str(tmp_path / "m.w"),

@@ -268,6 +268,23 @@ class TestSidecar:
         text = path.read_text().splitlines()
         assert text[1] == "1 11"
 
+    @pytest.mark.parametrize("codes, text, block", [([0, 64], "40", 1),
+                                                    ([300, 64, -1], "12c", 0),
+                                                    ([7, 300], "12c", 1),
+                                                    ([5, 63, -1], "-1", 2)])
+    def test_writer_refuses_codes_outside_the_64_configs(self, tmp_path, codes, text, block):
+        path = tmp_path / "m.aux"
+        message = f"sidecar aux code {text} of block {block} is not in [00, 3f]"
+        with pytest.raises(ValueError) as raised:
+            save_sidecar(codes, path)
+        assert str(raised.value) == message
+        assert not path.exists()
+        if min(codes) >= 0:  # the reader's message for the same file, which holds no sign
+            path.write_text("".join(f"{i} {c:02x}\n" for i, c in enumerate(codes)))
+            with pytest.raises(ValueError) as raised:
+                load_sidecar(path, len(codes))
+            assert str(raised.value) == message
+
     def test_missing_entries_rejected(self, tmp_path):
         path = tmp_path / "m.aux"
         path.write_text("0 00\n2 01\n")
