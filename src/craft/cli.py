@@ -15,8 +15,8 @@ import os
 import sys
 
 from .codecs import decode_words
-from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, default_ber_grid,
-                      write_criticality_csv, write_raw_csv, write_summary_csv)
+from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, check_trials,
+                      default_ber_grid, write_criticality_csv, write_raw_csv, write_summary_csv)
 from .memory import check_ber, load_fault_map, stuck_words
 from .nn import (DEFAULT_CLASSES, DEFAULT_EPOCHS, DEFAULT_FEATURES, DEFAULT_HIDDEN,
                  DEFAULT_LR, DEFAULT_SAMPLES, DEFAULT_SEED, TrainingDivergedError,
@@ -72,17 +72,14 @@ def _flag_type(parse):
 @_flag_type
 def _hidden_dims(text: str) -> tuple[int, ...]:
     dims = tuple(int(part) for part in text.split(",") if part)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"hidden dims must be positive integers, got {text!r}")
+    if not dims:
+        raise ValueError("empty hidden dims list")
     return dims
 
 
 @_flag_type
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
+def _trials(text: str) -> int:
+    return check_trials(int(text))
 
 
 @_flag_type
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:per-decade log grid (default 1e-5:1e-1:5)")
     p.add_argument("--ber", type=_ber_list, default=None,
                    help="explicit comma-separated BER list, overrides the grid")
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_trials, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="output prefix for _raw.csv and _summary.csv")
     _add_dataset_flags(p)
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("criticality", help="per-bit-position fault sensitivity")
     p.add_argument("--model", required=True)
     p.add_argument("--ber", type=_ber, default=1e-3)
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_trials, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_dataset_flags(p)

@@ -11,7 +11,7 @@ derives from base_seed + trial_index.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,6 +155,13 @@ def default_ber_grid(lo: float = 1e-5, hi: float = 1e-1, per_decade: int = 5) ->
     return [float(10.0 ** (lo_exp + i / per_decade)) for i in range(n)]
 
 
+def check_trials(trials: int) -> int:
+    """`trials` if a run may hold that many trials, at least 1; else ValueError."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
+
+
 def _check_trial_results(n: int, what: str) -> None:
     if n > MAX_TRIAL_RESULTS:
         raise ValueError(f"{what} make {n} trial results, more than {MAX_TRIAL_RESULTS}")
@@ -188,6 +195,13 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
         else:
             out[...] = next(found)[1]
     return touched, outs
+
+
+def _summaries(errs: np.ndarray, deltas: np.ndarray) -> Iterator[tuple[float, float, float]]:
+    """Per leading index of (..., trials) `errs` and `deltas`, the mean error,
+    the population std of the error (``ddof=0``) and the mean deviation."""
+    return zip(errs.mean(axis=-1).tolist(), errs.std(axis=-1).tolist(),
+               deltas.mean(axis=-1).tolist())
 
 
 def _in_order_sum(deltas: np.ndarray) -> np.ndarray:
@@ -369,18 +383,9 @@ class _Readbacks:
             room = ((top - second) * (1 - _CERT_SLACK) / 2
                     - 2 * err * (1 + _CERT_SLACK)) / (1 + _CERT_SLACK)
             self.least_room = float(room.min())
-            inv = 1 / room
-            # a = max_r |h[r, i]| / room_r, a block of columns at a time in a work array
-            buf = max(self.work, key=np.size).reshape(-1)
-            step = buf.size // n
-            self.a = []
-            for h, w, p in zip(self.acts, layer_views(coef, self.layout), self.p):
-                a = np.empty(h.shape[1])
-                for c in range(0, h.shape[1], step):
-                    t = buf[:n * min(step, h.shape[1] - c)].reshape(-1, n)
-                    np.multiply(np.abs(h[:, c:c + step].T, out=t), inv, out=t)
-                    t.max(axis=1, out=a[c:c + step])
-                self.a.append(a)
+            inv = (1 / room)[:, None]
+            self.a = [(np.abs(h) * inv).max(axis=0) for h in self.acts[:-1]]
+            for a, w, p in zip(self.a, layer_views(coef, self.layout), self.p):
                 np.multiply(a[:, None], p.max(axis=1), out=w)
             if not (np.isfinite(reach) and self.least_room > 0 and np.isfinite(coef).all()):
                 coef.fill(np.inf)
@@ -447,10 +452,11 @@ class _Readbacks:
 
         A readback's total deviation adds its blocks' deviations from the
         fault-free ones left to right (see :func:`_in_order_sum`).  All K
-        decode and compare with the kept weights in one pass.  Those that
-        change no weight take the fault-free error, and so does every one
-        whose change the certificate bounds, in one layer or several (see
-        the class docstring).  The rest run inference, each from its own
+        decode and compare with the kept weights in one pass.  A readback
+        that changes no weight takes the fault-free error without another
+        inference, and so does every one whose change, to one layer or
+        several, the certificate of the class docstring proves cannot move
+        any test row's argmax.  The rest run inference, each from its own
         first changed layer.
         """
         scale = None if self.scale is None else self.scale[touched, 0]
@@ -491,13 +497,10 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     BER in [0, 1] and every scheme name distinct (checked before the first
     trial), and the run may hold at most :data:`MAX_TRIAL_RESULTS` results.
     Each fault map's scheme readbacks are scored, total deviation and test
-    error, in one batched call.  A readback whose weights equal the
-    fault-free ones takes the fault-free error without another inference,
-    and so does one whose change, to one layer or several, a certificate
-    proves cannot move any test row's argmax (see :class:`_Readbacks`).
+    error, in one :meth:`_Readbacks.score` call, which runs inference only
+    where it must.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_trials(trials)
     if threads != 1:
         raise ValueError(f"ber_sweep runs every trial in the calling thread; "
                          f"threads must be 1, got {threads}")
@@ -523,9 +526,8 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
         records = tuple(TrialRecord(float(ber), t, float(errs[si, bi, t]),
                                     float(deltas[si, bi, t]))
                         for bi, ber in enumerate(ber_list) for t in range(trials))
-        points = tuple(BerPoint(float(ber), float(errs[si, bi].mean()),
-                                float(errs[si, bi].std(ddof=0)), float(deltas[si, bi].mean()))
-                       for bi, ber in enumerate(ber_list))
+        points = tuple(BerPoint(float(ber), *summary)
+                       for ber, summary in zip(ber_list, _summaries(errs[si], deltas[si])))
         results.append(SweepResult(
             scheme=scheme.name, ber_points=points, trials=trials,
             seed=base_seed, fault_free_error=readbacks.fault_free, records=records,
@@ -549,15 +551,11 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     bit 0 of an fp32 word or bit 8*(i % 4) of the word that holds u8 byte
     i, and position p's are them shifted left by p.  A trial builds every
     position's readback at once and scores them, total deviation and test
-    error, in one batched call.  A readback whose weights equal the
-    fault-free ones takes the fault-free error without another inference,
-    and so does one whose change, to one layer or several, a certificate
-    proves cannot move any test row's argmax (see :class:`_Readbacks`), as
-    most do at BER 1e-3.  The run may hold at most
+    error, in one :meth:`_Readbacks.score` call, which at BER 1e-3 runs
+    inference for few of them.  The run may hold at most
     :data:`MAX_TRIAL_RESULTS` results.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_trials(trials)
     check_ber(ber)
     blocks, layout = flatten_model(model)
     word_bits = layout.precision.word_bits
@@ -576,9 +574,8 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
         touched = np.flatnonzero(mask0.any(axis=1))
         outs = apply_stuck(blocks[touched], mask0[touched] << shifts, stuck0[touched] << shifts)
         deltas[:, t], errs[:, t] = readbacks.score(touched, outs)
-    points = tuple(CriticalityPoint(p, float(errs[p].mean()), float(errs[p].std(ddof=0)),
-                                    float(deltas[p].mean()))
-                   for p in range(word_bits))
+    points = tuple(CriticalityPoint(p, *summary)
+                   for p, summary in enumerate(_summaries(errs, deltas)))
     return CriticalityResult(points=points, ber=ber, trials=trials,
                              seed=base_seed, fault_free_error=readbacks.fault_free)
 

@@ -219,7 +219,7 @@ def train(dataset: SyntheticDataset, hidden_dims: Sequence[int] = DEFAULT_HIDDEN
         raise ValueError(f"lr must be finite and non-negative, got {lr!r}")
     dims = [dataset.inputs.shape[1], *hidden_dims, int(dataset.labels.max()) + 1]
     if any(d < 1 for d in dims):
-        raise ValueError("invalid layer dimensions")
+        raise ValueError(f"layer dims {dims} must all be at least 1")
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
     if n_params > MAX_PARAMETERS:
         raise ValueError(f"layer dims {dims} make {n_params} parameters, "

@@ -134,14 +134,20 @@ def flatten_model(model: MlpModel | QuantizedModel) -> tuple[np.ndarray, BlockLa
     return slots.view("<u4"), layout
 
 
-def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | QuantizedModel:
-    """Rebuild a model from (n_blocks, 16) words; inverse of :func:`flatten_model`.
-    The weights are copies, never views of `blocks`."""
+def _stream_words(blocks: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """`blocks` as contiguous little-endian uint32 words, if they are
+    (n_blocks, 16) for `layout`; else ValueError."""
     words = np.asarray(blocks)
     if words.shape != (layout.n_blocks, WORDS_PER_BLOCK):
         raise ValueError(f"block stream of shape {words.shape} does not match layout "
                          f"({layout.n_blocks} x {WORDS_PER_BLOCK} words)")
-    raw = np.ascontiguousarray(words, dtype="<u4").view(_WEIGHT_DTYPE[layout.precision])
+    return np.ascontiguousarray(words, dtype="<u4")
+
+
+def unflatten_model(blocks: np.ndarray, layout: BlockLayout) -> MlpModel | QuantizedModel:
+    """Rebuild a model from (n_blocks, 16) words; inverse of :func:`flatten_model`.
+    The weights are copies, never views of `blocks`."""
+    raw = _stream_words(blocks, layout).view(_WEIGHT_DTYPE[layout.precision])
     return _model_from(layout, [w.copy() for w in layer_views(raw, layout)])
 
 
@@ -207,12 +213,10 @@ def load_model(path) -> MlpModel | QuantizedModel:
 
 def save_blocks(blocks: np.ndarray, layout: BlockLayout, path) -> None:
     """Write a block file: the header, then the stored words, pad slots included."""
-    words = np.asarray(blocks)
-    if words.shape != (layout.n_blocks, WORDS_PER_BLOCK):
-        raise ValueError("blocks do not match layout")
+    words = _stream_words(blocks, layout)
     with open(path, "wb") as fh:
         _write_header(fh, BLOCK_MAGIC, layout)
-        fh.write(words.astype("<u4", copy=False).tobytes())
+        fh.write(words.tobytes())
 
 
 def load_blocks(path) -> tuple[np.ndarray, BlockLayout]:

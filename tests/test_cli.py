@@ -112,6 +112,9 @@ class TestTrain:
         (["--lr", "nan"], "bad training flags: lr must be finite and non-negative, got nan"),
         (["--samples", "2", "--classes", "2"],
          "bad dataset flags: a 0.75 train split of 2 samples leaves an empty split"),
+        (["--hidden", "32,0"],
+         "bad training flags: layer dims [16, 32, 0, 4] must all be at least 1"),
+        (["--hidden", "-3"], "bad training flags: layer dims [16, -3, 4] must all be at least 1"),
     ])
     def test_bad_dataset_or_training_flags_exit_1(self, capsys, tmp_path, argv, rule):
         out = tmp_path / "m.w"
@@ -161,7 +164,7 @@ class TestUsageErrors:
         (["criticality", "--ber", "2"], "ber must be in [0, 1], got 2.0"),
         (["sweep", "--ber", "1e-3,2"], "ber must be in [0, 1], got 2.0"),
         (["sweep", "--trials", "0"], "must be at least 1, got 0"),
-        (["train", "--hidden", "32,0"], "hidden dims must be positive integers, got '32,0'"),
+        (["train", "--hidden", ","], "empty hidden dims list"),
         (["sweep", "--schemes", "baseline,parity"], "unknown scheme 'parity'"),
         (["sweep", "--schemes", "ecp\u0663"], "unknown scheme 'ecp\u0663'"),
     ])
@@ -170,6 +173,16 @@ class TestUsageErrors:
         assert code == 1
         flag = argv[1]
         assert f"argument {flag}: " in err and reason in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "criticality"])
+    def test_no_trial_exits_1_before_echo_or_model_read(self, capsys, tmp_path, command):
+        # the model file is missing, which a read would report with exit 2
+        code, out, err = run(capsys, command, "--model", str(tmp_path / "missing.w"),
+                             "--trials", "0", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert "argument --trials: trials must be at least 1, got 0" in err
         assert "Traceback" not in err
 
 

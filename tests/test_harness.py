@@ -13,8 +13,9 @@ from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, MAX_TRIAL_RESULTS,
                            BerPoint, CriticalityPoint, CriticalityResult, Scheme, SweepResult,
-                           _apply_schemes, _in_order_sum, _Readbacks, ber_sweep,
-                           bit_criticality, default_ber_grid, robustness_improvement,
+                           _apply_schemes, _in_order_sum, _Readbacks, _summaries, ber_sweep,
+                           bit_criticality, check_trials, default_ber_grid,
+                           robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
 from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
@@ -924,6 +925,35 @@ def one_hidden_unit():
     whose logits are (1, 0), layer 1's weights being 0."""
     return MlpModel((np.array([[2.0 ** -20]], dtype=np.float32), np.zeros((1, 2), dtype=np.float32)),
                     (np.zeros(1, dtype=np.float32), np.array([1.0, 0.0], dtype=np.float32)))
+
+
+class TestCheckTrials:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trial_is_refused(self, trials):
+        with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+            check_trials(trials)
+
+    def test_one_trial_passes(self):
+        assert check_trials(1) == 1
+
+
+class TestSummaries:
+    """The trial summary equals each row's own ``float(x.mean())`` and
+    ``float(x.std(ddof=0))``, bit for bit."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 100])
+    def test_equals_per_row_reduction(self, trials):
+        gen = np.random.default_rng(trials)
+        errs = gen.integers(0, 1000, size=(5, trials)) / 1000
+        deltas = gen.random((5, trials)) * 10.0 ** gen.integers(-8, 8, size=(5, 1))
+        # deviations at and just below the sentinel of a non-finite decode
+        deltas[3] = NONFINITE_SENTINEL
+        deltas[4, ::2] = np.nextafter(NONFINITE_SENTINEL, 0)
+        expected = [(float(e.mean()), float(e.std(ddof=0)), float(d.mean()))
+                    for e, d in zip(errs, deltas)]
+        got = list(_summaries(errs, deltas))
+        assert [tuple(map(float.hex, row)) for row in got] == \
+            [tuple(map(float.hex, row)) for row in expected]
 
 
 class TestTrialResultLimit:

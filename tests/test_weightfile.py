@@ -148,6 +148,18 @@ class TestWeightFile:
 
 
 class TestBlockFile:
+    def test_misshapen_stream_rejected_before_writing(self, tmp_path, u8_model):
+        # the writer and unflatten_model refuse it with one message
+        blocks, layout = flatten_model(u8_model)
+        path = tmp_path / "m.blk"
+        message = (f"block stream of shape ({layout.n_blocks - 1}, 16) does not match layout "
+                   f"({layout.n_blocks} x 16 words)")
+        for call in (lambda b: save_blocks(b, layout, path), lambda b: unflatten_model(b, layout)):
+            with pytest.raises(ValueError) as err:
+                call(blocks[:-1])
+            assert str(err.value) == message
+        assert not path.exists()
+
     def test_roundtrip(self, tmp_path, u8_model):
         blocks, layout = flatten_model(u8_model)
         path = tmp_path / "m.blk"
