@@ -10,9 +10,12 @@ outputs byte for byte.  Exit codes: 0 success, 1 usage error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import os
 import sys
+from pathlib import Path
 
 from .codecs import decode_words
 from .harness import (Scheme, _write_rows, ber_sweep, bit_criticality, check_trials,
@@ -69,12 +72,16 @@ def _flag_type(parse):
     return checked
 
 
-@_flag_type
-def _hidden_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(int(part) for part in text.split(",") if part)
-    if not dims:
-        raise ValueError("empty hidden dims list")
-    return dims
+def _comma_list(parse, what: str):
+    """The flag type of a comma-separated list of `parse` values: empty parts
+    are skipped, and a list with none left is refused."""
+    @_flag_type
+    def values(text: str) -> list:
+        parsed = [parse(part) for part in text.split(",") if part]
+        if not parsed:
+            raise ValueError(f"empty {what} list")
+        return parsed
+    return values
 
 
 @_flag_type
@@ -88,14 +95,6 @@ def _ber(text: str) -> float:
 
 
 @_flag_type
-def _ber_list(text: str) -> list[float]:
-    values = [check_ber(float(part)) for part in text.split(",") if part]
-    if not values:
-        raise ValueError("empty BER list")
-    return values
-
-
-@_flag_type
 def _ber_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -103,12 +102,10 @@ def _ber_grid(text: str) -> list[float]:
     return default_ber_grid(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-@_flag_type
-def _schemes(text: str) -> list[Scheme]:
-    schemes = [Scheme.parse(part) for part in text.split(",") if part]
-    if not schemes:
-        raise ValueError("empty scheme list")
-    return schemes
+# `_ber`'s ArgumentTypeError passes through `_comma_list` to argparse as it is.
+_hidden_dims = _comma_list(int, "hidden dims")
+_ber_list = _comma_list(_ber, "BER")
+_schemes = _comma_list(Scheme.parse, "scheme")
 
 
 def _echo(args: argparse.Namespace, derived: dict | None = None) -> None:
@@ -125,11 +122,13 @@ def _trial_seeds(args) -> str:
     return f"{trial_seed(args.seed, 0)}..{trial_seed(args.seed, args.trials - 1)}"
 
 
-def _open_model(path):
+def _read(load, what: str, path, *args):
+    """`load(path, *args)`, where a file that cannot be read, or does not hold
+    what it should, is an I/O failure naming `what` and `path`."""
     try:
-        return load_model(path)
-    except (OSError, ValueError) as exc:
-        raise IOFailure(f"cannot read model file {path}: {exc}") from exc
+        return load(path, *args)
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise IOFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _check_out_dir(path) -> None:
@@ -156,7 +155,7 @@ def _run_inputs(args, *out_paths):
     the model."""
     for path in out_paths:
         _check_out_dir(path)
-    model = _open_model(args.model)
+    model = _read(load_model, "model file", args.model)
     dims = model.layer_dims
     if (dims[0], dims[-1]) != (args.features, args.classes):
         raise UsageFailure(f"model maps {dims[0]} features to {dims[-1]} classes, not "
@@ -233,13 +232,11 @@ def _overlay_config(argv: list[str]) -> list[str]:
     path = _CONFIG_FLAG.parse_known_args(argv)[0].config
     if path is None:
         return argv
-    try:
-        with open(path) as fh:
-            lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IOFailure(f"cannot read config file {path}: {exc}") from exc
     extra = []
-    for line in lines:
+    for line in _read(lambda p: Path(p).read_text().split("\n"), "config file", path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         if "=" not in line:
             raise IOFailure(f"malformed config line {line!r} in {path}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -264,10 +261,7 @@ def cmd_train(args) -> int:
         raise UsageFailure(f"bad training flags: {exc}") from exc
     model = quantize(result.model) if args.quantize else result.model
     acc = accuracy(model, dataset.test_inputs, dataset.test_labels)
-    try:
-        save_model(model, args.out)
-    except OSError as exc:
-        raise IOFailure(f"cannot write {args.out}: {exc}") from exc
+    save_model(model, args.out)
     print(f"final_train_loss={result.epoch_losses[-1]!r}" if result.epoch_losses
           else "final_train_loss=nan")
     print(f"fault_free_accuracy={acc!r}")
@@ -285,11 +279,8 @@ def cmd_sweep(args) -> int:
         results = ber_sweep(model, dataset, args.schemes, bers, args.trials, args.seed)
     except ValueError as exc:
         raise UsageFailure(f"bad sweep flags: {exc}") from exc
-    try:
-        write_raw_csv(results, raw_path)
-        write_summary_csv(results, summary_path)
-    except OSError as exc:
-        raise IOFailure(f"cannot write sweep CSVs: {exc}") from exc
+    write_raw_csv(results, raw_path)
+    write_summary_csv(results, summary_path)
     print(f"fault_free_error={results[0].fault_free_error!r}")
     print(f"wrote {raw_path}")
     print(f"wrote {summary_path}")
@@ -304,10 +295,7 @@ def cmd_criticality(args) -> int:
                                  base_seed=args.seed)
     except ValueError as exc:
         raise UsageFailure(f"bad criticality flags: {exc}") from exc
-    try:
-        write_criticality_csv(result, args.out)
-    except OSError as exc:
-        raise IOFailure(f"cannot write {args.out}: {exc}") from exc
+    write_criticality_csv(result, args.out)
     print(f"fault_free_error={result.fault_free_error!r}")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -320,11 +308,8 @@ def cmd_encode_file(args) -> int:
     _echo(args, {"sidecar_path": sidecar})
     _check_out_dir(args.out)
     _check_out_dir(sidecar)
-    model = _open_model(args.in_path)
-    try:
-        fmap = load_fault_map(args.fault_map)
-    except (OSError, ValueError) as exc:
-        raise IOFailure(f"cannot read fault map {args.fault_map}: {exc}") from exc
+    model = _read(load_model, "model file", args.in_path)
+    fmap = _read(load_fault_map, "fault map", args.fault_map)
     blocks, layout = flatten_model(model)
     try:
         mask, stuck = stuck_words(fmap, layout.n_blocks)
@@ -332,13 +317,10 @@ def cmd_encode_file(args) -> int:
         raise IOFailure(f"fault map {args.fault_map}: {exc}") from exc
     codes, stored, deltas = store_words(blocks, mask, stuck, layout.precision,
                                         layout.block_scales())
+    save_blocks(stored, layout, args.out)
+    save_sidecar(codes, sidecar)
     _write_rows(sys.stdout, "block,aux_hex,delta",
                 [range(layout.n_blocks), map(AUX_HEX.__getitem__, codes.tolist()), deltas])
-    try:
-        save_blocks(stored, layout, args.out)
-        save_sidecar(codes, sidecar)
-    except OSError as exc:
-        raise IOFailure(f"cannot write encoded output: {exc}") from exc
     print(f"wrote {args.out}")
     print(f"wrote {sidecar}")
     return EXIT_OK
@@ -347,32 +329,23 @@ def cmd_encode_file(args) -> int:
 def cmd_decode_file(args) -> int:
     _echo(args)
     _check_out_dir(args.out)
-    try:
-        blocks, layout = load_blocks(args.in_path)
-    except (OSError, ValueError) as exc:
-        raise IOFailure(f"cannot read block file {args.in_path}: {exc}") from exc
-    try:
-        codes = load_sidecar(args.sidecar, layout.n_blocks)
-    except (OSError, ValueError) as exc:
-        raise IOFailure(f"cannot read sidecar {args.sidecar}: {exc}") from exc
+    blocks, layout = _read(load_blocks, "block file", args.in_path)
+    codes = _read(load_sidecar, "sidecar", args.sidecar, layout.n_blocks)
     decoded = decode_words(blocks, codes, layout.precision)
     try:
         model = unflatten_model(decoded, layout)
     except ValueError as exc:  # e.g. layer shapes that do not chain
         raise IOFailure(f"block file {args.in_path} does not describe a model: {exc}") from exc
     if args.reference is not None:
-        reference = _open_model(args.reference)
-        ref_blocks, ref_layout = flatten_model(reference)
+        ref_blocks, ref_layout = flatten_model(_read(load_model, "model file", args.reference))
         if (ref_layout.precision, ref_layout.shapes, ref_layout.quant) != \
                 (layout.precision, layout.shapes, layout.quant):
             raise IOFailure("reference model does not match the block file layout")
         deltas = deviation_words(ref_blocks, decoded, layout.precision,
                                  ref_layout.block_scales())
+    save_model(model, args.out)
+    if args.reference is not None:
         _write_rows(sys.stdout, "block,delta", [range(layout.n_blocks), deltas])
-    try:
-        save_model(model, args.out)
-    except OSError as exc:
-        raise IOFailure(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -383,11 +356,26 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(_overlay_config(argv))
         except SystemExit as exc:  # argparse help/usage paths
-            return int(exc.code or 0)
-        return args.func(args)
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except (UsageFailure, IOFailure) as exc:
         print(f"craft: error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageFailure) else EXIT_IO
+    except OSError as exc:  # a failed read or write, a closed stdout included
+        if isinstance(exc, BrokenPipeError):
+            # The interpreter flushes stdout again at exit; the SIGPIPE note
+            # of the `signal` docs points its descriptor at os.devnull so
+            # that this flush is silent.
+            with contextlib.suppress(io.UnsupportedOperation):  # no descriptor
+                stdout = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout)
+                os.close(devnull)
+        print(f"craft: error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except TrainingDivergedError as exc:
         print(f"craft: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

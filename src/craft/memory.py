@@ -50,8 +50,9 @@ class FaultMap:
     seed: int
 
     def __post_init__(self):
-        idx = np.array(self.bit_indices, dtype=np.int64)
-        val = np.array(self.stuck_values, dtype=np.uint8)
+        given_idx, given_val = np.asarray(self.bit_indices), np.asarray(self.stuck_values)
+        with np.errstate(invalid="ignore"):  # entries the casts cannot hold are refused below
+            idx, val = given_idx.astype(np.int64), given_val.astype(np.uint8)
         if self.region_size_bits <= 0:
             raise ValueError("fault map region must be non-empty")
         check_ber(self.ber)
@@ -59,6 +60,8 @@ class FaultMap:
             raise ValueError(f"sa1_fraction must be in [0, 1], got {self.sa1_fraction}")
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("bit_indices and stuck_values must be parallel 1-D arrays")
+        if (np.floor(given_idx) != given_idx).any():
+            raise ValueError("bit indices must be integers")
         if idx.size:
             # Canonicalize to ascending order so downstream results never
             # depend on how the entries were listed.  Generated and parsed
@@ -72,7 +75,7 @@ class FaultMap:
                 raise ValueError("bit index out of region")
             if not step.all():
                 raise ValueError("duplicate bit index in fault map")
-            if val.max() > 1:
+            if not ((given_val == 0) | (given_val == 1)).all():
                 raise ValueError("stuck values must be 0 or 1")
         idx.setflags(write=False)
         val.setflags(write=False)

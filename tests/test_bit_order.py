@@ -52,6 +52,10 @@ def test_partial_byte_rejected():
         stuck_words(cells([0, 6], size=7))
 
 
-def test_non_binary_rejected():
-    with pytest.raises(ValueError, match="0 or 1"):
-        cells([0, 1, 2], [0, 2, 1])
+@pytest.mark.parametrize("values", [[0, 2, 1], [256], [257], [-255], [1.7], [float("nan")]],
+                         ids=["2", "256", "257", "-255", "1.7", "nan"])
+def test_non_binary_rejected(values):
+    # checked as given: a uint8 cast would read 256 as 0 and 257, -255 and
+    # 1.7 as 1
+    with pytest.raises(ValueError, match="^stuck values must be 0 or 1$"):
+        cells(range(len(values)), np.array(values))

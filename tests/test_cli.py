@@ -1,3 +1,4 @@
+import errno
 import os
 import resource
 import struct
@@ -85,6 +86,11 @@ class TestTrain:
         assert outs[0] == outs[1]
         assert (tmp_path / "a.w").read_bytes() == (tmp_path / "b.w").read_bytes()
 
+    def test_no_epoch_reports_no_loss(self, capsys, tmp_path):
+        path, out = train_default(capsys, tmp_path, "m.w", "--epochs", "0")
+        assert "final_train_loss=nan" in out.splitlines()
+        assert load_model(path).layer_dims == (16, 32, 32, 4)
+
     def test_diverged_training_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--out", str(tmp_path / "x.w"),
                            "--lr", "1e9", "--epochs", "3")
@@ -165,6 +171,8 @@ class TestUsageErrors:
         (["sweep", "--ber", "1e-3,2"], "ber must be in [0, 1], got 2.0"),
         (["sweep", "--trials", "0"], "must be at least 1, got 0"),
         (["train", "--hidden", ","], "empty hidden dims list"),
+        (["sweep", "--ber", ","], "empty BER list"),
+        (["sweep", "--schemes", ","], "empty scheme list"),
         (["sweep", "--schemes", "baseline,parity"], "unknown scheme 'parity'"),
         (["sweep", "--schemes", "ecp\u0663"], "unknown scheme 'ecp\u0663'"),
     ])
@@ -627,6 +635,18 @@ class TestImpossibleSizes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.w"]
 
 
+@pytest.fixture
+def inputs(tmp_path, u8_model):
+    """A u8 weight file, a fault map over it, and its block file with sidecar."""
+    blocks, layout = flatten_model(u8_model)
+    save_model(u8_model, tmp_path / "m.w")
+    save_fault_map(generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1e-2, 0.5, 3),
+                   tmp_path / "faults.txt")
+    save_blocks(blocks, layout, tmp_path / "m.blk")
+    save_sidecar(np.zeros(layout.n_blocks, dtype=np.int64), tmp_path / "m.aux")
+    return tmp_path
+
+
 class TestOutputChecks:
     """Every command rejects an unusable --out (or sidecar) directory, and an
     output path that is itself a directory, before any work."""
@@ -638,17 +658,6 @@ class TestOutputChecks:
         for name in ("train", "store_words", "load_blocks", "decode_words",
                      "ber_sweep", "bit_criticality"):
             monkeypatch.setattr(cli, name, fail)
-
-    @pytest.fixture
-    def inputs(self, tmp_path, u8_model):
-        """A weight file, a fault map over it, and its block file with sidecar."""
-        blocks, layout = flatten_model(u8_model)
-        save_model(u8_model, tmp_path / "m.w")
-        save_fault_map(generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1e-2, 0.5, 3),
-                       tmp_path / "faults.txt")
-        save_blocks(blocks, layout, tmp_path / "m.blk")
-        save_sidecar(np.zeros(layout.n_blocks, dtype=np.int64), tmp_path / "m.aux")
-        return tmp_path
 
     def check_exit(self, capsys, *argv, reason="output directory"):
         code, _, err = run(capsys, *argv)
@@ -715,6 +724,90 @@ class TestOutputChecks:
         self.check_exit(capsys, *argv, reason="is a directory, not a file")
         assert sorted(p.name for p in d.iterdir()) == ["p.blk.aux", "s_raw.csv",
                                                          "t_summary.csv"]
+
+
+#: Each command, without its --out, and the suffixes to --out of the files it writes.
+OUTPUT_COMMANDS = {
+    "train": (["train", "--epochs", "1"], [""]),
+    "sweep": (["sweep", "--model", "{d}/m.w", "--schemes", "baseline", "--ber", "1e-3",
+               "--trials", "1"], ["_raw.csv", "_summary.csv"]),
+    "criticality": (["criticality", "--model", "{d}/m.w", "--trials", "1"], [""]),
+    "encode-file": (["encode-file", "--in", "{d}/m.w", "--fault-map", "{d}/faults.txt"],
+                    ["", ".aux"]),
+    "decode-file": (["decode-file", "--in", "{d}/m.blk", "--sidecar", "{d}/m.aux",
+                     "--reference", "{d}/m.w"], [""]),
+}
+
+
+def output_argv(command, d, out):
+    argv, _ = OUTPUT_COMMANDS[command]
+    return [arg.format(d=d) for arg in argv] + ["--out", str(out)]
+
+
+class TestWriteFailures:
+    """A write that fails is an I/O failure, exit 2, reported in one line with
+    the OSError's own text."""
+
+    @pytest.mark.parametrize("command, writer", [
+        ("train", "save_model"), ("sweep", "write_raw_csv"), ("sweep", "write_summary_csv"),
+        ("criticality", "write_criticality_csv"), ("encode-file", "save_blocks"),
+        ("encode-file", "save_sidecar"), ("decode-file", "save_model"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, inputs, command, writer):
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device", "o")
+        monkeypatch.setattr(cli, writer, full)
+        code, _, err = run(capsys, *output_argv(command, inputs, inputs / "o"))
+        assert code == 2
+        assert err.splitlines() == ["craft: error: [Errno 28] No space left on device: 'o'"]
+
+    def test_broken_pipe_with_a_stdout_that_has_no_descriptor(self, capsys, monkeypatch, inputs):
+        # an output file can be a pipe too; capsys's stdout, like an
+        # io.StringIO, has no descriptor to point at os.devnull
+        def closed(*args):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(cli, "save_model", closed)
+        code, _, err = run(capsys, *output_argv("train", inputs, inputs / "o"))
+        assert code == 2
+        assert err.splitlines() == ["craft: error: [Errno 32] Broken pipe"]
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone is an I/O failure, exit 2, and the
+    commands that print a per-block table write their files before it."""
+
+    def closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        return os.fdopen(write_end, "w")
+
+    @pytest.mark.parametrize("command", ["encode-file", "decode-file"])
+    def test_files_written_as_with_an_open_stdout(self, capsys, monkeypatch, inputs, command):
+        code, _, err = run(capsys, *output_argv(command, inputs, inputs / "a"))
+        assert code == 0, err
+        with self.closed_pipe() as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(output_argv(command, inputs, inputs / "b"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["craft: error: [Errno 32] Broken pipe"]
+        for suffix in OUTPUT_COMMANDS[command][1]:
+            written = (inputs / f"b{suffix}").read_bytes()
+            assert written == (inputs / f"a{suffix}").read_bytes()
+
+    def test_console_run_exits_2_in_one_line(self, inputs):
+        # buffered, as a user's shell runs it, so that the one write to the
+        # pipe is main's flush and not a print
+        env = dict(os.environ, PYTHONPATH=str(Path(craft.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONUNBUFFERED", None)
+        with self.closed_pipe() as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "craft.cli",
+                 *output_argv("criticality", inputs, inputs / "c.csv")],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["craft: error: [Errno 32] Broken pipe"]
+        assert (inputs / "c.csv").exists()
 
 
 def u8_container(magic: bytes, scale: float) -> bytes:
@@ -907,6 +1000,24 @@ class TestConfigOverlay:
                            *(a.format(cfg=cfg) for a in argv))
         assert code == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_true_value_is_a_bare_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# u8 weights\nquantize = True\n\nepochs=1\n")
+        code, out, err = run(capsys, "train", "--out", str(tmp_path / "m.w"),
+                             "--config", str(cfg))
+        assert code == 0, err
+        assert "config quantize=True" in out.splitlines()
+        assert (tmp_path / "m.w").read_bytes()[6] == 1  # the u8 precision tag
+
+    def test_line_without_equals_sign_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nquantize\n")
+        out = tmp_path / "m.w"
+        code, _, err = run(capsys, "train", "--out", str(out), "--config", str(cfg))
+        assert code == 2
+        assert err.splitlines() == [f"craft: error: malformed config line 'quantize' in {cfg}"]
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):

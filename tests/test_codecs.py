@@ -279,3 +279,5 @@ class TestOverheads:
         assert craft_overhead(6, 256) == pytest.approx(0.0234375)
         with pytest.raises(ValueError):
             craft_overhead(6, 0)
+        with pytest.raises(ValueError, match="aux_bits must be non-negative"):
+            craft_overhead(-1, 512)

@@ -48,6 +48,14 @@ class TestScheme:
         with pytest.raises(ValueError, match="unknown scheme"):
             Scheme.parse("ecp\u0663")  # an Arabic-Indic three
 
+    @pytest.mark.parametrize("kind, ecp_n, message", [
+        ("parity", 1, "unknown scheme 'parity'"),
+        ("ecp", 0, "ecp needs at least one pointer"),
+    ])
+    def test_direct_construction_checks_its_fields(self, kind, ecp_n, message):
+        with pytest.raises(ValueError, match=message):
+            Scheme(kind, ecp_n)
+
     def test_config_spaces_nest(self):
         assert Scheme("craft").n_configs == 64
         assert Scheme("remap_invert").n_configs == 32
@@ -1079,6 +1087,14 @@ class TestRobustnessImprovement:
         ratio = robustness_improvement(a, b)
         assert ratio.censored_a and not ratio.censored_b
         assert ratio.ber_a == self.BERS[-1]
+
+    def test_curve_over_budget_from_its_first_point(self):
+        # no grid point is within budget, so the crossing is the first BER
+        a = sweep_from_errors(self.BERS, [0.5] * len(self.BERS))
+        b = sweep_from_errors(self.BERS, [0.0] * len(self.BERS))
+        ratio = robustness_improvement(a, b)
+        assert ratio.ber_a == self.BERS[0] and not ratio.censored_a
+        assert ratio.censored_b
 
     def test_mismatched_grids_rejected(self):
         a = sweep_from_errors(self.BERS, [0.0] * len(self.BERS))

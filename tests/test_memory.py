@@ -210,6 +210,36 @@ class TestFaultMapType:
         with pytest.raises(ValueError):
             make_map(64, [(64, 1)])
 
+    @pytest.mark.parametrize("index", [np.array([2**64 - 1], dtype=np.uint64),
+                                       np.array([float("inf")]), np.array([1e30])], ids=str)
+    def test_integral_index_past_int64_is_out_of_region(self, index):
+        with pytest.raises(ValueError, match="^bit index out of region$"):
+            FaultMap(64, index, np.array([1], dtype=np.uint8), 0.0, 0.5, 0)
+
+    def test_empty_region_rejected(self):
+        with pytest.raises(ValueError, match="fault map region must be non-empty"):
+            FaultMap(0, np.array([], dtype=np.int64), np.array([], dtype=np.uint8), 0.0, 0.5, 0)
+
+    @pytest.mark.parametrize("idx, val", [([1, 2], [1]), ([[1, 2]], [[1, 0]]), (1, 1)],
+                             ids=["lengths", "2-d", "0-d"])
+    def test_entries_that_are_not_parallel_1d_arrays_rejected(self, idx, val):
+        with pytest.raises(ValueError, match="must be parallel 1-D arrays"):
+            FaultMap(64, np.array(idx), np.array(val), 0.0, 0.5, 0)
+
+    @pytest.mark.parametrize("index", [3.9, 0.5, float("nan")], ids=str)
+    def test_non_integral_index_rejected(self, index):
+        # checked as given: an int64 cast would read 3.9 as 3
+        with pytest.raises(ValueError, match="^bit indices must be integers$"):
+            FaultMap(512, np.array([index]), np.array([1], dtype=np.uint8), 0.0, 0.5, 0)
+
+    def test_integral_float_entries_accepted(self):
+        fmap = FaultMap(512, np.array([3.0, 1.0]), np.array([1.0, 0.0]), 0.0, 0.5, 0)
+        assert fmap.entries == [(1, 0), (3, 1)]
+        assert fmap.bit_indices.dtype == np.int64 and fmap.stuck_values.dtype == np.uint8
+
+    def test_equality_is_between_fault_maps(self):
+        assert make_map(64, [(1, 1)]) != [(1, 1)]
+
     @pytest.mark.parametrize("ber, sa1_fraction", [
         (float("nan"), 0.5), (-5.0, 0.5), (1.5, 0.5),
         (0.0, float("inf")), (0.0, float("nan")), (0.0, -0.1),

@@ -138,6 +138,13 @@ class TestQuantize:
         assert layer.zero_point == 0
         assert layer.codes.tolist() == [[0, 255]]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+    def test_non_finite_weights_rejected(self, bad):
+        w = np.array([[0.0, bad]], dtype=np.float32)
+        model = nn.MlpModel(weights=(w,), biases=(np.zeros(2, dtype=np.float32),))
+        with pytest.raises(ValueError, match="cannot quantize non-finite weights"):
+            nn.quantize(model)
+
     def test_per_weight_error_bound(self, fp32_model, u8_model):
         for w, layer in zip(fp32_model.weights, u8_model.layers):
             dequant = layer.scale * (layer.codes.astype(np.float64) - layer.zero_point)
@@ -281,6 +288,19 @@ class TestModelTypes:
             nn.QuantizedModel(layers=tuple(layers))
         with pytest.raises(ValueError):
             nn.QuantizedModel(layers=())
+
+    @pytest.mark.parametrize("weights, biases, message", [
+        ((), (), "must pair up"),
+        (((2, 3),), (), "must pair up"),
+        (((2, 3),), (3, 3), "must pair up"),
+        (((2, 3),), (2,), r"layer 0 shape mismatch: \(2, 3\) vs \(2,\)"),
+        (((6,),), (3,), r"layer 0 shape mismatch: \(6,\) vs \(3,\)"),
+        (((2, 3), (3, 2)), (3, (2, 1)), r"layer 1 shape mismatch: \(3, 2\) vs \(2, 1\)"),
+    ], ids=["empty", "no-bias", "extra-bias", "bias-width", "1-d-weights", "2-d-bias"])
+    def test_unpaired_or_misshaped_layers_rejected(self, weights, biases, message):
+        zeros = lambda shape: np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ValueError, match=message):
+            nn.MlpModel(weights=tuple(map(zeros, weights)), biases=tuple(map(zeros, biases)))
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), float("-inf")],
                              ids=str)

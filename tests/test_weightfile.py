@@ -146,6 +146,22 @@ class TestWeightFile:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_trailing_data_rejected(self, tmp_path, u8_model):
+        path = tmp_path / "m.w"
+        save_model(u8_model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing data after weight payload"):
+            load_model(path)
+
+    def test_unknown_precision_tag_rejected(self, tmp_path, fp32_model):
+        path = tmp_path / "m.w"
+        save_model(fp32_model, path)
+        raw = bytearray(path.read_bytes())
+        raw[6] = 2  # the byte after the magic; 0 is fp32 and 1 u8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown precision tag 2"):
+            load_model(path)
+
 
 class TestBlockFile:
     def test_misshapen_stream_rejected_before_writing(self, tmp_path, u8_model):
@@ -169,6 +185,14 @@ class TestBlockFile:
         assert loaded_layout.shapes == layout.shapes
         assert loaded_layout.quant == layout.quant
         assert path.read_bytes()[:6] == b"CRFTB1"
+
+    def test_trailing_data_rejected(self, tmp_path, u8_model):
+        blocks, layout = flatten_model(u8_model)
+        path = tmp_path / "m.blk"
+        save_blocks(blocks, layout, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing data after block payload"):
+            load_blocks(path)
 
     def test_preserves_pad_slot_contents(self, tmp_path):
         gen = np.random.default_rng(2)
@@ -297,6 +321,15 @@ class TestSidecar:
                 load_sidecar(path, len(codes))
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("text", ["", "\n \r\n"], ids=["empty", "blank-lines"])
+    def test_no_entries_for_no_blocks(self, tmp_path, text):
+        path = tmp_path / "m.aux"
+        path.write_text(text)
+        codes = load_sidecar(path, 0)
+        assert codes.dtype == np.int64 and codes.shape == (0,)
+        with pytest.raises(ValueError, match="sidecar is missing block entries"):
+            load_sidecar(path, 1)
+
     def test_missing_entries_rejected(self, tmp_path):
         path = tmp_path / "m.aux"
         path.write_text("0 00\n2 01\n")
@@ -422,3 +455,9 @@ class TestBlockLayoutType:
         with pytest.raises(ValueError):
             BlockLayout(precision=Precision.FP32, shapes=((2, 2),),
                         biases=(np.zeros(2, dtype=np.float32),), quant=((0.5, 0),))
+
+    @pytest.mark.parametrize("n_biases", [0, 2])
+    def test_one_bias_vector_per_layer(self, n_biases):
+        with pytest.raises(ValueError, match="biases must pair with layer shapes"):
+            BlockLayout(precision=Precision.FP32, shapes=((2, 2),),
+                        biases=(np.zeros(2, dtype=np.float32),) * n_biases, quant=None)
