@@ -10,7 +10,7 @@ bit error rates against a small quantized MLP.
 from .codecs import (Precision, craft_overhead, decode_words, ecp_overhead,
                      ecp_words, encode_words, frame_stuck)
 from .memory import (PAYLOAD_BITS, FaultMap, apply_stuck, generate_fault_map,
-                     load_fault_map, save_fault_map, stuck_words)
+                     generate_fault_maps, load_fault_map, save_fault_map, stuck_words)
 from .nn import (MlpModel, QuantizedLayer, QuantizedModel, SyntheticDataset,
                  TrainingDivergedError, TrainResult, accuracy, dequantize,
                  infer, make_dataset, quantize, train)

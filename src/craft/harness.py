@@ -17,7 +17,7 @@ import numpy as np
 
 from .codecs import N_CONFIGS, N_REMAP_INVERT, PAYLOAD_BITS, ecp_words
 from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, apply_stuck, check_ber,
-                     generate_fault_map, stuck_words)
+                     generate_fault_map, generate_fault_maps, stuck_words)
 from .nn import MlpModel, QuantizedModel, _forward, dequantized
 from .objective import best_encodings, deviation_words
 from .prng import trial_seed
@@ -168,33 +168,49 @@ def _check_trial_results(n: int, what: str) -> None:
 
 
 def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
-                   fault_map) -> tuple[np.ndarray, np.ndarray]:
-    """Protect the blocks that hold stuck cells under each scheme.
+                   fault_maps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Protect the blocks that hold stuck cells under each scheme, for each
+    fault map.
 
     `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`,
-    and `fault_map` covers its bits.  Returns the indices of the blocks
-    holding stuck cells and their readout words under each scheme in order,
-    one (len(schemes), len(touched), 16) array; every other block reads
-    back unchanged.  The encoding schemes search nested prefixes of
-    aux-code order, so they share one search of the longest (see
+    and every map covers its bits.  Returns, per map in order, the indices
+    of its blocks holding stuck cells and their readout words under each
+    scheme in order, one (len(schemes), len(touched), 16) array; every
+    other block reads back unchanged.  The touched blocks of all the maps
+    go through one search, one ECP pass and one fault application: each
+    works block by block, so a map's results equal those of that map
+    alone.  The encoding schemes search nested prefixes of aux-code order,
+    so they share one search of the longest (see
     :func:`craft.objective.best_encodings`).
     """
-    mask, stuck = stuck_words(fault_map, layout.n_blocks)
-    touched = np.flatnonzero(mask.any(axis=1))
-    mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
-    scales = layout.block_scales()
-    scale = None if scales is None else scales[touched]
-    sizes = [s.n_configs for s in schemes if s.n_configs]
-    found = iter(best_encodings(words, mask, stuck, layout.precision, scale, sizes))
-    outs = np.empty((len(schemes), len(touched), WORDS_PER_BLOCK), dtype=np.uint32)
+    if not fault_maps:
+        return []
+    touched, masks, stucks = [], [], []
+    for fault_map in fault_maps:
+        mask, stuck = stuck_words(fault_map, layout.n_blocks)
+        rows = np.flatnonzero(mask.any(axis=1))
+        touched.append(rows)
+        masks.append(mask[rows])
+        stucks.append(stuck[rows])
+    at = np.concatenate(touched)
+    mask, stuck, words = np.concatenate(masks), np.concatenate(stucks), blocks[at]
+    del masks, stucks  # a grid's rows are held once, not twice
+    outs = np.empty((len(schemes), len(at), WORDS_PER_BLOCK), dtype=np.uint32)
     for out, scheme in zip(outs, schemes):
         if scheme.kind == "baseline":
             out[...] = apply_stuck(words, mask, stuck)
         elif scheme.kind == "ecp":
             out[...] = ecp_words(words, mask, stuck, scheme.ecp_n)
-        else:
-            out[...] = next(found)[1]
-    return touched, outs
+    # The search runs last, so its readbacks are not held while ECP works.
+    searched = [(out, s.n_configs) for out, s in zip(outs, schemes) if s.n_configs]
+    scales = layout.block_scales()
+    scale = None if scales is None else scales[at]
+    found = best_encodings(words, mask, stuck, layout.precision, scale,
+                           [size for _, size in searched])
+    for (out, _), (_, readback, _) in zip(searched, found):
+        out[...] = readback
+    ends = np.cumsum([rows.size for rows in touched]).tolist()
+    return [(rows, outs[:, end - rows.size:end]) for rows, end in zip(touched, ends)]
 
 
 def _summaries(errs: np.ndarray, deltas: np.ndarray) -> Iterator[tuple[float, float, float]]:
@@ -490,15 +506,24 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
               base_seed: int, threads: int = 1) -> list[SweepResult]:
     """Run trials for every scheme x BER with paired fault maps.
 
-    Every trial runs in the calling thread, in (ber, trial) order, and its
+    Every trial runs in the calling thread, trial by trial, and the
     results are reduced in (scheme, ber, trial) order, so output is
     order-deterministic.  A stuck cell is SA1 with probability
     :data:`craft.memory.DEFAULT_SA1_FRACTION`.  `threads` must be 1, every
     BER in [0, 1] and every scheme name distinct (checked before the first
     trial), and the run may hold at most :data:`MAX_TRIAL_RESULTS` results.
-    Each fault map's scheme readbacks are scored, total deviation and test
-    error, in one :meth:`_Readbacks.score` call, which runs inference only
-    where it must.
+
+    Trial t's map at every BER is drawn from seed ``trial_seed(base_seed,
+    t)``, so a trial draws its whole grid at once
+    (:func:`craft.memory.generate_fault_maps`) and protects it in one pass
+    of :func:`_apply_schemes`.  Work memory therefore grows with the grid,
+    not with the trials: one trial's maps, 9 bytes per stuck cell, and a
+    pass of about 650 bytes per block that a map touches, summed over the
+    grid, with four schemes.  A 21-point grid on a 16-256-256-4 fp32 model
+    touches 45k blocks, a traced peak of 29 MB.  Each map's scheme
+    readbacks are scored, total deviation and test error, in one
+    :meth:`_Readbacks.score` call, which runs inference only where it
+    must.
     """
     check_trials(trials)
     if threads != 1:
@@ -515,10 +540,10 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     readbacks = _Readbacks(blocks, layout, dataset)
     errs = np.empty((len(schemes), len(ber_list), trials))
     deltas = np.empty_like(errs)
-    for bi, ber in enumerate(ber_list):
-        for t in range(trials):
-            fmap = generate_fault_map(region, ber, DEFAULT_SA1_FRACTION, trial_seed(base_seed, t))
-            touched, outs = _apply_schemes(blocks, layout, schemes, fmap)
+    for t in range(trials):
+        maps = generate_fault_maps(region, ber_list, DEFAULT_SA1_FRACTION,
+                                   trial_seed(base_seed, t))
+        for bi, (touched, outs) in enumerate(_apply_schemes(blocks, layout, schemes, maps)):
             deltas[:, bi, t], errs[:, bi, t] = readbacks.score(touched, outs)
 
     results = []

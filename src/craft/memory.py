@@ -5,6 +5,13 @@ return the stuck value silently.  Faults are i.i.d. per bit: each cell is
 stuck with probability `ber`, and a stuck cell holds 1 with probability
 `sa1_fraction` (SA1), otherwise 0 (SA0).
 
+:func:`generate_fault_maps` draws one region's maps at a list of BERs
+from one seed in one pass: every BER reads the same uniforms, so the
+maps nest, each holding the stuck cells of every lower BER.  The uniforms
+are drawn :data:`DRAW_CHUNK_BITS` at a time, so a draw holds one chunk of
+them, not the whole region's; :func:`generate_fault_map` is its one-BER
+case.
+
 A fault map lists its stuck cells by bit index.  Their one word form is
 ``stuck_words(fault_map, n_blocks)``, the (mask, stuck) uint32 words of the
 first `n_blocks` blocks, which fault application, the encodings, ECP and the
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +34,9 @@ PAYLOAD_BITS = 512
 WORDS_PER_BLOCK = PAYLOAD_BITS // 32
 #: Share of stuck cells that hold 1 unless a caller says otherwise.
 DEFAULT_SA1_FRACTION = 0.5
+#: Cells whose uniforms :func:`generate_fault_maps` draws per pass, at 8
+#: bytes each: 512 KiB of work memory however large the region.
+DRAW_CHUNK_BITS = 1 << 16
 
 
 def check_ber(ber: float) -> float:
@@ -33,6 +44,15 @@ def check_ber(ber: float) -> float:
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
     return ber
+
+
+def _cast(given: np.ndarray, dtype, message: str) -> np.ndarray:
+    """`given` cast to `dtype`, or ValueError(`message`) for a Python int
+    that overflows it."""
+    try:
+        return given.astype(dtype)
+    except OverflowError:
+        raise ValueError(message) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +71,15 @@ class FaultMap:
 
     def __post_init__(self):
         given_idx, given_val = np.asarray(self.bit_indices), np.asarray(self.stuck_values)
-        with np.errstate(invalid="ignore"):  # entries the casts cannot hold are refused below
-            idx, val = given_idx.astype(np.int64), given_val.astype(np.uint8)
+        # Entries the casts cannot hold are refused below; Python ints past
+        # int64 overflow the casts themselves, and text has no floor.
+        with np.errstate(invalid="ignore"):
+            idx = _cast(given_idx, np.int64, "bit index out of region")
+            val = _cast(given_val, np.uint8, "stuck values must be 0 or 1")
+        try:
+            integral = np.floor(given_idx) == given_idx
+        except TypeError:
+            raise ValueError("bit indices must be integers") from None
         if self.region_size_bits <= 0:
             raise ValueError("fault map region must be non-empty")
         check_ber(self.ber)
@@ -60,7 +87,7 @@ class FaultMap:
             raise ValueError(f"sa1_fraction must be in [0, 1], got {self.sa1_fraction}")
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("bit_indices and stuck_values must be parallel 1-D arrays")
-        if (np.floor(given_idx) != given_idx).any():
+        if not integral.all():
             raise ValueError("bit indices must be integers")
         if idx.size:
             # Canonicalize to ascending order so downstream results never
@@ -99,16 +126,58 @@ class FaultMap:
         return list(zip(self.bit_indices.tolist(), self.stuck_values.tolist()))
 
 
-def generate_fault_map(region_size_bits: int, ber: float,
-                       sa1_fraction: float = DEFAULT_SA1_FRACTION, seed: int = 0) -> FaultMap:
-    """Draw an i.i.d. stuck-at fault map; deterministic for fixed arguments."""
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """`arrays` end to end; one array is returned as it is, so that a draw
+    over one chunk, as every criticality draw is, costs no more copies
+    than a one-shot draw."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def generate_fault_maps(region_size_bits: int, bers: Sequence[float],
+                        sa1_fraction: float = DEFAULT_SA1_FRACTION,
+                        seed: int = 0) -> list[FaultMap]:
+    """Draw i.i.d. stuck-at fault maps of one region at each of `bers`, in
+    order; deterministic for fixed arguments.
+
+    The map at a BER equals one draw of its own: a uniform u per cell in
+    index order, the cells with u < ber stuck, then one uniform per stuck
+    cell, in index order, that makes it SA1 when below `sa1_fraction`.
+    Every BER reads the same uniforms, so nothing is drawn twice: the
+    cells below max(bers) are kept with their u, DRAW_CHUNK_BITS uniforms
+    at a time, and their SA1 uniforms are drawn once; the map at a BER
+    takes the kept cells with u < ber and the first as many SA1 uniforms
+    (numpy draws a shorter run of uniforms as a prefix of a longer one).
+    Beyond the maps, work memory is one chunk's uniforms plus 16 bytes per
+    kept cell.  Every BER must be in [0, 1], checked before the draw.
+    """
     if region_size_bits <= 0:
         raise ValueError("fault map region must be non-empty")
+    bers = [float(check_ber(ber)) for ber in bers]
+    if not bers:
+        return []
+    top = max(bers)
     rng = make_rng(seed)
-    stuck = rng.random(region_size_bits) < ber
-    indices = np.flatnonzero(stuck).astype(np.int64)
-    values = (rng.random(indices.size) < sa1_fraction).astype(np.uint8)
-    return FaultMap(region_size_bits, indices, values, float(ber), float(sa1_fraction), int(seed))
+    cells, draws = [], []
+    for lo in range(0, region_size_bits, DRAW_CHUNK_BITS):
+        u = rng.random(min(DRAW_CHUNK_BITS, region_size_bits - lo))
+        hit = np.flatnonzero(u < top)
+        draws.append(u[hit])
+        cells.append(hit + lo if lo else hit)
+    cells, draws = _joined(cells), _joined(draws)
+    values = (rng.random(cells.size) < sa1_fraction).astype(np.uint8)
+    maps = []
+    for ber in bers:
+        stuck = cells if ber == top else cells[draws < ber]
+        maps.append(FaultMap(region_size_bits, stuck, values[:stuck.size], ber,
+                             float(sa1_fraction), int(seed)))
+    return maps
+
+
+def generate_fault_map(region_size_bits: int, ber: float,
+                       sa1_fraction: float = DEFAULT_SA1_FRACTION, seed: int = 0) -> FaultMap:
+    """Draw an i.i.d. stuck-at fault map; deterministic for fixed arguments.
+    The one-BER case of :func:`generate_fault_maps`."""
+    return generate_fault_maps(region_size_bits, [ber], sa1_fraction, seed)[0]
 
 
 #: 2**k as float64, the weight of bit k of a word.

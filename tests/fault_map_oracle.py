@@ -8,11 +8,23 @@ whitespace, which this reader accepts and the package rejects.
 
 `canonical_entries_ref` is the order `FaultMap` gives its entries, by one
 stable sort of every input, whether or not it is already ascending.
+
+`generate_fault_map_ref` is the one-shot draw that the package's chunked,
+grid-wide draw must reproduce: one uniform per cell of the region, then
+one per stuck cell.
 """
 
 import numpy as np
 
 from craft.memory import FaultMap
+from craft.prng import make_rng
+
+
+def generate_fault_map_ref(region_size_bits, ber, sa1_fraction, seed) -> FaultMap:
+    rng = make_rng(seed)
+    indices = np.flatnonzero(rng.random(region_size_bits) < ber)
+    values = (rng.random(indices.size) < sa1_fraction).astype(np.uint8)
+    return FaultMap(region_size_bits, indices, values, ber, sa1_fraction, seed)
 
 
 def load_fault_map_ref(path) -> FaultMap:

@@ -52,10 +52,11 @@ def test_partial_byte_rejected():
         stuck_words(cells([0, 6], size=7))
 
 
-@pytest.mark.parametrize("values", [[0, 2, 1], [256], [257], [-255], [1.7], [float("nan")]],
-                         ids=["2", "256", "257", "-255", "1.7", "nan"])
+@pytest.mark.parametrize("values", [[0, 2, 1], [256], [257], [-255], [1.7], [float("nan")],
+                                    [2**70]],
+                         ids=["2", "256", "257", "-255", "1.7", "nan", "2^70"])
 def test_non_binary_rejected(values):
     # checked as given: a uint8 cast would read 256 as 0 and 257, -255 and
-    # 1.7 as 1
+    # 1.7 as 1, and 2**70 (an object array) overflows it
     with pytest.raises(ValueError, match="^stuck values must be 0 or 1$"):
         cells(range(len(values)), np.array(values))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import pathlib
 import re
@@ -18,7 +20,8 @@ from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, MAX_TRIAL_
                            robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
                            write_raw_csv, write_summary_csv)
-from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
+from craft.memory import (FaultMap, apply_stuck, generate_fault_map, generate_fault_maps,
+                          stuck_words)
 from craft.nn import MlpModel, accuracy
 from craft.objective import NONFINITE_SENTINEL, best_encodings, deviation_words
 from craft.prng import make_rng, trial_seed
@@ -79,7 +82,7 @@ class TestRunTrial:
     def test_full_ber_all_sa1_reads_all_ones(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
         fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1.0, 1.0, 3)
-        touched, outs = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], fmap)
+        [(touched, outs)] = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], [fmap])
         _, [err] = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
         saturated = nn.QuantizedModel(layers=tuple(
             nn.QuantizedLayer(codes=np.full_like(l.codes, 255), scale=l.scale,
@@ -141,16 +144,25 @@ class TestBerSweep:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """The arguments of every fault map that the sweep draws."""
+        """The arguments of every grid of fault maps that the sweep draws."""
         calls = []
-        draw = harness.generate_fault_map
+        draw = harness.generate_fault_maps
 
         def counted(*args, **kwargs):
             calls.append(args)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "generate_fault_map", counted)
+        monkeypatch.setattr(harness, "generate_fault_maps", counted)
         return calls
+
+    def test_one_draw_per_trial(self, drawn, u8_model, default_dataset):
+        """Trial t draws its whole BER grid once, from seed trial_seed(base, t)."""
+        _, layout = flatten_model(u8_model)
+        bers = [1e-2, 0.0, 1e-3, 1e-2]
+        ber_sweep(u8_model, default_dataset, [Scheme.parse("baseline")], bers, 3, 2**64 - 2)
+        region = layout.n_blocks * PAYLOAD_BITS
+        assert drawn == [(region, bers, DEFAULT_SA1_FRACTION, trial_seed(2**64 - 2, t))
+                         for t in range(3)]
 
     @pytest.mark.parametrize("bad", [2.0, float("nan")])
     def test_bad_ber_rejected_before_any_trial(self, drawn, u8_model, default_dataset, bad):
@@ -407,6 +419,35 @@ class TestUnchangedReadbacks:
                     (one.classification_error, one.total_delta)
 
 
+#: SHA-256 of ``repr`` of the benchmark's sweep at seed 11 (see
+#: :func:`test_sweep_outputs_are_pinned`), recorded before ber_sweep drew
+#: one grid per trial.
+SWEEP_REPR_SEED_11 = {
+    "fp32": "df9ac7c7e49a7403adb38e0872c2c87c7623bac9e090acc5498c54b5be6f0bf2",
+    "u8": "0b290b099290377da060c1d62af9cc50e12cb740ec49e82c94a704278f582e69",
+}
+BENCH_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_sweep_outputs_are_pinned(model, default_dataset, tmp_path, request):
+    """The benchmark's sweep (4 schemes, BERs 1e-3/1e-2/1e-1, 4 trials)
+    writes the CSVs whose digests bench/reference.json records at its seed,
+    7, and gives the recorded ``repr`` at seed 11, so a change of loop
+    order or draw shows in tier-1.  The reference file is only read."""
+    prec = request.node.callspec.params["model"]
+    reference = json.loads(BENCH_REFERENCE.read_text())
+    assert reference["seed"] == 7
+    bers = [1e-3, 1e-2, 1e-1]
+    results = ber_sweep(model, default_dataset, SCHEMES, bers, 4, 7)
+    write_raw_csv(results, tmp_path / "raw.csv")
+    write_summary_csv(results, tmp_path / "summary.csv")
+    for kind in ("raw", "summary"):
+        digest = hashlib.sha256((tmp_path / f"{kind}.csv").read_bytes()).hexdigest()
+        assert digest == reference["digests"][f"sweep/{prec}_{kind}.csv"], kind
+    results = ber_sweep(model, default_dataset, SCHEMES, bers, 4, 11)
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == SWEEP_REPR_SEED_11[prec]
+
+
 @pytest.mark.parametrize("ber", [1e-3, 1e-1, 1.0])
 def test_score_totals_match_scheme_totals(criticality_model, default_dataset, ber):
     """score's total deviations equal, bit for bit, the in-order sums each
@@ -415,7 +456,7 @@ def test_score_totals_match_scheme_totals(criticality_model, default_dataset, be
     blocks, layout = flatten_model(criticality_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, DEFAULT_SA1_FRACTION, 7)
     schemes = [Scheme.parse(s) for s in ("baseline", "ecp1", "ecp3", "remap_invert", "craft")]
-    touched, outs = _apply_schemes(blocks, layout, schemes, fmap)
+    [(touched, outs)] = _apply_schemes(blocks, layout, schemes, [fmap])
     totals, _ = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
     mask, stuck = stuck_words(fmap, layout.n_blocks)
     mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
@@ -469,7 +510,7 @@ def test_apply_schemes_protects_the_stuck_words_rows_that_hold_cells(drawn):
     model = MlpModel((weights,), (np.zeros(n_blocks, dtype=np.float32),))
     blocks, layout = flatten_model(model)
     assert layout.n_blocks == n_blocks
-    touched, outs = _apply_schemes(blocks, layout, [Scheme("baseline")], fmap)
+    [(touched, outs)] = _apply_schemes(blocks, layout, [Scheme("baseline")], [fmap])
     holding = sorted({pos // PAYLOAD_BITS for pos, _ in fmap.entries})
     assert touched.tolist() == holding
     mask, stuck = stuck_words(fmap, n_blocks)
@@ -479,19 +520,26 @@ def test_apply_schemes_protects_the_stuck_words_rows_that_hold_cells(drawn):
     assert not mask[others].any() and not stuck[others].any()
 
 
-def test_sweep_searches_once_per_fault_map(monkeypatch, u8_model, default_dataset):
-    """remap_invert and craft share one search of each fault map; an empty
-    map's search covers no blocks."""
+def test_sweep_searches_once_per_trial(monkeypatch, u8_model, default_dataset):
+    """remap_invert and craft share one search per trial, over the touched
+    blocks of every BER's fault map; an empty map adds none."""
     searches = []
     search = harness.best_encodings
 
     def counted(words, mask, stuck, precision, scale, sizes):
-        searches.append((len(words) > 0, list(sizes)))
+        searches.append((len(words), list(sizes)))
         return search(words, mask, stuck, precision, scale, sizes)
 
     monkeypatch.setattr(harness, "best_encodings", counted)
-    ber_sweep(u8_model, default_dataset, SCHEMES, [0.0, 1e-3, 1e-2], 2, 7)
-    assert searches == [(False, [32, 64])] * 2 + [(True, [32, 64])] * 4
+    bers = [0.0, 1e-3, 1e-2]
+    ber_sweep(u8_model, default_dataset, SCHEMES, bers, 2, 7)
+    _, layout = flatten_model(u8_model)
+    touched = [sum(int(stuck_words(m, layout.n_blocks)[0].any(axis=1).sum())
+                   for m in generate_fault_maps(layout.n_blocks * PAYLOAD_BITS, bers,
+                                                DEFAULT_SA1_FRACTION, trial_seed(7, t)))
+               for t in range(2)]
+    assert all(touched)
+    assert searches == [(n, [32, 64]) for n in touched]
 
 
 def odd_model(precision, huge_scale=False):

@@ -1,14 +1,16 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from craft.memory import (PAYLOAD_BITS, FaultMap, apply_stuck, generate_fault_map,
-                          load_fault_map, save_fault_map, stuck_words)
-from fault_map_oracle import canonical_entries_ref, load_fault_map_ref
+from craft.memory import (DRAW_CHUNK_BITS, PAYLOAD_BITS, FaultMap, apply_stuck,
+                          generate_fault_map, generate_fault_maps, load_fault_map,
+                          save_fault_map, stuck_words)
+from fault_map_oracle import canonical_entries_ref, generate_fault_map_ref, load_fault_map_ref
 
 
 def make_map(size, entries):
@@ -124,6 +126,56 @@ class TestGenerate:
             generate_fault_map(8, 0.5, -0.1, 1)
 
 
+#: Region sizes that end inside, at and just past the first chunk boundaries.
+CHUNK_EDGES = [k * DRAW_CHUNK_BITS + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+class TestGenerateGrid:
+    """generate_fault_maps draws every BER's map from one chunked stream;
+    each must equal the one-shot draw of that BER alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.one_of(st.integers(1, 3 * DRAW_CHUNK_BITS), st.sampled_from(CHUNK_EDGES)),
+           bers=st.lists(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0]),
+                         min_size=1, max_size=5),
+           sa1=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])))
+    @example(size=DRAW_CHUNK_BITS, bers=[0.1, 0.0, 1.0, 0.1, 1e-3], sa1=0.5, seed=2**64 - 1)
+    @example(size=DRAW_CHUNK_BITS + 1, bers=[1e-2, 1e-3], sa1=0.5, seed=7)
+    @example(size=2 * DRAW_CHUNK_BITS - 1, bers=[0.0], sa1=0.5, seed=1)
+    def test_maps_match_one_shot_draws(self, size, bers, sa1, seed):
+        maps = generate_fault_maps(size, bers, sa1, seed)
+        assert len(maps) == len(bers)
+        for ber, fmap in zip(bers, maps):
+            want = generate_fault_map_ref(size, ber, sa1, seed)
+            assert fmap == want
+            assert (fmap.ber, fmap.sa1_fraction, fmap.seed) == (want.ber, sa1, seed)
+            assert generate_fault_map(size, ber, sa1, seed) == want
+
+    def test_empty_grid_draws_no_map(self):
+        assert generate_fault_maps(512, [], 0.5, 3) == []
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")], ids=str)
+    def test_every_ber_checked(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"ber must be in [0, 1], got {bad}")):
+            generate_fault_maps(512, [1e-3, bad], 0.5, 3)
+
+    def test_draw_memory_stays_near_one_chunk(self):
+        """A draw over the scaled fp32 model's region (4416 blocks, 2.26M
+        bits) holds one chunk's uniforms, not the region's 18 MB."""
+        region = 4416 * PAYLOAD_BITS
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fmap = generate_fault_map(region, 1e-2, 0.5, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = DRAW_CHUNK_BITS * 8
+        assert 20_000 < len(fmap) < 25_000
+        assert peak - base < 4 * chunk
+
+
 class TestApplyFaults:
     def test_described_stuck_cell_behaviour(self):
         # Written data 101101 with two agreeing stuck cells (positions 0 and
@@ -211,7 +263,8 @@ class TestFaultMapType:
             make_map(64, [(64, 1)])
 
     @pytest.mark.parametrize("index", [np.array([2**64 - 1], dtype=np.uint64),
-                                       np.array([float("inf")]), np.array([1e30])], ids=str)
+                                       np.array([float("inf")]), np.array([1e30]),
+                                       np.asarray([2**70]), np.asarray([-2**70])], ids=str)
     def test_integral_index_past_int64_is_out_of_region(self, index):
         with pytest.raises(ValueError, match="^bit index out of region$"):
             FaultMap(64, index, np.array([1], dtype=np.uint8), 0.0, 0.5, 0)
@@ -226,9 +279,9 @@ class TestFaultMapType:
         with pytest.raises(ValueError, match="must be parallel 1-D arrays"):
             FaultMap(64, np.array(idx), np.array(val), 0.0, 0.5, 0)
 
-    @pytest.mark.parametrize("index", [3.9, 0.5, float("nan")], ids=str)
+    @pytest.mark.parametrize("index", [3.9, 0.5, float("nan"), "3"], ids=str)
     def test_non_integral_index_rejected(self, index):
-        # checked as given: an int64 cast would read 3.9 as 3
+        # checked as given: an int64 cast would read 3.9, and the text "3", as 3
         with pytest.raises(ValueError, match="^bit indices must be integers$"):
             FaultMap(512, np.array([index]), np.array([1], dtype=np.uint8), 0.0, 0.5, 0)
 

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from craft.codecs import PAYLOAD_BITS, Precision, decode_words, encode_words, frame_stuck
 from craft.harness import Scheme, _apply_schemes
-from craft.memory import FaultMap, apply_stuck, generate_fault_map, stuck_words
+from craft.memory import (FaultMap, apply_stuck, generate_fault_map, generate_fault_maps,
+                          stuck_words)
 from craft.objective import (NONFINITE_SENTINEL, SEARCH_CHUNK_BLOCKS, best_encodings,
                              deviation_words, search_best_encoding, search_words,
                              store_words)
@@ -298,37 +299,44 @@ SCHEME_NAMES = ["baseline", "ecp1", "ecp3", "remap_invert", "craft"]
 @settings(max_examples=30, deadline=None)
 @given(precision=st.sampled_from(["fp32", "u8"]),
        names=st.lists(st.sampled_from(SCHEME_NAMES), max_size=6),
-       ber=st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0]),
+       bers=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0]), min_size=1, max_size=3),
        sa1=st.sampled_from([0.0, 0.5, 1.0]),
        seed=st.integers(0, 2**16))
 @example(precision="fp32", names=["craft", "remap_invert", "craft", "baseline"],
-         ber=0.1, sa1=0.5, seed=3)
-@example(precision="u8", names=["ecp3", "ecp1"], ber=1e-2, sa1=0.5, seed=4)
-@example(precision="fp32", names=SCHEME_NAMES, ber=0.0, sa1=0.5, seed=5)
-@example(precision="u8", names=[], ber=1e-2, sa1=0.5, seed=6)
+         bers=[0.1, 1e-3, 0.1], sa1=0.5, seed=3)
+@example(precision="u8", names=["ecp3", "ecp1"], bers=[1e-2], sa1=0.5, seed=4)
+@example(precision="fp32", names=SCHEME_NAMES, bers=[0.0, 1e-2], sa1=0.5, seed=5)
+@example(precision="u8", names=[], bers=[1e-2, 0.0], sa1=0.5, seed=6)
 def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision, names,
-                                                 ber, sa1, seed):
+                                                 bers, sa1, seed):
     """Any list of schemes (any order, duplicates, ECP only, an empty fault
-    map) gives each scheme what it gets alone and from the per-block loop."""
+    map) gives each scheme what it gets alone and from the per-block loop,
+    and a grid of maps in one call gives each map what it gets alone."""
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
-    fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, sa1, seed)
+    maps = generate_fault_maps(layout.n_blocks * PAYLOAD_BITS, bers, sa1, seed)
     schemes = [Scheme.parse(name) for name in names]
-    results = scheme_readbacks(blocks, layout, schemes, fmap)
-    assert len(results) == len(schemes)
-    _, outs = _apply_schemes(blocks, layout, schemes, fmap)
+    grid = _apply_schemes(blocks, layout, schemes, maps)
+    assert len(grid) == len(maps)
     reference = {}
-    for i, (scheme, (read, total), out) in enumerate(zip(schemes, results, outs,
-                                                         strict=True)):
-        alone_read, alone_total = scheme_readbacks(blocks, layout, [scheme], fmap)[0]
-        assert np.array_equal(read, alone_read)
-        assert total == alone_total
-        if scheme not in reference:
-            reference[scheme] = reference_apply_scheme(blocks, layout, scheme, fmap)
-        ref_read, ref_total = reference[scheme]
-        assert np.array_equal(read, ref_read)
-        assert total == ref_total
-        assert not np.shares_memory(out, blocks)
-        assert not any(np.shares_memory(out, other) for other in outs[:i])
+    for fmap, (touched, outs) in zip(maps, grid):
+        [(touched_alone, outs_alone)] = _apply_schemes(blocks, layout, schemes, [fmap])
+        assert np.array_equal(touched, touched_alone)
+        assert np.array_equal(outs, outs_alone)
+        results = scheme_readbacks(blocks, layout, schemes, fmap)
+        assert len(results) == len(schemes)
+        for i, (scheme, (read, total), out) in enumerate(zip(schemes, results, outs,
+                                                             strict=True)):
+            alone_read, alone_total = scheme_readbacks(blocks, layout, [scheme], fmap)[0]
+            assert np.array_equal(read, alone_read)
+            assert total == alone_total
+            key = scheme, fmap.ber
+            if key not in reference:
+                reference[key] = reference_apply_scheme(blocks, layout, scheme, fmap)
+            ref_read, ref_total = reference[key]
+            assert np.array_equal(read, ref_read)
+            assert total == ref_total
+            assert not np.shares_memory(out, blocks)
+            assert not any(np.shares_memory(out, other) for other in outs[:i])
 
 
 def random_stuck_blocks(seed, n, precision, density=0.02):
