@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .codecs import N_CONFIGS, N_REMAP_INVERT, PAYLOAD_BITS, ecp_words
-from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, apply_stuck, check_ber,
-                     generate_fault_map, generate_fault_maps, stuck_words)
+from .memory import (DEFAULT_SA1_FRACTION, WORDS_PER_BLOCK, _draw, apply_stuck, check_ber,
+                     generate_fault_maps, stuck_words)
 from .nn import MlpModel, QuantizedModel, _forward, dequantized
 from .objective import best_encodings, deviation_words
 from .prng import trial_seed
@@ -168,23 +168,23 @@ def _check_trial_results(n: int, what: str) -> None:
 
 
 def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Scheme],
-                   fault_maps: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+                   fault_maps: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Protect the blocks that hold stuck cells under each scheme, for each
     fault map.
 
     `blocks` is the (n_blocks, 16) word stream of :func:`flatten_model`,
-    and every map covers its bits.  Returns, per map in order, the indices
-    of its blocks holding stuck cells and their readout words under each
-    scheme in order, one (len(schemes), len(touched), 16) array; every
-    other block reads back unchanged.  The touched blocks of all the maps
-    go through one search, one ECP pass and one fault application: each
-    works block by block, so a map's results equal those of that map
-    alone.  The encoding schemes search nested prefixes of aux-code order,
-    so they share one search of the longest (see
+    and every map covers its bits.  Returns ``(touched, outs, ends)``: the
+    maps' touched blocks end to end, map m's being the ascending indices
+    ``touched[ends[m-1]:ends[m]]`` of its blocks holding stuck cells, and
+    their readout words under each scheme in order, one (len(schemes),
+    len(touched), 16) array; every other block reads back unchanged.  This
+    is the segmented batch of :meth:`_Readbacks.score`.  The touched blocks
+    of all the maps go through one search, one ECP pass and one fault
+    application: each works block by block, so a map's results equal those
+    of that map alone.  The encoding schemes search nested prefixes of
+    aux-code order, so they share one search of the longest (see
     :func:`craft.objective.best_encodings`).
     """
-    if not fault_maps:
-        return []
     touched, masks, stucks = [], [], []
     for fault_map in fault_maps:
         mask, stuck = stuck_words(fault_map, layout.n_blocks)
@@ -192,6 +192,11 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
         touched.append(rows)
         masks.append(mask[rows])
         stucks.append(stuck[rows])
+    if not fault_maps:
+        return (np.empty(0, dtype=np.intp),
+                np.empty((len(schemes), 0, WORDS_PER_BLOCK), dtype=np.uint32),
+                np.empty(0, dtype=np.intp))
+    ends = np.cumsum([rows.size for rows in touched])
     at = np.concatenate(touched)
     mask, stuck, words = np.concatenate(masks), np.concatenate(stucks), blocks[at]
     del masks, stucks  # a grid's rows are held once, not twice
@@ -209,8 +214,7 @@ def _apply_schemes(blocks: np.ndarray, layout: BlockLayout, schemes: Sequence[Sc
                            [size for _, size in searched])
     for (out, _), (_, readback, _) in zip(searched, found):
         out[...] = readback
-    ends = np.cumsum([rows.size for rows in touched]).tolist()
-    return [(rows, outs[:, end - rows.size:end]) for rows, end in zip(touched, ends)]
+    return at, outs, ends
 
 
 def _summaries(errs: np.ndarray, deltas: np.ndarray) -> Iterator[tuple[float, float, float]]:
@@ -220,13 +224,40 @@ def _summaries(errs: np.ndarray, deltas: np.ndarray) -> Iterator[tuple[float, fl
                deltas.mean(axis=-1).tolist())
 
 
-def _in_order_sum(deltas: np.ndarray) -> np.ndarray:
-    """Sums of per-block deviations along the last axis, each added left to
-    right in block order (a sequential ``cumsum``), so that a total does not
-    depend on the interpreter's or numpy's float summation algorithm."""
-    if deltas.shape[-1] == 0:
-        return np.zeros(deltas.shape[:-1])
-    return np.cumsum(deltas, axis=-1)[..., -1]
+def _segment_sums(values: np.ndarray, segment: np.ndarray, n_segments: int) -> np.ndarray:
+    """Sums of (K, rows) `values` over each of `n_segments` runs of rows,
+    `segment` being each row's run: the (K, n_segments) totals, each added
+    left to right in row order (one ``bincount`` over ``k * n_segments +
+    s``, which adds its weights in input order), so that a total does not
+    depend on the interpreter's or numpy's float summation algorithm.  An
+    empty run sums to 0."""
+    k = len(values)
+    keys = (np.arange(k)[:, None] * n_segments + segment).ravel()
+    return np.bincount(keys, weights=values.ravel(),
+                       minlength=k * n_segments).reshape(k, n_segments)
+
+
+#: Most readback rows, readbacks x touched blocks, that one scoring pass
+#: holds (see :func:`_groups`): a pass's float64 temporaries take a few KB
+#: per row.
+_PASS_ROWS = 4096
+
+
+def _groups(items, rows) -> Iterator[list]:
+    """Runs of consecutive `items`, in order, each as long as its summed
+    `rows(item)` stays within :data:`_PASS_ROWS`; a run holds at least one
+    item, however many rows it has.  `items` is read lazily, one item
+    past the run it ends."""
+    group, held = [], 0
+    for item in items:
+        n = rows(item)
+        if group and held + n > _PASS_ROWS:
+            yield group
+            group, held = [], 0
+        group.append(item)
+        held += n
+    if group:
+        yield group
 
 
 #: Relative slack of the readback certificate (see :class:`_Readbacks`):
@@ -243,7 +274,8 @@ class _Readbacks:
     fault-free block stream.
 
     A readback is the stream with the blocks at `touched` reading `out`;
-    :meth:`score` scores a batch of them over the same blocks.  No
+    :meth:`score` scores a batch of them, K readbacks over each of S
+    segments of blocks.  No
     readback rebuilds the model.  Kept from the fault-free stream: its
     weights as float64 in (n_blocks, weights_per_block) slots, whose
     :func:`craft.weightfile.layer_views` are the layer matrices, each slot's
@@ -408,22 +440,28 @@ class _Readbacks:
         return coef
 
     def _certified(self, touched: np.ndarray, values: np.ndarray, changed: np.ndarray,
-                   first: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Which of K readbacks, the blocks at `touched` decoding to `values`
-        and changing the real slots `changed`, in layers `first` to `last`
-        (-1 for none), the certificate proves keep every test row's argmax.
-        Each that changes a weight must pass ``sum |D| coef (1 +
-        _CERT_SLACK) <= 1`` over its changed slots, and each that changes
-        several layers the check of :meth:`_downstream` too."""
+                   segment: np.ndarray, ends: np.ndarray, first: np.ndarray,
+                   last: np.ndarray) -> np.ndarray:
+        """Which of the (K, S) readbacks of a segmented batch (see
+        :meth:`score`), the blocks at `touched` decoding to `values` and
+        changing the real slots `changed`, segment s of readback k in layers
+        ``first[k, s]`` to ``last[k, s]`` (-1 for none), the certificate
+        proves keep every test row's argmax.  Each that changes a weight
+        must pass ``sum |D| coef (1 + _CERT_SLACK) <= 1`` over its changed
+        slots, and each that changes several layers the check of
+        :meth:`_downstream` too, one segment at a time."""
         with np.errstate(invalid="ignore", over="ignore"):
             absd = np.abs(values - self.flat[touched])
             terms = absd * self.coef[touched]
         terms[~changed] = 0.0
-        passed = (last >= 0) & (terms.sum(axis=(1, 2)) * (1 + _CERT_SLACK) <= 1)
-        several = np.flatnonzero(passed & (first < last))
-        if several.size:
-            passed[several] = self._downstream(touched, absd[several], changed[several],
-                                               first[several])
+        bound = _segment_sums(terms.sum(axis=2), segment, len(ends))
+        passed = (last >= 0) & (bound * (1 + _CERT_SLACK) <= 1)
+        several = passed & (first < last)
+        for s in np.flatnonzero(several.any(axis=0)).tolist():
+            rows = slice(int(ends[s - 1]) if s else 0, int(ends[s]))
+            ks = np.flatnonzero(several[:, s])
+            passed[ks, s] = self._downstream(touched[rows], absd[ks, rows], changed[ks, rows],
+                                             first[ks, s])
         return passed
 
     def _downstream(self, touched: np.ndarray, absd: np.ndarray, changed: np.ndarray,
@@ -461,43 +499,78 @@ class _Readbacks:
             excess = np.maximum(rounding * (1 + _CERT_SLACK) - self.budget, 0.0)
             return bound * (1 + _CERT_SLACK) + 2 * excess / self.least_room <= 1
 
-    def score(self, touched: np.ndarray, outs: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        """Total deviations and test errors of K readbacks, the blocks at
-        `touched` reading each of `outs`, of shape (K, len(touched), 16), in
-        order.
+    def score(self, touched: np.ndarray, outs: np.ndarray,
+              ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Total deviations and test errors of a segmented batch of
+        readbacks: (K, S) arrays, for K readbacks of each of S segments.
+
+        `outs` is (K, len(touched), 16); segment s is the blocks
+        ``touched[ends[s-1]:ends[s]]`` (from 0 for s = 0), ascending, and
+        readback (k, s) has them read ``outs[k, ends[s-1]:ends[s]]``.  An
+        empty segment reads total 0 and the fault-free error.  The segments
+        are scored in passes of consecutive ones, each holding at most
+        :data:`_PASS_ROWS` readback rows or one segment (see
+        :func:`_groups`).
+        """
+        ends = np.asarray(ends, dtype=np.intp)
+        starts = np.concatenate(([0], ends[:-1])).astype(np.intp)
+        k = len(outs)
+        totals, errs = np.empty((k, len(ends))), np.empty((k, len(ends)))
+        for group in _groups(range(len(ends)), lambda s: k * int(ends[s] - starts[s])):
+            lo, hi = group[0], group[-1] + 1
+            rows = slice(int(starts[lo]), int(ends[hi - 1]))
+            totals[:, lo:hi], errs[:, lo:hi] = self._score_pass(
+                touched[rows], outs[:, rows], ends[lo:hi] - starts[lo])
+        return totals, errs
+
+    def _score_pass(self, touched: np.ndarray, outs: np.ndarray,
+                    ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`score` of one pass, its segments ending at `ends`.
 
         A readback's total deviation adds its blocks' deviations from the
-        fault-free ones left to right (see :func:`_in_order_sum`).  All K
-        decode and compare with the kept weights in one pass.  A readback
-        that changes no weight takes the fault-free error without another
-        inference, and so does every one whose change, to one layer or
-        several, the certificate of the class docstring proves cannot move
-        any test row's argmax.  The rest run inference, each from its own
-        first changed layer.
+        fault-free ones left to right (see :func:`_segment_sums`).  All
+        rows decode and compare with the kept weights in one pass, and each
+        readback's first and last changed layer come from one minimum and
+        one maximum per segment.  A readback that changes no weight takes
+        the fault-free error without another inference, and so does every
+        one whose change, to one layer or several, the certificate of the
+        class docstring proves cannot move any test row's argmax.  The rest
+        run inference, segment by segment, each from its own first changed
+        layer.
         """
+        n_segments = len(ends)
+        starts = np.concatenate(([0], ends[:-1])).astype(np.intp)
+        segment = np.repeat(np.arange(n_segments), ends - starts)
         scale = None if self.scale is None else self.scale[touched, 0]
-        totals = _in_order_sum(deviation_words(self.blocks[touched], outs, self.layout.precision,
-                                               scale))
+        totals = _segment_sums(deviation_words(self.blocks[touched], outs,
+                                               self.layout.precision, scale),
+                               segment, n_segments)
         values = self._decode(touched, outs)
         kept = self.flat[touched]
         changed = (values.view(np.uint64) != kept.view(np.uint64)) & self.real[touched]
         rows = changed.any(axis=2)
         layer = self.block_layer[touched]
         n_layers = len(self.biases)
-        first = np.where(rows, layer, n_layers).min(axis=1, initial=n_layers)
-        last = np.where(rows, layer, -1).max(axis=1, initial=-1)
+        first = np.full((len(outs), n_segments), n_layers)
+        last = np.full((len(outs), n_segments), -1)
+        filled = starts < ends
+        if filled.any():
+            at = starts[filled]
+            first[:, filled] = np.minimum.reduceat(np.where(rows, layer, n_layers), at, axis=1)
+            last[:, filled] = np.maximum.reduceat(np.where(rows, layer, -1), at, axis=1)
         infer = last >= 0
         if infer.any():
-            infer &= ~self._certified(touched, values, changed, first, last)
-        errs = [self.fault_free] * len(outs)
-        for k in np.flatnonzero(infer).tolist():
-            start = int(first[k])
-            self.flat[touched] = values[k]
+            infer &= ~self._certified(touched, values, changed, segment, ends, first, last)
+        errs = np.full((len(outs), n_segments), self.fault_free)
+        for s, k in zip(*np.nonzero(infer.T)):
+            span = slice(int(starts[s]), int(ends[s]))
+            start = int(first[k, s])
+            self.flat[touched[span]] = values[k, span]
             try:
-                errs[k] = self._error(_forward(self.weights, self.biases, self.acts[start],
-                                               self.work, start))
+                errs[k, s] = self._error(_forward(self.weights, self.biases, self.acts[start],
+                                                  self.work, start))
             finally:
-                self.flat[touched] = kept
+                self.flat[touched[span]] = kept[span]
         return totals, errs
 
 
@@ -520,10 +593,11 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     not with the trials: one trial's maps, 9 bytes per stuck cell, and a
     pass of about 650 bytes per block that a map touches, summed over the
     grid, with four schemes.  A 21-point grid on a 16-256-256-4 fp32 model
-    touches 45k blocks, a traced peak of 29 MB.  Each map's scheme
-    readbacks are scored, total deviation and test error, in one
-    :meth:`_Readbacks.score` call, which runs inference only where it
-    must.
+    touches 45k blocks, a traced peak of 29 MB.  A trial's scheme
+    readbacks of every map are scored, total deviation and test error, in
+    one segmented :meth:`_Readbacks.score` call, one segment per map, which
+    walks the grid in passes of at most :data:`_PASS_ROWS` readback rows
+    (or one map) and runs inference only where it must.
     """
     check_trials(trials)
     if threads != 1:
@@ -543,8 +617,8 @@ def ber_sweep(model: MlpModel | QuantizedModel, dataset,
     for t in range(trials):
         maps = generate_fault_maps(region, ber_list, DEFAULT_SA1_FRACTION,
                                    trial_seed(base_seed, t))
-        for bi, (touched, outs) in enumerate(_apply_schemes(blocks, layout, schemes, maps)):
-            deltas[:, bi, t], errs[:, bi, t] = readbacks.score(touched, outs)
+        deltas[:, :, t], errs[:, :, t] = readbacks.score(*_apply_schemes(blocks, layout,
+                                                                          schemes, maps))
 
     results = []
     for si, scheme in enumerate(schemes):
@@ -568,16 +642,20 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     flattened stream (no protection scheme is applied).  The same per-trial
     seed is reused across positions, so the stuck word pattern is paired.
 
-    Each trial's stuck words are drawn once, as a fault map over the words
-    (see :func:`craft.memory.generate_fault_map`), and serve every
-    position.  The draw is scattered into weight-sized units, a 1 in the
-    mask and the stuck value in the stuck array at each stuck word; read as
-    (n_blocks, 16) uint32 words, they are position 0's (mask, stuck) words,
-    bit 0 of an fp32 word or bit 8*(i % 4) of the word that holds u8 byte
-    i, and position p's are them shifted left by p.  A trial builds every
-    position's readback at once and scores them, total deviation and test
-    error, in one :meth:`_Readbacks.score` call, which at BER 1e-3 runs
-    inference for few of them.  The run may hold at most
+    Each trial's stuck words are drawn once, over the words, by the draw
+    of :func:`craft.memory.generate_fault_map` (no fault map is built),
+    and serve every position.  Trials are drawn in order and scored in
+    groups of consecutive ones, each holding at most :data:`_PASS_ROWS`
+    readback rows (positions x touched blocks) or one trial.  A group's
+    stuck words are scattered straight into the rows of its trials'
+    touched blocks, trial after trial: a 1 in the mask and the stuck value
+    in the stuck array at each stuck word's weight-sized unit.  Read as
+    uint32 words, they are position 0's (mask, stuck) words, bit 0 of an
+    fp32 word or bit 8*(i % 4) of the word that holds u8 byte i, and
+    position p's are them shifted left by p.  All positions of a group are
+    built in one pass and scored, total deviation and test error, in one
+    segmented :meth:`_Readbacks.score` call, one segment per trial, which
+    at BER 1e-3 runs inference for few of them.  The run may hold at most
     :data:`MAX_TRIAL_RESULTS` results.
     """
     check_trials(trials)
@@ -585,20 +663,39 @@ def bit_criticality(model: MlpModel | QuantizedModel, dataset, ber: float = 1e-3
     blocks, layout = flatten_model(model)
     word_bits = layout.precision.word_bits
     _check_trial_results(word_bits * trials, f"{word_bits} bit positions x {trials} trials")
-    n_words = layout.n_blocks * PAYLOAD_BITS // word_bits
+    units = PAYLOAD_BITS // word_bits  # per block
+    n_words = layout.n_blocks * units
     readbacks = _Readbacks(blocks, layout, dataset)
     shifts = np.arange(word_bits, dtype=np.uint32)[:, None, None]
     errs = np.empty((word_bits, trials))
     deltas = np.empty((word_bits, trials))
-    for t in range(trials):
-        g = generate_fault_map(n_words, ber, DEFAULT_SA1_FRACTION, trial_seed(base_seed, t))
-        units = np.zeros((2, n_words), dtype=f"<u{word_bits // 8}")
-        units[0, g.bit_indices] = 1
-        units[1, g.bit_indices] = g.stuck_values
-        mask0, stuck0 = units.view("<u4").reshape(2, layout.n_blocks, WORDS_PER_BLOCK)
-        touched = np.flatnonzero(mask0.any(axis=1))
-        outs = apply_stuck(blocks[touched], mask0[touched] << shifts, stuck0[touched] << shifts)
-        deltas[:, t], errs[:, t] = readbacks.score(touched, outs)
+
+    def drawn():
+        """Per trial in order: its stuck words and their values, each
+        word's block, which words start a touched row, and how many do."""
+        for t in range(trials):
+            [(cells, values)] = _draw(n_words, [ber], DEFAULT_SA1_FRACTION,
+                                      trial_seed(base_seed, t))
+            block = cells // units
+            new = np.ones(block.size, dtype=bool)
+            np.not_equal(block[1:], block[:-1], out=new[1:])
+            yield cells, values, block, new, int(np.count_nonzero(new))
+
+    t = 0
+    for group in _groups(drawn(), lambda d: word_bits * d[4]):
+        cells, values, block, new = (np.concatenate(a) for a in list(zip(*group))[:4])
+        row = np.cumsum(new) - 1
+        touched = block[new]
+        ends = np.cumsum([d[4] for d in group])
+        scattered = np.zeros((2, touched.size * units), dtype=f"<u{word_bits // 8}")
+        slot = row * units + cells % units
+        scattered[0, slot] = 1
+        scattered[1, slot] = values
+        mask0, stuck0 = scattered.view("<u4").reshape(2, touched.size, WORDS_PER_BLOCK)
+        outs = apply_stuck(blocks[touched], mask0 << shifts, stuck0 << shifts)
+        deltas[:, t:t + len(group)], errs[:, t:t + len(group)] = readbacks.score(touched, outs,
+                                                                                ends)
+        t += len(group)
     points = tuple(CriticalityPoint(p, *summary)
                    for p, summary in enumerate(_summaries(errs, deltas)))
     return CriticalityResult(points=points, ber=ber, trials=trials,

@@ -16,8 +16,12 @@ A fault map lists its stuck cells by bit index.  Their one word form is
 ``stuck_words(fault_map, n_blocks)``, the (mask, stuck) uint32 words of the
 first `n_blocks` blocks, which fault application, the encodings, ECP and the
 harness's BER sweep read.
-:func:`craft.harness.bit_criticality` does not: it draws a map over words,
-one cell per weight, and builds bit position 0's words from that draw.
+:func:`craft.harness.bit_criticality` does not: it draws over words, one
+cell per weight, through the same private draw (:func:`_draw`) but builds
+no map, and scatters bit position 0's words from the drawn cells.
+Generated maps skip the constructor's entry checks, which the draw makes
+hold by construction; every other map, :func:`load_fault_map`'s included,
+is fully checked.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ def check_ber(ber: float) -> float:
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
     return ber
+
+
+def _check_sa1_fraction(sa1_fraction: float) -> None:
+    if not 0.0 <= sa1_fraction <= 1.0:
+        raise ValueError(f"sa1_fraction must be in [0, 1], got {sa1_fraction}")
 
 
 def _cast(given: np.ndarray, dtype, message: str) -> np.ndarray:
@@ -83,8 +92,7 @@ class FaultMap:
         if self.region_size_bits <= 0:
             raise ValueError("fault map region must be non-empty")
         check_ber(self.ber)
-        if not 0.0 <= self.sa1_fraction <= 1.0:
-            raise ValueError(f"sa1_fraction must be in [0, 1], got {self.sa1_fraction}")
+        _check_sa1_fraction(self.sa1_fraction)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("bit_indices and stuck_values must be parallel 1-D arrays")
         if not integral.all():
@@ -108,6 +116,21 @@ class FaultMap:
         val.setflags(write=False)
         object.__setattr__(self, "bit_indices", idx)
         object.__setattr__(self, "stuck_values", val)
+
+    @classmethod
+    def _drawn(cls, region_size_bits: int, bit_indices: np.ndarray, stuck_values: np.ndarray,
+               ber: float, sa1_fraction: float, seed: int) -> "FaultMap":
+        """The map of entries that :func:`_draw` made canonical: int64 and
+        uint8 arrays, strictly ascending, in the region and 0 or 1.  Only
+        their read-only flags are set; the constructor would check the rest."""
+        fault_map = object.__new__(cls)
+        for name, value in (("region_size_bits", region_size_bits), ("bit_indices", bit_indices),
+                            ("stuck_values", stuck_values), ("ber", ber),
+                            ("sa1_fraction", sa1_fraction), ("seed", seed)):
+            object.__setattr__(fault_map, name, value)
+        bit_indices.setflags(write=False)
+        stuck_values.setflags(write=False)
+        return fault_map
 
     def __len__(self) -> int:
         return int(self.bit_indices.size)
@@ -149,10 +172,25 @@ def generate_fault_maps(region_size_bits: int, bers: Sequence[float],
     (numpy draws a shorter run of uniforms as a prefix of a longer one).
     Beyond the maps, work memory is one chunk's uniforms plus 16 bytes per
     kept cell.  Every BER must be in [0, 1], checked before the draw.
+    The drawn entries are ascending, unique, in the region and 0 or 1 by
+    construction, so the maps skip the constructor's entry checks.
     """
+    sa1_fraction, seed = float(sa1_fraction), int(seed)
+    return [FaultMap._drawn(region_size_bits, cells, values, float(ber), sa1_fraction, seed)
+            for ber, (cells, values) in zip(bers, _draw(region_size_bits, bers, sa1_fraction,
+                                                        seed))]
+
+
+def _draw(region_size_bits: int, bers: Sequence[float], sa1_fraction: float,
+          seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The stuck cells and their values of one region at each of `bers`, in
+    order: per BER, the ascending int64 cell indices and their uint8 values,
+    the entries of :func:`generate_fault_maps`' map at that BER.  Checks the
+    region, every BER and `sa1_fraction` before the draw."""
     if region_size_bits <= 0:
         raise ValueError("fault map region must be non-empty")
     bers = [float(check_ber(ber)) for ber in bers]
+    _check_sa1_fraction(sa1_fraction)
     if not bers:
         return []
     top = max(bers)
@@ -163,14 +201,13 @@ def generate_fault_maps(region_size_bits: int, bers: Sequence[float],
         hit = np.flatnonzero(u < top)
         draws.append(u[hit])
         cells.append(hit + lo if lo else hit)
-    cells, draws = _joined(cells), _joined(draws)
+    cells, draws = _joined(cells).astype(np.int64, copy=False), _joined(draws)
     values = (rng.random(cells.size) < sa1_fraction).astype(np.uint8)
-    maps = []
+    drawn = []
     for ber in bers:
         stuck = cells if ber == top else cells[draws < ber]
-        maps.append(FaultMap(region_size_bits, stuck, values[:stuck.size], ber,
-                             float(sa1_fraction), int(seed)))
-    return maps
+        drawn.append((stuck, values[:stuck.size]))
+    return drawn
 
 
 def generate_fault_map(region_size_bits: int, ber: float,

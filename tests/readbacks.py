@@ -1,7 +1,7 @@
 """Reference readbacks for tests: whole streams, rebuilt models.
 
-``harness._apply_schemes`` returns only the touched blocks' words of each
-fault map; tests that compare whole streams scatter one map's into a copy
+``harness._apply_schemes`` returns only the touched blocks' words of its
+fault maps; tests that compare whole streams scatter one map's into a copy
 of the fault-free stream, and add each readback's block deviations
 themselves, apart from ``harness._Readbacks.score``.
 :func:`reference_error` rebuilds the model from a whole stream and runs
@@ -19,7 +19,7 @@ from craft.weightfile import unflatten_model
 def scheme_readbacks(blocks, layout, schemes, fault_map):
     """Each scheme's (readback stream, total deviation), in order.  A total
     adds the readback's block deviations left to right in plain Python."""
-    [(touched, outs)] = _apply_schemes(blocks, layout, schemes, [fault_map])
+    touched, outs, _ = _apply_schemes(blocks, layout, schemes, [fault_map])
     scales = layout.block_scales()
     scale = None if scales is None else scales[touched]
     results = []

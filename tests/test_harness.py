@@ -15,7 +15,7 @@ from craft import harness, nn
 from craft.codecs import PAYLOAD_BITS
 from craft.harness import (DEFAULT_SA1_FRACTION, MAX_BER_GRID_POINTS, MAX_TRIAL_RESULTS,
                            BerPoint, CriticalityPoint, CriticalityResult, Scheme, SweepResult,
-                           _apply_schemes, _in_order_sum, _Readbacks, _summaries, ber_sweep,
+                           _apply_schemes, _Readbacks, _segment_sums, _summaries, ber_sweep,
                            bit_criticality, check_trials, default_ber_grid,
                            robustness_improvement,
                            second_zero_exponent_bit, write_criticality_csv,
@@ -82,8 +82,8 @@ class TestRunTrial:
     def test_full_ber_all_sa1_reads_all_ones(self, u8_model, default_dataset):
         blocks, layout = flatten_model(u8_model)
         fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, 1.0, 1.0, 3)
-        [(touched, outs)] = _apply_schemes(blocks, layout, [Scheme.parse("baseline")], [fmap])
-        _, [err] = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
+        _, [[err]] = _Readbacks(blocks, layout, default_dataset).score(
+            *_apply_schemes(blocks, layout, [Scheme.parse("baseline")], [fmap]))
         saturated = nn.QuantizedModel(layers=tuple(
             nn.QuantizedLayer(codes=np.full_like(l.codes, 255), scale=l.scale,
                               zero_point=l.zero_point, biases=l.biases)
@@ -244,23 +244,25 @@ def test_results_hold_python_floats(fp32_model, u8_model, default_dataset):
                 assert {type(r.classification_error), type(r.total_delta)} == {float}
 
 
-def test_in_order_sum_adds_left_to_right():
-    """Each row's total equals a plain left-to-right loop, bit for bit, at
-    lengths where numpy's pairwise sum would round differently."""
+def test_segment_sums_add_left_to_right():
+    """Each segment's total equals a plain left-to-right loop, bit for bit,
+    at lengths where numpy's pairwise sum would round differently; an empty
+    segment, first, inside or last, sums to 0."""
     gen = np.random.default_rng(5)
     reordered = False
-    for n in (0, 1, 2, 7, 100, 1000):
-        d = gen.random((3, n)) * 10.0 ** gen.integers(-8, 9, size=(3, n))
-        d[2, ::7] = NONFINITE_SENTINEL
-        got = _in_order_sum(d)
-        assert got.shape == (3,)
-        for row, total in zip(d, got.tolist()):
+    lengths = [0, 1, 2, 7, 0, 100, 1000, 0]
+    d = gen.random((3, sum(lengths))) * 10.0 ** gen.integers(-8, 9, size=(3, sum(lengths)))
+    d[2, ::7] = NONFINITE_SENTINEL
+    got = _segment_sums(d, np.repeat(np.arange(len(lengths)), lengths), len(lengths))
+    assert got.shape == (3, len(lengths))
+    ends = np.cumsum(lengths).tolist()
+    for row, totals in zip(d, got.tolist()):
+        for start, end, total in zip([0] + ends, ends, totals):
             want = 0.0
-            for x in row.tolist():
+            for x in row[start:end].tolist():
                 want += x
             assert total == want
-            reordered |= total != math.fsum(row)
-        assert _in_order_sum(d[0]) == got[0]
+            reordered |= total != math.fsum(row[start:end])
     assert reordered
 
 
@@ -329,22 +331,24 @@ def forward_passes(monkeypatch):
 
 
 def record_certificates(patch):
-    """Record every batch that _Readbacks.score scores from now on, through
-    `patch` (a pytest MonkeyPatch), as a list of [readbacks, touched, outs,
-    certified] entries, `certified` the mask of the batch's readbacks that
-    the certificate passed (none when the batch had no candidate)."""
+    """Record every pass of segmented readbacks that _Readbacks.score scores
+    from now on, through `patch` (a pytest MonkeyPatch), as a list of
+    [readbacks, touched, outs, ends, certified] entries, `certified` the
+    (readbacks, segments) mask that the certificate passed (none when the
+    pass had no candidate)."""
     batches = []
-    score, certified = _Readbacks.score, _Readbacks._certified
+    score, certified = _Readbacks._score_pass, _Readbacks._certified
 
-    def recording_score(self, touched, outs):
-        batches.append([self, touched, outs, np.zeros(len(outs), dtype=bool)])
-        return score(self, touched, outs)
+    def recording_score(self, touched, outs, ends):
+        batches.append([self, touched, outs, ends,
+                        np.zeros((len(outs), len(ends)), dtype=bool)])
+        return score(self, touched, outs, ends)
 
     def recording_certified(self, *args):
-        batches[-1][3] = passed = certified(self, *args)
+        batches[-1][4] = passed = certified(self, *args)
         return passed
 
-    patch.setattr(_Readbacks, "score", recording_score)
+    patch.setattr(_Readbacks, "_score_pass", recording_score)
     patch.setattr(_Readbacks, "_certified", recording_certified)
     return batches
 
@@ -356,6 +360,18 @@ def certificates(monkeypatch):
 
 def n_certified(batches):
     return sum(int(passed.sum()) for *_, passed in batches)
+
+
+def certified_reads(batches):
+    """(readbacks, read) per certified readback of `batches`, in order,
+    `read` the whole block stream it reads back."""
+    for rb, touched, outs, ends, passed in batches:
+        starts = [0, *ends[:-1].tolist()]
+        for k, s in np.argwhere(passed).tolist():
+            rows = slice(starts[s], int(ends[s]))
+            read = rb.blocks.copy()
+            read[touched[rows]] = outs[k, rows]
+            yield rb, read
 
 
 @pytest.fixture(params=["fp32", "u8"])
@@ -479,8 +495,8 @@ def test_score_totals_match_scheme_totals(criticality_model, default_dataset, be
     blocks, layout = flatten_model(criticality_model)
     fmap = generate_fault_map(layout.n_blocks * PAYLOAD_BITS, ber, DEFAULT_SA1_FRACTION, 7)
     schemes = [Scheme.parse(s) for s in ("baseline", "ecp1", "ecp3", "remap_invert", "craft")]
-    [(touched, outs)] = _apply_schemes(blocks, layout, schemes, [fmap])
-    totals, _ = _Readbacks(blocks, layout, default_dataset).score(touched, outs)
+    touched, outs, ends = _apply_schemes(blocks, layout, schemes, [fmap])
+    totals, _ = _Readbacks(blocks, layout, default_dataset).score(touched, outs, ends)
     mask, stuck = stuck_words(fmap, layout.n_blocks)
     mask, stuck, words = mask[touched], stuck[touched], blocks[touched]
     scales = layout.block_scales()
@@ -489,12 +505,13 @@ def test_score_totals_match_scheme_totals(criticality_model, default_dataset, be
     found = best_encodings(words, mask, stuck, layout.precision, scale,
                            [s.n_configs for s in searched])
     search_deltas = {s.name: deltas for s, (_, _, deltas) in zip(searched, found)}
-    for scheme, out, total in zip(schemes, outs, totals.tolist(), strict=True):
+    one = np.zeros(len(touched), dtype=np.intp)
+    for scheme, out, [total] in zip(schemes, outs, totals.tolist(), strict=True):
         if scheme.n_configs:
-            want = _in_order_sum(search_deltas[scheme.name])
+            want = search_deltas[scheme.name]
         else:
-            want = _in_order_sum(deviation_words(words, out, layout.precision, scale))
-        assert total == float(want), scheme.name
+            want = deviation_words(words, out, layout.precision, scale)
+        assert total == _segment_sums(want[None], one, 1)[0, 0], scheme.name
 
 
 def make_map(size, entries):
@@ -533,7 +550,8 @@ def test_apply_schemes_protects_the_stuck_words_rows_that_hold_cells(drawn):
     model = MlpModel((weights,), (np.zeros(n_blocks, dtype=np.float32),))
     blocks, layout = flatten_model(model)
     assert layout.n_blocks == n_blocks
-    [(touched, outs)] = _apply_schemes(blocks, layout, [Scheme("baseline")], [fmap])
+    touched, outs, ends = _apply_schemes(blocks, layout, [Scheme("baseline")], [fmap])
+    assert ends.tolist() == [len(touched)]
     holding = sorted({pos // PAYLOAD_BITS for pos, _ in fmap.entries})
     assert touched.tolist() == holding
     mask, stuck = stuck_words(fmap, n_blocks)
@@ -667,7 +685,7 @@ class TestReadbacksMatchRebuild:
             if case == "nonfinite":
                 assert not all(np.isfinite(w).all() for w in decoded)
             forward_passes.clear()
-            _, [got] = rb.score(touched, out[None])
+            [[got]] = rb.score(touched, out[None], [len(touched)])[1].tolist()
             assert type(got) is float
             assert got == reference_error(read, layout, default_dataset)
             # one rerun, from the first changed layer, or none
@@ -704,9 +722,9 @@ class TestReadbacksMatchRebuild:
             starts += [i for i, (a, b) in enumerate(zip(decoded, clean)) if a.tobytes() != b][:1]
         assert starts == [0, 2, 0, 0]  # layer0, last, several, nonfinite
         forward_passes.clear()
-        _, got = rb.score(touched, outs)
-        assert got == expected
-        assert all(type(e) is float for e in got)
+        _, got = rb.score(touched, outs, [len(touched)])
+        assert got[:, 0].tolist() == expected
+        assert got.dtype == np.float64
         assert forward_passes == starts
         assert [w.tobytes() for w in rb.weights] == clean
         assert [a.tobytes() for a in rb.acts] == acts
@@ -718,10 +736,81 @@ class TestReadbacksMatchRebuild:
         rb = _Readbacks(blocks, layout, default_dataset)
         forward_passes.clear()
         totals, got = rb.score(np.empty(0, dtype=np.intp),
-                               np.empty((3, 0, 16), dtype=np.uint32))
-        assert got == [rb.fault_free] * 3
-        assert totals.tolist() == [0.0] * 3
+                               np.empty((3, 0, 16), dtype=np.uint32), [0, 0])
+        assert got.tolist() == [[rb.fault_free] * 2] * 3
+        assert totals.tolist() == [[0.0] * 2] * 3
         assert forward_passes == []
+
+
+@pytest.mark.parametrize("ber", [0.0, 1e-3, 1e-1, 1.0])
+def test_criticality_does_not_depend_on_pass_size(criticality_model, default_dataset,
+                                                  monkeypatch, ber):
+    """Scoring each criticality trial in a pass of its own gives the
+    results that passes of many trials give, to the last bit."""
+    want = repr(bit_criticality(criticality_model, default_dataset, ber=ber, trials=3,
+                                base_seed=7))
+    monkeypatch.setattr(harness, "_PASS_ROWS", 1)
+    assert repr(bit_criticality(criticality_model, default_dataset, ber=ber, trials=3,
+                                base_seed=7)) == want
+
+
+def test_sweep_does_not_depend_on_pass_size(criticality_model, default_dataset, monkeypatch):
+    """Scoring each map of a trial's grid in a pass of its own gives the
+    results that one pass over the grid gives, to the last bit."""
+    bers = [0.0, 1e-3, 1e-1, 1.0]
+    want = repr(ber_sweep(criticality_model, default_dataset, SCHEMES, bers, 2, 7))
+    monkeypatch.setattr(harness, "_PASS_ROWS", 1)
+    assert repr(ber_sweep(criticality_model, default_dataset, SCHEMES, bers, 2, 7)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(precision=st.sampled_from(["fp32", "u8"]),
+       cases=st.lists(st.sampled_from(["empty", "unchanged", "pad", "layer0", "last",
+                                       "several", "nonfinite"]), min_size=1, max_size=5),
+       n_readbacks=st.integers(1, 3), pass_rows=st.sampled_from([1, 40, 4096]),
+       seed=st.integers(0, 2**16))
+def test_segmented_score_equals_one_call_per_segment(precision, cases, n_readbacks, pass_rows,
+                                                     seed, default_dataset):
+    """One segmented score call, in passes of any size, gives each segment
+    the totals, bit for bit, and errors of a call over that segment alone,
+    and runs the same forwards, empty segments and readbacks that change
+    several layers included."""
+    blocks, layout = flatten_model(odd_model(precision, huge_scale=True))
+    rb = _Readbacks(blocks, layout, default_dataset)
+    gen = np.random.default_rng(seed)
+    segments = []
+    for case in cases:
+        if case == "empty":
+            segments.append((np.empty(0, dtype=np.intp),
+                             np.empty((n_readbacks, 0, 16), dtype=np.uint32)))
+            continue
+        parts = [readback("layer0" if case == "unchanged" else case, blocks, layout, gen)
+                 for _ in range(n_readbacks)]
+        touched = np.unique(np.concatenate([t for t, _ in parts]))
+        outs = np.repeat(blocks[touched][None], n_readbacks, axis=0)
+        if case != "unchanged":
+            for out, (t, part) in zip(outs, parts):
+                out[np.searchsorted(touched, t)] = part
+        segments.append((touched, outs))
+    forwards = {"alone": [], "segmented": []}
+    with pytest.MonkeyPatch.context() as patch:
+        def counted(weights, biases, h, outs, start):
+            forwards[side].append(start)
+            return nn._forward(weights, biases, h, outs, start)
+
+        patch.setattr(harness, "_forward", counted)
+        side = "alone"
+        alone = [rb.score(t, o, [len(t)]) for t, o in segments]
+        side = "segmented"
+        patch.setattr(harness, "_PASS_ROWS", pass_rows)
+        totals, errs = rb.score(np.concatenate([t for t, _ in segments]),
+                                np.concatenate([o for _, o in segments], axis=1),
+                                np.cumsum([len(t) for t, _ in segments]))
+    assert totals.tolist() == [[a[0][k, 0] for a in alone] for k in range(n_readbacks)]
+    assert errs.tolist() == [[a[1][k, 0] for a in alone] for k in range(n_readbacks)]
+    assert forwards["segmented"] == forwards["alone"]
+    assert [w.tobytes() for w in rb.weights] == \
+        [w.tobytes() for w in float64_weights(blocks, layout)]
 
 
 def held_out(inputs, labels):
@@ -748,9 +837,9 @@ def certificate_passes(model, dataset, changes):
     touched = np.flatnonzero((read != blocks).any(axis=1))
     with pytest.MonkeyPatch.context() as patch:
         batches = record_certificates(patch)
-        _Readbacks(blocks, layout, dataset).score(touched, read[touched][None])
+        _Readbacks(blocks, layout, dataset).score(touched, read[touched][None], [len(touched)])
     [(*_, passed)] = batches
-    return bool(passed[0])
+    return bool(passed[0, 0])
 
 
 class TestCertificate:
@@ -773,15 +862,12 @@ class TestCertificate:
         batches = len(certificates)
         ber_sweep(model, default_dataset, SCHEMES, [1e-3, 1e-2, 1e-1], 4, 7)
         several = []  # per certified readback, in batch order
-        for rb, touched, outs, passed in certificates:
+        for rb, read in certified_reads(certificates):
             clean = float64_weights(rb.blocks, rb.layout)
-            for k in np.flatnonzero(passed).tolist():
-                read = rb.blocks.copy()
-                read[touched] = outs[k]
-                assert reference_error(read, rb.layout, default_dataset) == rb.fault_free
-                changed = [a.tobytes() != b.tobytes()
-                           for a, b in zip(float64_weights(read, rb.layout), clean)]
-                several.append(sum(changed) > 1)
+            assert reference_error(read, rb.layout, default_dataset) == rb.fault_free
+            changed = [a.tobytes() != b.tobytes()
+                       for a, b in zip(float64_weights(read, rb.layout), clean)]
+            several.append(sum(changed) > 1)
         # a bound that never fires would pass the oracle check vacuously
         in_criticality = n_certified(certificates[:batches])
         assert 0 < in_criticality < len(several)
@@ -844,9 +930,9 @@ class TestCertificate:
         rb = _Readbacks(blocks, layout, held_out(inputs, labels))
         with pytest.MonkeyPatch.context() as patch:
             batches = record_certificates(patch)
-            _, [err] = rb.score(touched, read[touched][None])
+            [[err]] = rb.score(touched, read[touched][None], [len(touched)])[1].tolist()
         assert err == 1 - accuracy(changed, inputs, labels)
-        if batches[0][3][0]:
+        if batches[0][4][0, 0]:
             event("certified")
             if sum(not np.array_equal(a, b) for a, b in zip(stored, original)) > 1:
                 event("certified, several layers changed")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from craft.memory import (DRAW_CHUNK_BITS, PAYLOAD_BITS, FaultMap, apply_stuck,
+from craft.memory import (DRAW_CHUNK_BITS, PAYLOAD_BITS, FaultMap, _draw, apply_stuck,
                           generate_fault_map, generate_fault_maps, load_fault_map,
                           save_fault_map, stuck_words)
 from fault_map_oracle import canonical_entries_ref, generate_fault_map_ref, load_fault_map_ref
@@ -151,6 +151,29 @@ class TestGenerateGrid:
             assert fmap == want
             assert (fmap.ber, fmap.sa1_fraction, fmap.seed) == (want.ber, sa1, seed)
             assert generate_fault_map(size, ber, sa1, seed) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.one_of(st.integers(1, 3 * DRAW_CHUNK_BITS), st.sampled_from(CHUNK_EDGES)),
+           bers=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.5, 1.0]), min_size=1, max_size=4),
+           sa1=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**64 - 1))
+    def test_drawn_maps_equal_fully_checked_ones(self, size, bers, sa1, seed):
+        """The private draw's cells and values are the entries of
+        generate_fault_maps' maps, which skip the entry checks; the fully
+        checked constructor builds an equal map from the same arrays, with
+        the same dtypes and read-only entries."""
+        maps = generate_fault_maps(size, bers, sa1, seed)
+        for fmap, (cells, values) in zip(maps, _draw(size, bers, sa1, seed), strict=True):
+            assert np.array_equal(fmap.bit_indices, cells)
+            assert np.array_equal(fmap.stuck_values, values)
+            checked = FaultMap(size, cells, values, fmap.ber, fmap.sa1_fraction, fmap.seed)
+            assert checked == fmap
+            for got, want in ((fmap.bit_indices, checked.bit_indices),
+                              (fmap.stuck_values, checked.stuck_values)):
+                assert got.dtype == want.dtype
+                assert not got.flags.writeable and not want.flags.writeable
+            assert fmap.bit_indices.dtype == np.int64 and fmap.stuck_values.dtype == np.uint8
+            assert (fmap.ber, fmap.sa1_fraction, fmap.seed) == \
+                (checked.ber, checked.sa1_fraction, checked.seed)
 
     def test_empty_grid_draws_no_map(self):
         assert generate_fault_maps(512, [], 0.5, 3) == []

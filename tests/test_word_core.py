@@ -315,11 +315,12 @@ def test_apply_schemes_matches_each_scheme_alone(fp32_model, u8_model, precision
     blocks, layout = flatten_model(fp32_model if precision == "fp32" else u8_model)
     maps = generate_fault_maps(layout.n_blocks * PAYLOAD_BITS, bers, sa1, seed)
     schemes = [Scheme.parse(name) for name in names]
-    grid = _apply_schemes(blocks, layout, schemes, maps)
-    assert len(grid) == len(maps)
+    at, grid, ends = _apply_schemes(blocks, layout, schemes, maps)
+    assert len(ends) == len(maps)
     reference = {}
-    for fmap, (touched, outs) in zip(maps, grid):
-        [(touched_alone, outs_alone)] = _apply_schemes(blocks, layout, schemes, [fmap])
+    for fmap, start, end in zip(maps, [0, *ends[:-1].tolist()], ends.tolist()):
+        touched, outs = at[start:end], grid[:, start:end]
+        touched_alone, outs_alone, _ = _apply_schemes(blocks, layout, schemes, [fmap])
         assert np.array_equal(touched, touched_alone)
         assert np.array_equal(outs, outs_alone)
         results = scheme_readbacks(blocks, layout, schemes, fmap)
